@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import BENCH_SEED, emit_bench
+from repro._reference import NaiveSweepEngine
 from repro.network.topology_powerlaw import powerlaw_topology
 from repro.routing.weights import random_weights
 from repro.scenarios import (
@@ -27,7 +28,7 @@ from repro.scenarios import (
     LinkFailure,
     NodeFailure,
     SrlgFailure,
-    sweep_scenarios,
+    SweepEngine,
 )
 from repro.traffic.gravity import gravity_traffic_matrix
 from repro.traffic.highpriority import random_high_priority
@@ -76,14 +77,12 @@ def _workload():
 def test_batched_sweep_speedup_and_bit_identity():
     net, high, low, wh, wl, scenarios = _workload()
 
-    def timed(batched):
+    def timed(engine_class):
         gc.collect()
         gc.disable()
         try:
             start = time.perf_counter()
-            result = sweep_scenarios(
-                net, wh, wl, high, low, scenarios, batched=batched
-            )
+            result = engine_class(net, wh, wl, high, low).sweep(scenarios)
             return time.perf_counter() - start, result
         finally:
             gc.enable()
@@ -91,9 +90,9 @@ def test_batched_sweep_speedup_and_bit_identity():
     batched_s, naive_s = float("inf"), float("inf")
     batched = naive = None
     for _ in range(2):  # best-of-2 damps scheduler noise
-        elapsed, batched = timed(True)
+        elapsed, batched = timed(SweepEngine)
         batched_s = min(batched_s, elapsed)
-        elapsed, naive = timed(False)
+        elapsed, naive = timed(NaiveSweepEngine)
         naive_s = min(naive_s, elapsed)
 
     # Bit-identity: every batched outcome equals the per-scenario rebuild.

@@ -9,8 +9,9 @@ every response stays **byte-identical** to the naive answer.
 
 The naive baseline is deliberately generous: it already holds a warm
 session (baseline routings prebuilt) and merely evaluates each request
-from scratch (``batched_sweeps=False`` — fresh degraded routing and
-load pass per query, no cross-request sharing, no result cache), which
+from scratch (:class:`repro._reference.ReferenceSession` — fresh
+degraded routing and load pass per query, no cross-request sharing, no
+result cache), which
 is what a per-request service without this subsystem would do.  The
 margin comes from the sweep engine's derived routings and reused load
 rows plus plan-cache hits on repeated queries.
@@ -25,6 +26,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from benchmarks.conftest import BENCH_SEED, emit_bench
+from repro._reference import ReferenceSession
 from repro.api import Session, serve_session
 from repro.network.topology_powerlaw import powerlaw_topology
 from repro.routing.weights import random_weights
@@ -71,7 +73,8 @@ def _workload():
 
 
 def _make_session(net, high, low, wh, wl, batched: bool) -> Session:
-    session = Session(net, high, low, cost_model="load", batched_sweeps=batched)
+    session_class = Session if batched else ReferenceSession
+    session = session_class(net, high, low, cost_model="load")
     session.set_weights(wh, wl)
     return session.prepare()  # warm-up is untimed on both paths
 

@@ -26,6 +26,7 @@ import time
 import tracemalloc
 
 from benchmarks.conftest import BENCH_SEED, emit_bench
+from repro._reference import NaiveSweepEngine
 from repro.network.graph import Network
 from repro.network.topology_random import random_topology
 from repro.routing.weights import random_weights
@@ -79,10 +80,10 @@ def test_space_sweep_effective_throughput():
         gc.enable()
 
     # Naive baseline: unpruned enumeration, every scenario rebuilt from
-    # scratch (batched=False disables all derivation/reuse).  Evaluating
+    # scratch (NaiveSweepEngine disables all derivation/reuse).  Evaluating
     # all ~1500 scenarios that way takes minutes, so time a random
     # sample and extrapolate — per-scenario cost is flat by construction.
-    naive = SweepEngine(net, wh, wl, high, low, batched=False)
+    naive = NaiveSweepEngine(net, wh, wl, high, low)
     naive.baseline
     sample = random.Random(BENCH_SEED + 1).sample(
         list(space.scenarios(net)), NAIVE_SAMPLE

@@ -4,8 +4,9 @@ Full evaluations dominate everything the incremental path cannot reuse:
 cold-cache searches, sweep baselines, and every derived layer's rebuilt
 cross-check.  This benchmark times from-scratch evaluations of distinct
 weight settings on a 200-node power-law topology with the vectorized
-kernels on and off, asserts the results are bit-identical, and gates the
-tentpole contract: at least a 5x evaluator speedup.
+kernels and with the scalar loop of :mod:`repro._reference`, asserts the
+results are bit-identical, and gates the tentpole contract: at least a
+5x evaluator speedup.
 
 Both paths share the scipy Dijkstra solve (the vectorized path cannot
 speed up what is already C), so the evaluator-level speedup is an
@@ -23,6 +24,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import BENCH_SEED, emit_bench
+from repro._reference import ScalarEvaluator, ScalarRouting
 from repro.core.evaluator import SLA_MODE, DualTopologyEvaluator
 from repro.network.topology_powerlaw import powerlaw_topology
 from repro.routing.state import Routing
@@ -52,9 +54,8 @@ def _workload(num_nodes=None, num_evals=None):
 
 def _time_pass(net, high, low, settings, vectorized, mode="load"):
     """One timed pass of from-scratch evaluations (caches never hit)."""
-    evaluator = DualTopologyEvaluator(
-        net, high, low, mode=mode, incremental=False, vectorized=vectorized
-    )
+    evaluator_class = DualTopologyEvaluator if vectorized else ScalarEvaluator
+    evaluator = evaluator_class(net, high, low, mode=mode, incremental=False)
     gc.collect()
     gc.disable()  # GC pauses are noise the speedup ratio must not absorb
     try:
@@ -128,7 +129,7 @@ def test_vectorized_destination_rows_kernel_speedup():
     for label, vectorized in (("vectorized", True), ("scalar", False)):
         best = float("inf")
         for _ in range(3):
-            routing = Routing(net, weights, vectorized=vectorized)
+            routing = (Routing if vectorized else ScalarRouting)(net, weights)
             gc.collect()
             gc.disable()
             try:

@@ -71,7 +71,7 @@ from repro.network.failures import FailureScenario
 from repro.network.graph import Network
 from repro.routing.incremental import WeightDelta
 from repro.routing.state import Routing
-from repro.routing.weights import weights_key
+from repro.routing.weights import as_weight_array, weights_key
 from repro.traffic.matrix import TrafficMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -103,11 +103,10 @@ class Session:
         cache_size: Evaluator cache entries per layer.
         incremental: Evaluate weight deltas via incremental SPF.
         verify_incremental: Cross-check every derived layer (tests only).
-        batched_sweeps: Whether scenario queries share state through the
-            sweep engine (default).  ``False`` rebuilds every scenario
-            from scratch — the naive verification fallback the serve
-            benchmark and differential tests compare against, analogous
-            to ``incremental=False`` for weight deltas.
+
+    Scenario queries share state through the sweep engine; the naive
+    per-scenario rebuild the serve benchmark and differential tests
+    compare against is :class:`repro._reference.ReferenceSession`.
     """
 
     def __init__(
@@ -122,7 +121,6 @@ class Session:
         cache_size: int = 128,
         incremental: bool = True,
         verify_incremental: bool = False,
-        batched_sweeps: bool = True,
         _evaluator: Optional[DualTopologyEvaluator] = None,
     ) -> None:
         self.cost_model: CostModel = get_cost_model(cost_model)
@@ -146,7 +144,6 @@ class Session:
                 incremental=incremental,
                 verify_incremental=verify_incremental,
             )
-        self.batched_sweeps = bool(batched_sweeps)
         self._baseline: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._direct_cache: dict[bytes, Evaluation] = {}
         self._sweep_engine_cache: Optional[tuple[bytes, "SweepEngine"]] = None
@@ -252,14 +249,17 @@ class Session:
             high_weights: High-priority weights (both classes when
                 ``low_weights`` is omitted — the STR deployment).
             low_weights: Low-priority weights, for a dual setting.
+
+        Raises:
+            ValueError: if a vector is not a valid integer weight setting
+                (see :func:`~repro.routing.weights.as_weight_array`) —
+                fractional weights are rejected, never truncated.
         """
-        wh = np.asarray(high_weights, dtype=np.int64)
-        wl = wh if low_weights is None else np.asarray(low_weights, dtype=np.int64)
-        if wh.shape != (self.network.num_links,) or wl.shape != wh.shape:
-            raise ValueError(
-                f"expected weight vectors of length {self.network.num_links}"
-            )
-        self._baseline = (wh, wl)
+        n = self.network.num_links
+        pair = (high_weights, high_weights if low_weights is None else low_weights)
+        if any(np.shape(vector) != (n,) for vector in pair):
+            raise ValueError(f"expected weight vectors of length {n}")
+        self._baseline = (as_weight_array(pair[0], n), as_weight_array(pair[1], n))
 
     def adopt(self, result: "OptimizationResult") -> None:
         """Adopt an optimization result as the baseline weight setting."""
@@ -529,16 +529,20 @@ class Session:
             kwargs["score"] = score
         return engine.sweep_space(space, **kwargs)
 
-    def _scenario_engine(self) -> "SweepEngine":
-        """The (cached) sweep engine bound to the current baseline."""
+    def _sweep_engine_class(self) -> type["SweepEngine"]:
+        """The engine class scenario queries run on (a reference seam)."""
         from repro.scenarios.batch import SweepEngine
 
+        return SweepEngine
+
+    def _scenario_engine(self) -> "SweepEngine":
+        """The (cached) sweep engine bound to the current baseline."""
         wh, wl = self._require_baseline()
         key = weights_key(wh) + b"|" + weights_key(wl)
         cached = self._sweep_engine_cache
         if cached is not None and cached[0] == key:
             return cached[1]
-        engine = SweepEngine(
+        engine = self._sweep_engine_class()(
             self.network,
             wh,
             wl,
@@ -546,7 +550,6 @@ class Session:
             self.low_traffic,
             mode=self.evaluator.mode,
             sla_params=self.sla_params,
-            batched=self.batched_sweeps,
         )
         self._sweep_engine_cache = (key, engine)
         return engine

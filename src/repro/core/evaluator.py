@@ -158,11 +158,11 @@ class DualTopologyEvaluator:
             against a full rebuild and raise
             :class:`IncrementalMismatchError` on disagreement.  Expensive;
             meant for tests and debugging.
-        vectorized: Whether routings run per-destination accumulation on
-            the struct-of-arrays kernels (:mod:`repro.routing.soa`) or on
-            the scalar reference loop.  Both produce bit-identical
-            results; ``False`` is the differential-test reference path.
     """
+
+    _routing_class = Routing
+    """The class fresh routings are built with; the scalar reference
+    evaluator (:class:`repro._reference.ScalarEvaluator`) swaps it."""
 
     def __init__(
         self,
@@ -174,7 +174,6 @@ class DualTopologyEvaluator:
         cache_size: int = 128,
         incremental: bool = True,
         verify_incremental: bool = False,
-        vectorized: bool = True,
     ) -> None:
         if mode not in (LOAD_MODE, SLA_MODE):
             raise ValueError(f"mode must be '{LOAD_MODE}' or '{SLA_MODE}', got {mode!r}")
@@ -187,7 +186,6 @@ class DualTopologyEvaluator:
         self.sla_params = sla_params or SlaParams()
         self.incremental = bool(incremental)
         self.verify_incremental = bool(verify_incremental)
-        self.vectorized = bool(vectorized)
         self._high_cache = _LruCache(cache_size)
         self._low_cache = _LruCache(cache_size)
         self._full_cache = _LruCache(cache_size * 2)
@@ -503,7 +501,7 @@ class DualTopologyEvaluator:
             )
         self._obs_memo_miss.inc()
         if parent_routing is None or delta is None:
-            routing, affected = Routing(self._net, weights, vectorized=self.vectorized), None
+            routing, affected = self._routing_class(self._net, weights), None
         else:
             derived, affected_array = derive_routing(parent_routing, delta)
             if not np.array_equal(derived.weights, np.asarray(weights, dtype=np.int64)):

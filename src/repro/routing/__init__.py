@@ -29,9 +29,8 @@ from repro.routing.state import Routing
 from repro.routing.incremental import (
     WeightDelta,
     affected_destinations,
+    derive_children,
     derive_routing,
-    derive_routings_batch,
-    incremental_distances,
 )
 from repro.routing.multi_topology import DualRouting, MultiTopology
 from repro.routing.forwarding import (
@@ -74,9 +73,8 @@ __all__ = [
     "build_schedule",
     "WeightDelta",
     "affected_destinations",
+    "derive_children",
     "derive_routing",
-    "derive_routings_batch",
-    "incremental_distances",
     "as_weight_array",
     "unit_weights",
     "random_weights",

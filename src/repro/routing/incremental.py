@@ -1,39 +1,34 @@
-"""Incremental SPF for weight settings that differ in a few link weights.
+"""Incremental SPF: derive a child routing from a parent that differs a little.
 
 The local searches (FindH/FindL, the STR single-weight-change baseline,
 simulated annealing) evaluate thousands of weight settings that differ
-from an already-evaluated parent in only one or two link weights, yet a
-fresh :class:`~repro.routing.state.Routing` recomputes all-destination
-Dijkstra, every SP DAG, and every per-destination load from scratch —
-the classic bottleneck dynamic shortest-path updates address in the
-weight-search literature (Fortz & Thorup).
+from an already-evaluated parent in one or two link weights, and the
+scenario engine (:mod:`repro.scenarios.batch`) evaluates networks that
+differ from the intact one in a few failed links — yet a fresh
+:class:`~repro.routing.state.Routing` recomputes everything (the classic
+bottleneck of the weight-search literature, Fortz & Thorup).  A change
+can only alter the routing toward destinations whose shortest-path
+structure involves a changed link,
 
-This module exploits the destination-row structure of
-:func:`repro.routing.spf.distances_to_all`: a weight change on link
-``(u, v)`` can only alter the routing toward destinations ``t`` whose
-shortest-path structure involves the link,
-
-* **increase** ``w -> w'``: only destinations whose SP DAG *used* the
-  link, i.e. ``dist(u, t) == w + dist(v, t)`` (the slack test of
-  :func:`repro.routing.spf.shortest_path_dag_mask`);
+* **increase** ``w -> w'`` or **removal** of a link ``(u, v)``: only
+  destinations whose SP DAG *used* the link, i.e.
+  ``dist(u, t) == w + dist(v, t)`` (the slack test of
+  :func:`repro.routing.spf.shortest_path_dag_mask`, shared by
+  :func:`affected_destinations` and :func:`destinations_using_links`);
 * **decrease** ``w -> w'``: only destinations where the cheaper link
   (weakly) undercuts the incumbent distance,
   ``w' + dist(v, t) <= dist(u, t)`` (strict improvement shortens the
   distance; equality leaves distances intact but adds an ECMP branch).
 
 For every other destination both the distance row and the SP DAG are
-provably unchanged (no old shortest path used a changed link, and no new
-path can beat the incumbent), so :func:`derive_routing` re-runs Dijkstra
-restricted to the affected destinations and shares all other rows and
-cached DAGs with the parent.  For multi-link deltas the affected set is
-the union of the per-link tests, each evaluated against the parent's
-distances — increases cannot shorten any path, and a decrease failing
-its test cannot undercut any distance even combined with the others.
-
-On the paper's 30-node topologies a single-weight move typically affects
-a small handful of destinations, so almost all SPF work is skipped; the
-evaluator layers (:mod:`repro.core.evaluator`) build on this to reuse
-per-destination load rows as well.
+provably unchanged, so :func:`derive_children` — the one parent-to-child
+derivation both deltas use — re-runs Dijkstra restricted to the affected
+destinations and copies all other rows from the parent.  For multi-link
+deltas the affected set is the union of the per-link tests, each
+evaluated against the parent's distances — increases cannot shorten any
+path, and a decrease failing its test cannot undercut any distance even
+combined with the others.  The callers (:mod:`repro.core.evaluator`,
+:mod:`repro.scenarios.batch`) reuse per-destination load rows on top.
 """
 
 from __future__ import annotations
@@ -47,6 +42,7 @@ from repro import obs
 from repro.network.graph import Network
 from repro.routing.spf import (
     _DISTANCE_ATOL,
+    distances_to_all,
     distances_to_subset,
     distances_to_subsets_batched,
 )
@@ -63,6 +59,9 @@ _OBS_AFFECTED = obs.histogram(
     "Affected-destination set size per derived routing.",
     buckets=obs.SIZE_BUCKETS,
 )
+
+DEFAULT_FALLBACK_FRACTION = 0.5
+"""Affected-destination fraction above which a topology child gets a full SPF."""
 
 
 @dataclass(frozen=True)
@@ -132,6 +131,17 @@ class WeightDelta:
         return out
 
 
+def _uses_link(
+    dist: np.ndarray, srcs: np.ndarray, dsts: np.ndarray, link: int, weight, atol: float
+) -> np.ndarray:
+    """Destinations whose SP DAG uses ``link`` at ``weight`` (the slack test)."""
+    to_u = dist[:, srcs[link]]
+    to_v = dist[:, dsts[link]]
+    finite = np.isfinite(to_u) & np.isfinite(to_v)
+    with np.errstate(invalid="ignore"):  # inf - inf on unreachable endpoints
+        return finite & (np.abs(to_u - (weight + to_v)) <= atol)
+
+
 def affected_destinations(
     net: Network,
     dist: np.ndarray,
@@ -156,13 +166,11 @@ def affected_destinations(
     dsts = net.link_destinations()
     mask = np.zeros(net.num_nodes, dtype=bool)
     for link, old_w, new_w in delta.changes:
-        to_u = dist[:, srcs[link]]
-        to_v = dist[:, dsts[link]]
-        finite = np.isfinite(to_u) & np.isfinite(to_v)
         if new_w > old_w:
-            mask |= finite & (np.abs(to_u - (old_w + to_v)) <= atol)
+            mask |= _uses_link(dist, srcs, dsts, link, old_w, atol)
         else:
-            mask |= finite & (new_w + to_v <= to_u + atol)
+            to_u, to_v = dist[:, srcs[link]], dist[:, dsts[link]]
+            mask |= np.isfinite(to_u) & np.isfinite(to_v) & (new_w + to_v <= to_u + atol)
     return np.flatnonzero(mask)
 
 
@@ -198,38 +206,92 @@ def destinations_using_links(
     dsts = net.link_destinations()
     w = np.asarray(weights, dtype=float)
     mask = np.zeros(net.num_nodes, dtype=bool)
-    with np.errstate(invalid="ignore"):  # inf - inf on unreachable endpoints
-        for link in links:
-            link = int(link)
-            to_u = dist[:, srcs[link]]
-            to_v = dist[:, dsts[link]]
-            finite = np.isfinite(to_u) & np.isfinite(to_v)
-            mask |= finite & (np.abs(to_u - (w[link] + to_v)) <= atol)
+    for link in links:
+        link = int(link)
+        mask |= _uses_link(dist, srcs, dsts, link, w[link], atol)
     return np.flatnonzero(mask)
 
 
-def incremental_distances(
-    net: Network,
-    new_weights: np.ndarray,
-    parent_dist: np.ndarray,
-    affected: np.ndarray,
-) -> np.ndarray:
-    """Distance matrix under ``new_weights``, recomputing only ``affected`` rows.
+def uses_full_spf(parent: Routing, net: Network, affected: np.ndarray) -> bool:
+    """Whether :func:`derive_children` solves a child on ``net`` from scratch.
 
-    Args:
-        net: The network.
-        new_weights: The child weight vector.
-        parent_dist: Distance matrix of the parent weights.
-        affected: Output of :func:`affected_destinations`.
-
-    Returns:
-        A fresh matrix equal to ``distances_to_all(net, new_weights)``;
-        rows outside ``affected`` are copied from ``parent_dist``.
+    A topology child (``net`` is a surviving network) with more than
+    :data:`DEFAULT_FALLBACK_FRACTION` of its destinations affected is
+    solved in full, which skips the parent-row copy and the isolated-node
+    repair.  A weight-delta child always re-solves only its affected
+    rows: on 100-node power-law searches about half of all moves affect
+    more than half of the destinations, and solving those in full made
+    the search about 8% slower.
     """
-    dist = parent_dist.copy()
-    if affected.size:
-        dist[affected] = distances_to_subset(net, new_weights, affected)
-    return dist
+    return (
+        net is not parent.network
+        and affected.size > DEFAULT_FALLBACK_FRACTION * net.num_nodes
+    )
+
+
+def derive_children(parent: Routing, children) -> list[Routing]:
+    """Child routings of ``parent``, re-solving only their affected rows.
+
+    Each child is a ``(network, weights, affected)`` triple: ``network``
+    is the parent's own network for a weight delta, or a surviving
+    network (a subset of the parent's links) for a topology delta, and
+    ``affected`` covers every destination whose distance row can differ
+    from the parent's.  A child copies the parent's distance matrix and
+    re-solves the affected rows — or every row, past the
+    :func:`uses_full_spf` cutoff.  One child calls ``distances_to_subset``
+    (or ``distances_to_all``) directly; several share one
+    ``distances_to_subsets_batched`` solve.  Distances are exact sums of
+    integer weights, so every child equals a from-scratch routing bit for
+    bit, including the entries of nodes left with no links (``inf`` off
+    the diagonal), which an affected set may not cover.
+
+    A child that keeps the parent's link space also shares the parent's
+    cached SP DAGs (list and CSR form) of unaffected destinations; a
+    topology delta renumbers links, so its DAGs build lazily.  Children
+    are of the parent's class.
+    """
+    children = [
+        (net, weights, affected, uses_full_spf(parent, net, affected))
+        for net, weights, affected in children
+    ]
+    if len(children) == 1:
+        net, weights, affected, full = children[0]
+        if full:
+            blocks = [distances_to_all(net, weights)]
+        else:
+            blocks = [distances_to_subset(net, weights, affected)]
+    else:
+        blocks = distances_to_subsets_batched(
+            (net, weights, np.arange(net.num_nodes) if full else affected)
+            for net, weights, affected, full in children
+        )
+    out = []
+    for (net, weights, affected, full), rows in zip(children, blocks):
+        if full:
+            dist = rows
+        else:
+            dist = parent.distance_matrix.copy()
+            dist[affected] = rows
+        dag_out = dags = None
+        if net is parent.network:
+            stale = set(affected.tolist())
+            dag_out, dags = (
+                {t: dag for t, dag in cache.items() if t not in stale}
+                for cache in (parent.dag_cache(), parent.soa_dag_cache())
+            )
+        elif not full:
+            linked = np.zeros(net.num_nodes, dtype=bool)
+            linked[net.link_sources()] = linked[net.link_destinations()] = True
+            isolated = np.flatnonzero(~linked)
+            if isolated.size:
+                dist[:, isolated] = dist[isolated, :] = np.inf
+                dist[isolated, isolated] = 0.0
+        out.append(
+            type(parent).from_precomputed(
+                net, weights, dist, dag_out=dag_out, dags=dags
+            )
+        )
+    return out
 
 
 def derive_routing(
@@ -250,74 +312,8 @@ def derive_routing(
     """
     started = perf_counter()
     net = parent.network
-    new_weights = delta.apply(parent.weights)
     affected = affected_destinations(net, parent.distance_matrix, delta)
-    dist = incremental_distances(net, new_weights, parent.distance_matrix, affected)
-    child = _child_routing(parent, new_weights, dist, affected)
+    (child,) = derive_children(parent, [(net, delta.apply(parent.weights), affected)])
     _OBS_DERIVE_SECONDS.observe(perf_counter() - started)
     _OBS_AFFECTED.observe(affected.size)
     return child, affected
-
-
-def _child_routing(
-    parent: Routing, new_weights: np.ndarray, dist: np.ndarray, affected: np.ndarray
-) -> Routing:
-    """Assemble a child routing sharing the parent's unaffected DAG caches.
-
-    Both DAG representations are shared — the list-of-lists cache the
-    path/forwarding helpers consume and the CSR
-    :class:`~repro.routing.soa.DestinationDag` cache the vectorized
-    kernels ride — so a derived routing re-traverses nothing the parent
-    already built.
-    """
-    affected_set = set(int(t) for t in affected)
-    reusable_dags = {
-        t: dag for t, dag in parent.dag_cache().items() if t not in affected_set
-    }
-    reusable_soa = {
-        t: dag for t, dag in parent.soa_dag_cache().items() if t not in affected_set
-    }
-    return Routing.from_precomputed(
-        parent.network,
-        new_weights,
-        dist,
-        dag_out=reusable_dags,
-        dags=reusable_soa,
-        vectorized=parent.vectorized,
-    )
-
-
-def derive_routings_batch(
-    parent: Routing, deltas
-) -> list[tuple[Routing, np.ndarray]]:
-    """Derive many children of one parent with a single blocked Dijkstra.
-
-    Equivalent to ``[derive_routing(parent, d) for d in deltas]`` — same
-    children bit for bit — but every child's restricted Dijkstra runs in
-    one :func:`repro.routing.spf.distances_to_subsets_batched` call, so a
-    batch of cache misses (e.g. the neighborhood a search ranks, or the
-    deltas a sweep chunk requests) pays the scipy call overhead once.
-
-    Args:
-        parent: The routing of the parent weight vector.
-        deltas: The weight changes, each relative to the parent.
-
-    Returns:
-        ``(child, affected)`` pairs in ``deltas`` order.
-    """
-    net = parent.network
-    prepared = []
-    for delta in deltas:
-        new_weights = delta.apply(parent.weights)
-        affected = affected_destinations(net, parent.distance_matrix, delta)
-        prepared.append((new_weights, affected))
-    blocks = distances_to_subsets_batched(
-        (net, new_weights, affected) for new_weights, affected in prepared
-    )
-    out = []
-    for (new_weights, affected), rows in zip(prepared, blocks):
-        dist = parent.distance_matrix.copy()
-        if affected.size:
-            dist[affected] = rows
-        out.append((_child_routing(parent, new_weights, dist, affected), affected))
-    return out

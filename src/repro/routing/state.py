@@ -21,7 +21,6 @@ from repro.routing.spf import (
     RoutingError,
     descending_distance_order,
     distances_to_all,
-    shortest_path_dag_mask,
 )
 from repro.routing.weights import as_weight_array
 from repro.traffic.matrix import TrafficMatrix
@@ -52,15 +51,13 @@ class Routing:
 
     Per-destination accumulation (:meth:`destination_rows`,
     :meth:`destination_link_loads`, :meth:`pair_link_fractions`) runs on
-    the struct-of-arrays kernels of :mod:`repro.routing.soa` by default;
-    ``vectorized=False`` keeps the scalar Python reference loop, which
-    the kernels are bit-identical to (the cross-check the differential
-    suites pin down).
+    the struct-of-arrays kernels of :mod:`repro.routing.soa`, which are
+    bit-identical to the scalar Python reference loop kept in
+    :class:`repro._reference.ScalarRouting` (the cross-check the
+    differential suites pin down).
     """
 
-    def __init__(
-        self, net: Network, weights: Iterable[float], vectorized: bool = True
-    ) -> None:
+    def __init__(self, net: Network, weights: Iterable[float]) -> None:
         self._net = net
         self._weights = as_weight_array(weights, net.num_links)
         self._dist = distances_to_all(net, self._weights)
@@ -71,7 +68,6 @@ class Routing:
         self._pair_schedules: OrderedDict[int, Schedule] = OrderedDict()
         self._dest_schedules: OrderedDict[bytes, Schedule] = OrderedDict()
         self._all_finite: Optional[bool] = None
-        self._vectorized = bool(vectorized)
 
     @classmethod
     def from_precomputed(
@@ -81,12 +77,11 @@ class Routing:
         dist: np.ndarray,
         dag_out: Optional[dict[int, list[list[int]]]] = None,
         dags: Optional[dict[int, DestinationDag]] = None,
-        vectorized: bool = True,
     ) -> "Routing":
         """Build a routing from an externally computed distance matrix.
 
         This is the constructor the incremental-SPF path uses
-        (:func:`repro.routing.incremental.derive_routing`): ``dist`` must
+        (:func:`repro.routing.incremental.derive_children`): ``dist`` must
         equal ``distances_to_all(net, weights)`` and ``dag_out`` /
         ``dags`` may seed the per-destination DAG caches with entries
         that are known to be valid under ``weights`` (e.g. reused from a
@@ -106,7 +101,6 @@ class Routing:
         routing._pair_schedules = OrderedDict()
         routing._dest_schedules = OrderedDict()
         routing._all_finite = None
-        routing._vectorized = bool(vectorized)
         return routing
 
     # ------------------------------------------------------------------
@@ -121,11 +115,6 @@ class Routing:
     def weights(self) -> np.ndarray:
         """The (read-only) link weight vector."""
         return self._weights
-
-    @property
-    def vectorized(self) -> bool:
-        """Whether accumulation runs on the SoA kernels or the scalar loop."""
-        return self._vectorized
 
     def distance(self, src: int, dst: int) -> float:
         """Shortest-path distance from ``src`` to ``dst`` (``inf`` if unreachable)."""
@@ -157,7 +146,7 @@ class Routing:
         """The CSR-form per-destination DAG cache (``dst -> DestinationDag``).
 
         The struct-of-arrays counterpart of :meth:`dag_cache`, shared the
-        same way by :func:`repro.routing.incremental.derive_routing`;
+        same way by :func:`repro.routing.incremental.derive_children`;
         treat entries as read-only.
         """
         self._materialize_pending_dags()
@@ -179,18 +168,11 @@ class Routing:
         cached = self._dag_out.get(dst)
         if cached is not None:
             return cached
-        if self._vectorized:
-            dag = self.ensure_dags([dst])[0]
-            out = [
-                dag.links[dag.indptr[u] : dag.indptr[u + 1]].tolist()
-                for u in range(self._net.num_nodes)
-            ]
-        else:
-            mask = shortest_path_dag_mask(self._net, self._weights, self._dist[dst])
-            out = [[] for _ in range(self._net.num_nodes)]
-            sources = self._net.link_sources()
-            for link_idx in np.flatnonzero(mask):
-                out[sources[link_idx]].append(int(link_idx))
+        dag = self.ensure_dags([dst])[0]
+        out = [
+            dag.links[dag.indptr[u] : dag.indptr[u + 1]].tolist()
+            for u in range(self._net.num_nodes)
+        ]
         self._dag_out[dst] = out
         return out
 
@@ -211,8 +193,8 @@ class Routing:
         ``t`` (locally originated plus transit) splits evenly over its
         shortest-path DAG out-links.
 
-        This entry point deliberately keeps the scalar reference loop in
-        both modes: it interleaves per-destination additions into one
+        This entry point deliberately keeps the scalar reference loop: it
+        interleaves per-destination additions into one
         shared accumulator, an addition grouping the row-based kernels
         cannot reproduce bitwise, and its exact bits feed
         :func:`repro.traffic.scaling.scale_to_utilization` (and through
@@ -240,7 +222,7 @@ class Routing:
 
         Row ``i`` equals ``destination_link_loads(dests[i],
         injections[i])``; all rows are computed in one batched kernel
-        pass when the routing is vectorized.
+        pass.
 
         Args:
             dests: Destination node per row (repeats allowed).
@@ -272,12 +254,6 @@ class Routing:
             if bad.any():
                 i, u = (int(x) for x in np.argwhere(bad)[0])
                 raise RoutingError(f"node {dests[i]} unreachable from node {u}")
-        if not self._vectorized:
-            rows = np.zeros((k, self._net.num_links))
-            link_dst = self._net.link_destinations()
-            for i, t in enumerate(dests):
-                self._accumulate_destination(t, inj[i], rows[i], link_dst)
-            return rows
         key = darr.tobytes()
         schedule = self._dest_schedules.get(key)
         if schedule is None:
@@ -343,24 +319,9 @@ class Routing:
         dist = self._dist[dst]
         if not np.isfinite(dist[src]):
             raise RoutingError(f"node {dst} unreachable from node {src}")
-        if self._vectorized:
-            inj = np.zeros((1, self._net.num_nodes))
-            inj[0, src] = 1.0
-            return accumulate_rows(self._pair_schedule(dst), inj)[0]
-        dag_out = self.dag_out_links(dst)
-        node_frac = np.zeros(self._net.num_nodes)
-        node_frac[src] = 1.0
-        fractions = np.zeros(self._net.num_links)
-        for u in descending_distance_order(dist):
-            u = int(u)
-            if node_frac[u] <= 0.0 or u == dst or dist[u] > dist[src]:
-                continue
-            out = dag_out[u]
-            share = node_frac[u] / len(out)
-            for link_idx in out:
-                fractions[link_idx] += share
-                node_frac[self._net.link(link_idx).dst] += share
-        return fractions
+        inj = np.zeros((1, self._net.num_nodes))
+        inj[0, src] = 1.0
+        return accumulate_rows(self._pair_schedule(dst), inj)[0]
 
     def pair_fraction_rows(self, dst: int, sources) -> np.ndarray:
         """Pair fractions toward ``dst`` for many sources in one kernel pass.
@@ -381,11 +342,6 @@ class Routing:
                 raise ValueError("src and dst must differ")
             if not np.isfinite(dist[s]):
                 raise RoutingError(f"node {dst} unreachable from node {s}")
-        if not self._vectorized:
-            rows = np.empty((len(sources), self._net.num_links))
-            for i, s in enumerate(sources):
-                rows[i] = self.pair_link_fractions(s, dst)
-            return rows
         if not sources:
             return np.empty((0, self._net.num_links))
         dag = self.ensure_dags([dst])[0]

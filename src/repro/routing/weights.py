@@ -28,6 +28,8 @@ def as_weight_array(weights: WeightsLike, num_links: int) -> np.ndarray:
     arr = np.asarray(weights)
     if arr.shape != (num_links,):
         raise ValueError(f"expected {num_links} weights, got shape {arr.shape}")
+    if arr.dtype.kind not in "biuf":
+        raise ValueError("link weights must be numbers")
     if not np.all(np.equal(np.mod(arr, 1), 0)):
         raise ValueError("link weights must be integers")
     arr = arr.astype(np.int64)

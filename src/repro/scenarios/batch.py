@@ -12,25 +12,30 @@ at all.  The :class:`SweepEngine` exploits exactly that structure:
   :class:`~repro.scenarios.projection.TopologyProjection` (and its
   reachability analysis).
 * **Derived routings** — a degraded network's routing is derived from
-  the intact baseline: only destinations whose SP DAG used a failed link
+  the intact baseline through
+  :func:`repro.routing.incremental.derive_children`, the same primitive
+  the evaluator derives weight moves with: only destinations whose SP
+  DAG used a failed link
   (:func:`repro.routing.incremental.destinations_using_links`) get a
-  restricted Dijkstra over the survivors; every other distance row, SP
-  DAG, and per-destination load row is reused.  When the affected set is
-  large (more than ``fallback_fraction`` of the nodes) the engine falls
-  back to a full SPF — pruning would cost more than it saves.
+  restricted Dijkstra over the survivors; every other distance row and
+  per-destination load row is reused.  When the affected set is large
+  (more than :data:`~repro.routing.incremental.DEFAULT_FALLBACK_FRACTION`
+  of the nodes) the primitive solves a full SPF instead — pruning would
+  cost more than it saves.
 * **Shared load rows** — per-destination load rows are reused whenever
   the destination is unaffected *and* its demand column is unchanged by
   the scenario's traffic transform.
 
-The reuse is exact, not approximate: load rows are summed in the same
-fixed order as :class:`~repro.core.evaluator.DualTopologyEvaluator`'s
+The reuse is exact, not approximate: load rows are summed with
+:class:`~repro.core.evaluator.DualTopologyEvaluator`'s own fixed-order
 ``_ordered_row_sum`` and priced through the shared
 :func:`~repro.costs.load_cost.load_cost_from_loads` /
 :func:`~repro.costs.sla.sla_cost_from_loads` costing passes, so a
 batched sweep is **bit-identical** to building every degraded network
 from scratch and running the full evaluator on it — the contract
-enforced by ``tests/test_scenarios_differential.py`` and the
-``benchmarks/test_bench_scenarios.py`` speedup benchmark.
+enforced by ``tests/test_scenarios_differential.py`` against the naive
+per-scenario rebuild of :class:`repro._reference.NaiveSweepEngine`, and
+timed by the ``benchmarks/test_bench_scenarios.py`` speedup benchmark.
 """
 
 from __future__ import annotations
@@ -41,15 +46,18 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro import obs
-from repro.core.evaluator import LOAD_MODE, SLA_MODE, Evaluation
+from repro.core.evaluator import LOAD_MODE, SLA_MODE, Evaluation, _ordered_row_sum
 from repro.core.lexicographic import LexCost
 from repro.costs.load_cost import load_cost_from_loads
 from repro.costs.sla import SlaParams, sla_cost_from_loads
 from repro.network.graph import Network
-from repro.routing.incremental import destinations_using_links
-from repro.routing.spf import distances_to_subset, distances_to_subsets_batched
+from repro.routing.incremental import (
+    derive_children,
+    destinations_using_links,
+    uses_full_spf,
+)
 from repro.routing.state import Routing
-from repro.routing.weights import weights_key
+from repro.routing.weights import as_weight_array, weights_key
 from repro.scenarios.algebra import LoweredScenario, Scenario
 from repro.scenarios.projection import TopologyProjection
 from repro.traffic.matrix import TrafficMatrix
@@ -73,9 +81,6 @@ _OBS_SWEEP_BATCH = obs.histogram(
     buckets=obs.SIZE_BUCKETS,
 )
 
-DEFAULT_FALLBACK_FRACTION = 0.5
-"""Affected-destination fraction above which a full SPF beats pruning."""
-
 ROUTING_MEMO_CAP = 256
 """Degraded routings kept per engine.  Each entry holds an ``n x n``
 distance matrix plus lazy DAG state, and a Session caches its engine for
@@ -84,29 +89,11 @@ distinct failure ever queried.  FIFO eviction keeps repeated interactive
 queries fast without letting long-lived sessions accumulate memory."""
 
 
-def _ordered_row_sum(rows: np.ndarray, num_links: int) -> np.ndarray:
-    """Sum per-destination load rows left to right.
-
-    Mirrors the evaluator's fixed summation order so batched loads are
-    bit-identical to a full evaluator run over the same network.
-    """
-    loads = np.zeros(num_links)
-    for row in rows:
-        loads += row
-    return loads
-
-
 class _ClassState:
     """Intact baseline state of one traffic class (the derivation parent)."""
 
-    def __init__(
-        self,
-        net: Network,
-        weights: np.ndarray,
-        routing: Routing,
-        traffic: TrafficMatrix,
-    ) -> None:
-        self.weights = np.asarray(weights, dtype=np.int64)
+    def __init__(self, net: Network, routing: Routing, traffic: TrafficMatrix) -> None:
+        self.weights = routing.weights
         self.key = weights_key(self.weights)
         self.routing = routing
         self.demands = traffic.demands
@@ -231,14 +218,11 @@ class SweepEngine:
         low_traffic: Intact low-priority traffic.
         mode: ``"load"`` or ``"sla"``.
         sla_params: SLA parameters (SLA mode only).
-        batched: ``False`` disables every reuse path — each scenario is
-            rebuilt from scratch exactly as a naive per-scenario loop
-            would.  The differential tests and the benchmark compare the
-            two settings bit for bit.
-        fallback_fraction: Affected-destination fraction above which a
-            derived routing falls back to a full SPF.
-        vectorized: Whether routings accumulate loads on the SoA kernels
-            or the scalar reference loop (bit-identical either way).
+
+    Raises:
+        ValueError: if a weight vector is not a valid integer weight
+            setting of ``net`` (see
+            :func:`~repro.routing.weights.as_weight_array`).
     """
 
     def __init__(
@@ -251,9 +235,6 @@ class SweepEngine:
         *,
         mode: str = LOAD_MODE,
         sla_params: Optional[SlaParams] = None,
-        batched: bool = True,
-        fallback_fraction: float = DEFAULT_FALLBACK_FRACTION,
-        vectorized: bool = True,
     ) -> None:
         if mode not in (LOAD_MODE, SLA_MODE):
             raise ValueError(f"mode must be '{LOAD_MODE}' or '{SLA_MODE}', got {mode!r}")
@@ -262,19 +243,12 @@ class SweepEngine:
         self._low_tm = low_traffic
         self.mode = mode
         self.sla_params = sla_params or SlaParams()
-        self.batched = bool(batched)
-        self.fallback_fraction = float(fallback_fraction)
-        self.vectorized = bool(vectorized)
-        wh = np.asarray(high_weights, dtype=np.int64)
-        wl = np.asarray(low_weights, dtype=np.int64)
-        high_routing = Routing(net, wh, vectorized=self.vectorized)
-        low_routing = (
-            high_routing
-            if np.array_equal(wh, wl)
-            else Routing(net, wl, vectorized=self.vectorized)
-        )
-        self._high = _ClassState(net, wh, high_routing, high_traffic)
-        self._low = _ClassState(net, wl, low_routing, low_traffic)
+        wh = as_weight_array(high_weights, net.num_links)
+        wl = as_weight_array(low_weights, net.num_links)
+        high_routing = Routing(net, wh)
+        low_routing = high_routing if np.array_equal(wh, wl) else Routing(net, wl)
+        self._high = _ClassState(net, high_routing, high_traffic)
+        self._low = _ClassState(net, low_routing, low_traffic)
         self._projections: dict[tuple[int, ...], TopologyProjection] = {}
         # (failed-links, weights-key) -> the derived/rebuilt degraded routing
         self._routings: dict[tuple[tuple[int, ...], bytes], Routing] = {}
@@ -344,8 +318,8 @@ class SweepEngine:
     def sweep(self, scenarios: Iterable[Scenario]) -> SweepResult:
         """Evaluate every scenario and fold the outcomes into a result.
 
-        In batched mode the sweep lowers every scenario first and
-        prefetches the degraded routings the batch will need, so their
+        The sweep lowers every scenario first and prefetches the
+        degraded routings the batch will need, so their
         restricted Dijkstras run blocked
         (:func:`repro.routing.spf.distances_to_subsets_batched`) instead
         of one scipy call per scenario.  Outcomes and stats are
@@ -355,8 +329,7 @@ class SweepEngine:
         pairs = [(scenario, self._lower(scenario)) for scenario in scenarios]
         with obs.span("scenarios.sweep", scenarios=len(pairs)):
             _OBS_SWEEP_BATCH.observe(len(pairs))
-            if self.batched:
-                self._prefetch_routings(lowered for _, lowered in pairs)
+            self._prefetch_routings(lowered for _, lowered in pairs)
             outcomes = tuple(
                 self._evaluate_lowered(scenario, lowered) for scenario, lowered in pairs
             )
@@ -385,12 +358,9 @@ class SweepEngine:
         """Lower one scenario, sharing projections and counting the hit."""
         before = len(self._projections)
         lowered = scenario.lower(
-            self._net,
-            self._high_tm,
-            self._low_tm,
-            projections=self._projections if self.batched else None,
+            self._net, self._high_tm, self._low_tm, projections=self._projections
         )
-        if self.batched and len(self._projections) == before:
+        if len(self._projections) == before:
             self.stats["shared_projections"] += 1
         return lowered
 
@@ -404,14 +374,14 @@ class SweepEngine:
 
         Collects the distinct ``(failed_links, weights_key)`` routing-memo
         misses the batch will incur — in first-need order, so the FIFO
-        memo evolves exactly as under sequential evaluation — and resolves
-        them chunk-wise through one
-        :func:`~repro.routing.spf.distances_to_subsets_batched` call per
-        chunk.  The derive-vs-full decision, the resulting routings, and
-        the ``derived_routings``/``full_routings`` stats are identical to
-        what :meth:`_class_routing` would have produced on demand; at most
-        :data:`ROUTING_MEMO_CAP` keys are prefetched (more would only
-        evict each other) — any overflow falls back to on-demand builds.
+        memo evolves exactly as under sequential evaluation — and derives
+        them chunk-wise, one :func:`derive_children` call per class and
+        chunk, so their restricted Dijkstras share one blocked solve.  The
+        resulting routings and the ``derived_routings``/``full_routings``
+        stats are identical to what :meth:`_class_routing` would have
+        produced on demand; at most :data:`ROUTING_MEMO_CAP` keys are
+        prefetched (more would only evict each other) — any overflow
+        falls back to on-demand builds.
         """
         classes = [self._high]
         if self._low.key != self._high.key:
@@ -428,45 +398,16 @@ class SweepEngine:
             if len(pending) >= ROUTING_MEMO_CAP:
                 break
         keys = list(pending)[:ROUTING_MEMO_CAP]
-        by_key = {self._high.key: self._high, self._low.key: self._low}
-        num_nodes = self._net.num_nodes
         for start in range(0, len(keys), self._PREFETCH_CHUNK):
             chunk = keys[start : start + self._PREFETCH_CHUNK]
-            tasks = []
-            plans = []
+            built = {}
+            for cls in classes:
+                mine = [key for key in chunk if key[1] == cls.key]
+                if mine:
+                    routings = self._derive(cls, [pending[key] for key in mine])
+                    built.update(zip(mine, routings))
             for key in chunk:
-                projection = pending[key]
-                cls = by_key[key[1]]
-                projected = projection.project_weights(cls.weights)
-                affected = destinations_using_links(
-                    self._net,
-                    cls.routing.distance_matrix,
-                    cls.weights,
-                    self._flow_relevant_links(projection),
-                )
-                full = affected.size > self.fallback_fraction * num_nodes
-                dests = np.arange(num_nodes) if full else affected
-                tasks.append((projection.network, projected, dests))
-                plans.append((key, cls, projection, projected, affected, full))
-            blocks = distances_to_subsets_batched(tasks)
-            for plan, rows in zip(plans, blocks):
-                key, cls, projection, projected, affected, full = plan
-                if full:
-                    # Exact-integer path sums make the blocked rows equal
-                    # a from-scratch distances_to_all bit for bit.
-                    dist = rows
-                    self.stats["full_routings"] += 1
-                else:
-                    dist = cls.routing.distance_matrix.copy()
-                    if affected.size:
-                        dist[affected] = rows
-                    self.stats["derived_routings"] += 1
-                routing = Routing.from_precomputed(
-                    projection.network, projected, dist, vectorized=self.vectorized
-                )
-                while len(self._routings) >= ROUTING_MEMO_CAP:
-                    self._routings.pop(next(iter(self._routings)))
-                self._routings[key] = routing
+                self._remember(key, built[key])
 
     def _evaluate_lowered(
         self,
@@ -520,46 +461,49 @@ class SweepEngine:
         projection: TopologyProjection,
         memoize: bool = True,
     ) -> Routing:
-        """The degraded routing of one class: shared, derived, or rebuilt."""
+        """The degraded routing of one class: shared, memoized, or derived."""
         if projection.is_identity:
-            if not self.batched:
-                self.stats["full_routings"] += 1
-                return Routing(
-                    projection.network, cls.weights, vectorized=self.vectorized
-                )
             self.stats["shared_routings"] += 1
             return cls.routing
         key = (projection.failed_links, cls.key)
         hit = self._routings.get(key)
         if hit is not None:
             return hit
-        projected = projection.project_weights(cls.weights)
-        if not self.batched:
-            self.stats["full_routings"] += 1
-            # No memo: naive mode repeats all work by design.
-            return Routing(projection.network, projected, vectorized=self.vectorized)
-        affected = destinations_using_links(
-            self._net,
-            cls.routing.distance_matrix,
-            cls.weights,
-            self._flow_relevant_links(projection),
-        )
-        if affected.size > self.fallback_fraction * self._net.num_nodes:
-            # Pruned Dijkstra would recompute most rows anyway: rebuild
-            # the distances outright.  Load-row reuse is unaffected — it
-            # runs on the parent rows' failed-link flow, not on this set.
-            routing = Routing(
-                projection.network, projected, vectorized=self.vectorized
-            )
-            self.stats["full_routings"] += 1
-        else:
-            routing = self._derive_routing(cls, projection, projected, affected)
-            self.stats["derived_routings"] += 1
+        (routing,) = self._derive(cls, [projection])
         if memoize:
-            while len(self._routings) >= ROUTING_MEMO_CAP:
-                self._routings.pop(next(iter(self._routings)))
-            self._routings[key] = routing
+            self._remember(key, routing)
         return routing
+
+    def _remember(self, key: tuple[tuple[int, ...], bytes], routing: Routing) -> None:
+        """Insert into the FIFO routing memo, evicting past the cap."""
+        while len(self._routings) >= ROUTING_MEMO_CAP:
+            self._routings.pop(next(iter(self._routings)))
+        self._routings[key] = routing
+
+    def _derive(
+        self, cls: _ClassState, projections: list[TopologyProjection]
+    ) -> list[Routing]:
+        """Degraded routings of one class, derived from its intact routing.
+
+        Only destinations whose SP DAG used a flow-relevant failed link
+        are re-solved; :func:`derive_children` decides the full-SPF
+        fallback counted here.  Unaffected destinations reuse their whole
+        load row, so the children never need their DAGs.
+        """
+        children = []
+        for projection in projections:
+            affected = destinations_using_links(
+                self._net,
+                cls.routing.distance_matrix,
+                cls.weights,
+                self._flow_relevant_links(projection),
+            )
+            full = uses_full_spf(cls.routing, projection.network, affected)
+            self.stats["full_routings" if full else "derived_routings"] += 1
+            children.append(
+                (projection.network, projection.project_weights(cls.weights), affected)
+            )
+        return derive_children(cls.routing, children)
 
     def _flow_relevant_links(self, projection: TopologyProjection) -> tuple[int, ...]:
         """Failed links whose removal can change some survivor's load row.
@@ -571,8 +515,9 @@ class SweepEngine:
         path usage moves no load.  Transit by other nodes *through* the
         failed node always uses one of its in-links, which stay in the
         test.  Excluding the out-links is therefore exact for load rows;
-        the only distance entries left stale by the narrower set are the
-        failed node's own, which no surviving flow ever consults.
+        the only distance entries the narrower set leaves unsolved are
+        the isolated node's own, which :func:`derive_children` resets to
+        their from-scratch values (``inf`` off the diagonal).
         """
         isolated = projection.isolated_nodes()
         if not isolated:
@@ -581,36 +526,6 @@ class SweepEngine:
         srcs = self._net.link_sources()
         return tuple(
             l for l in projection.failed_links if int(srcs[l]) not in iso
-        )
-
-    def _derive_routing(
-        self,
-        cls: _ClassState,
-        projection: TopologyProjection,
-        projected_weights: np.ndarray,
-        affected: np.ndarray,
-    ) -> Routing:
-        """Degraded routing sharing all unaffected state with the parent.
-
-        Distance rows of unaffected destinations are copied verbatim
-        (removal cannot change a survivor's distance there — integer
-        weights make the copies exact); affected rows get a restricted
-        Dijkstra over the survivors.  Copied rows may keep a stale finite
-        entry for an *isolated* node, which is deliberate: no surviving
-        flow ever consults it (see :meth:`_flow_relevant_links`), so
-        every evaluated quantity stays bit-identical to a from-scratch
-        build.  SP DAGs are left to the routing's lazy per-destination
-        build: unaffected destinations have their whole load row reused,
-        so their DAGs are never needed, and eagerly translating them into
-        the surviving link space would cost more than it saves.
-        """
-        dist = cls.routing.distance_matrix.copy()
-        if affected.size:
-            dist[affected] = distances_to_subset(
-                projection.network, projected_weights, affected
-            )
-        return Routing.from_precomputed(
-            projection.network, projected_weights, dist, vectorized=self.vectorized
         )
 
     def _class_loads(
@@ -652,8 +567,7 @@ class SweepEngine:
             t = int(t)
             j = cls.index.get(t)
             if (
-                self.batched
-                and j is not None
+                j is not None
                 and (failed is None or not cls.rows[j][failed].any())
                 and (untouched or np.array_equal(demands[:, t], cls.demands[:, t]))
             ):
@@ -681,9 +595,6 @@ def sweep_scenarios(
     *,
     mode: str = LOAD_MODE,
     sla_params: Optional[SlaParams] = None,
-    batched: bool = True,
-    fallback_fraction: float = DEFAULT_FALLBACK_FRACTION,
-    vectorized: bool = True,
 ) -> SweepResult:
     """Evaluate a weight setting under every scenario, sharing state.
 
@@ -698,8 +609,5 @@ def sweep_scenarios(
         low_traffic,
         mode=mode,
         sla_params=sla_params,
-        batched=batched,
-        fallback_fraction=fallback_fraction,
-        vectorized=vectorized,
     )
     return engine.sweep(scenarios)

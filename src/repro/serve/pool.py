@@ -35,7 +35,7 @@ from typing import Optional, Union
 from repro.api.session import Session
 from repro.eval.experiment import ExperimentConfig
 from repro.obs import MetricsRegistry
-from repro.routing.weights import unit_weights
+from repro.routing.weights import as_weight_array, unit_weights
 
 UNIT_WEIGHTS = "unit"
 """The default weight policy: hop-count (all-ones) weights."""
@@ -52,7 +52,10 @@ def _canonical_weights(weights: WeightsLike) -> Union[str, tuple]:
 
     ``"unit"`` stays symbolic; explicit vectors become
     ``(("high", (...)), ("low", (...)))`` tuples of ints, with ``low``
-    defaulting to ``high`` (the STR deployment).
+    defaulting to ``high`` (the STR deployment).  Vectors are validated
+    through :func:`~repro.routing.weights.as_weight_array`, so a
+    fractional or out-of-range weight raises (HTTP 400) instead of being
+    truncated into another baseline's key.
     """
     if isinstance(weights, str):
         if weights != UNIT_WEIGHTS:
@@ -67,11 +70,17 @@ def _canonical_weights(weights: WeightsLike) -> Union[str, tuple]:
             raise ValueError(f"unknown weight keys {sorted(unknown)}")
         if "high" not in weights:
             raise ValueError("a weights mapping needs at least 'high'")
-        high = tuple(int(w) for w in weights["high"])
-        low = tuple(int(w) for w in weights.get("low", high))
+        high = _weight_tuple(weights["high"])
+        low = _weight_tuple(weights.get("low", high))
         return (("high", high), ("low", low))
-    high = tuple(int(w) for w in weights)
+    high = _weight_tuple(weights)
     return (("high", high), ("low", high))
+
+
+def _weight_tuple(vector) -> tuple[int, ...]:
+    """A validated weight vector as a tuple of ints (length checked at build)."""
+    vector = list(vector)
+    return tuple(int(w) for w in as_weight_array(vector, len(vector)))
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,16 @@ class TestBaseline:
         with pytest.raises(ValueError, match="length"):
             session.set_weights([1, 2, 3])
 
+    def test_set_weights_rejects_fractional_and_zero_weights(self, session):
+        """Invalid weights fail here, not truncated or later in a query."""
+        n = session.network.num_links
+        with pytest.raises(ValueError, match="integers"):
+            session.set_weights([2.5] * n)
+        with pytest.raises(ValueError, match="integers"):
+            session.set_weights([2] * n, [2.5] * n)
+        with pytest.raises(ValueError, match=">= 1"):
+            session.set_weights([0] * n)
+
     def test_optimize_adopts_result(self, session):
         result = session.optimize("str", params=CONFIG.search_params)
         np.testing.assert_array_equal(session.high_weights, result.high_weights)

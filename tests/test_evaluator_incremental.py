@@ -15,6 +15,7 @@ import random
 import numpy as np
 import pytest
 
+from repro._reference import ScalarEvaluator
 from repro.core.evaluator import (
     LOAD_MODE,
     SLA_MODE,
@@ -240,8 +241,8 @@ def test_vectorized_evaluator_bitwise_equals_scalar(topology, mode):
     rng = random.Random(31)
     net = build_network(topology, 31)
     high, low, _meta = build_traffic(net, config, rng)
-    vec = DualTopologyEvaluator(net, high, low, mode=mode, vectorized=True)
-    ref = DualTopologyEvaluator(net, high, low, mode=mode, vectorized=False)
+    vec = DualTopologyEvaluator(net, high, low, mode=mode)
+    ref = ScalarEvaluator(net, high, low, mode=mode)
     for _ in range(3):
         wh = random_weights(net.num_links, rng)
         wl = random_weights(net.num_links, rng)
@@ -257,9 +258,9 @@ def test_vectorized_incremental_matches_scalar_full(topology):
     net = build_network(topology, 37)
     high, low, _meta = build_traffic(net, config, rng)
     vec_inc = DualTopologyEvaluator(
-        net, high, low, incremental=True, verify_incremental=True, vectorized=True
+        net, high, low, incremental=True, verify_incremental=True
     )
-    ref_full = DualTopologyEvaluator(net, high, low, incremental=False, vectorized=False)
+    ref_full = ScalarEvaluator(net, high, low, incremental=False)
     base = random_weights(net.num_links, rng)
     vec_inc.evaluate_str(base)
     for delta in _random_single_deltas(base, net.num_links, rng, 15):
@@ -275,26 +276,16 @@ def test_vectorized_sla_mode_matches_scalar_full():
     high, low, _meta = build_traffic(net, config, rng)
     vec_inc = DualTopologyEvaluator(
         net, high, low, mode=SLA_MODE, incremental=True,
-        verify_incremental=True, vectorized=True,
+        verify_incremental=True,
     )
-    ref_full = DualTopologyEvaluator(
-        net, high, low, mode=SLA_MODE, incremental=False, vectorized=False
+    ref_full = ScalarEvaluator(
+        net, high, low, mode=SLA_MODE, incremental=False
     )
     base = random_weights(net.num_links, rng)
     vec_inc.evaluate_str(base)
     for delta in _random_single_deltas(base, net.num_links, rng, 10):
         neighbor, via_delta = vec_inc.evaluate_str_neighbor(base, delta)
         _assert_same_evaluation(SLA_MODE, via_delta, ref_full.evaluate_str(neighbor))
-
-
-def test_routings_inherit_vectorized_flag():
-    net, _inc, full, rng = _setup("isp", LOAD_MODE, seed=2)
-    w = random_weights(net.num_links, rng)
-    assert full.high_routing(w).vectorized is True
-    scalar = DualTopologyEvaluator(
-        net, full.high_traffic, full.low_traffic, vectorized=False
-    )
-    assert scalar.high_routing(w).vectorized is False
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ from repro.network.graph import Network
 from repro.routing.incremental import (
     WeightDelta,
     affected_destinations,
+    derive_children,
     derive_routing,
-    incremental_distances,
 )
 from repro.routing.spf import distances_to_all, distances_to_subset
 from repro.routing.state import Routing
@@ -132,10 +132,13 @@ class TestAffectedDestinations:
 
 
 class TestIncrementalDistances:
+    """Distance rows of :func:`derive_children`, the one derivation path."""
+
     def test_matches_full_recompute(self, random_net):
         rng = random.Random(11)
         weights = random_weights(random_net.num_links, rng)
-        dist = distances_to_all(random_net, weights)
+        parent = Routing(random_net, weights)
+        dist = parent.distance_matrix
         for _ in range(25):
             link = rng.randrange(random_net.num_links)
             new_w = rng.randint(1, 30)
@@ -144,15 +147,18 @@ class TestIncrementalDistances:
             delta = WeightDelta.single(link, int(weights[link]), new_w)
             new_weights = delta.apply(weights)
             affected = affected_destinations(random_net, dist, delta)
-            incremental = incremental_distances(random_net, new_weights, dist, affected)
+            (child,) = derive_children(parent, [(random_net, new_weights, affected)])
             np.testing.assert_array_equal(
-                incremental, distances_to_all(random_net, new_weights)
+                child.distance_matrix, distances_to_all(random_net, new_weights)
             )
 
     def test_empty_affected_copies_parent(self, diamond):
         weights = unit_weights(diamond.num_links)
-        dist = distances_to_all(diamond, weights)
-        out = incremental_distances(diamond, weights, dist, np.array([], dtype=np.int64))
+        parent = Routing(diamond, weights)
+        (child,) = derive_children(
+            parent, [(diamond, weights, np.array([], dtype=np.int64))]
+        )
+        out, dist = child.distance_matrix, parent.distance_matrix
         assert out is not dist  # fresh matrix: no aliasing with the parent
         np.testing.assert_array_equal(out, dist)
 

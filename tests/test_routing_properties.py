@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._reference import ScalarRouting
 from repro.network.topology_random import random_topology
 from repro.routing.state import Routing
 from repro.routing.weights import random_weights
@@ -94,8 +95,8 @@ def test_vectorized_rows_bitwise_equal_scalar(seed):
     """SoA destination rows equal the scalar loop exactly, not approximately."""
     net = make_net(seed)
     weights = random_weights(net.num_links, random.Random(seed))
-    vec = Routing(net, weights, vectorized=True)
-    ref = Routing(net, weights, vectorized=False)
+    vec = Routing(net, weights)
+    ref = ScalarRouting(net, weights)
     rng = random.Random(seed + 1)
     dests = [rng.randrange(net.num_nodes) for _ in range(4)]
     inj = np.zeros((len(dests), net.num_nodes))
@@ -116,8 +117,8 @@ def test_vectorized_pair_fractions_bitwise_equal_scalar(seed, src, dst):
         return
     net = make_net(seed)
     weights = random_weights(net.num_links, random.Random(seed))
-    vec = Routing(net, weights, vectorized=True)
-    ref = Routing(net, weights, vectorized=False)
+    vec = Routing(net, weights)
+    ref = ScalarRouting(net, weights)
     np.testing.assert_array_equal(
         vec.pair_link_fractions(src, dst), ref.pair_link_fractions(src, dst)
     )

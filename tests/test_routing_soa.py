@@ -1,10 +1,11 @@
 """Bit-identity of the struct-of-arrays kernels against the scalar loop.
 
 The vectorized numeric core (:mod:`repro.routing.soa`, the batched mask
-and Dijkstra helpers in :mod:`repro.routing.spf`, and the batched
+and Dijkstra helpers in :mod:`repro.routing.spf`, and the parent-to-child
 derivation in :mod:`repro.routing.incremental`) promises *exact* — not
-approximate — agreement with the scalar reference path.  Every test here
-asserts ``np.array_equal`` / ``==``, never ``allclose``.
+approximate — agreement with the scalar reference path
+(:class:`repro._reference.ScalarRouting`) and with from-scratch solves.
+Every test here asserts ``np.array_equal`` / ``==``, never ``allclose``.
 """
 
 from __future__ import annotations
@@ -14,18 +15,22 @@ import random
 import numpy as np
 import pytest
 
+from repro._reference import ScalarRouting
 from repro.network.graph import Network
 from repro.network.topology_isp import isp_topology
 from repro.network.topology_powerlaw import powerlaw_topology
 from repro.network.topology_random import random_topology
 from repro.routing.incremental import (
     WeightDelta,
-    derive_routing,
-    derive_routings_batch,
+    affected_destinations,
+    derive_children,
+    destinations_using_links,
+    uses_full_spf,
 )
 from repro.routing.soa import build_schedule
 from repro.routing.spf import (
     RoutingError,
+    distances_to_all,
     distances_to_subset,
     distances_to_subsets_batched,
     shortest_path_dag_mask,
@@ -33,6 +38,7 @@ from repro.routing.spf import (
 )
 from repro.routing.state import Routing
 from repro.routing.weights import random_weights, unit_weights
+from repro.scenarios.projection import TopologyProjection
 
 
 def _instances():
@@ -69,8 +75,8 @@ def _random_injections(net, rng, k):
 # ----------------------------------------------------------------------
 def test_destination_rows_bitwise_equal_scalar():
     for net, weights in _instances():
-        vec = Routing(net, weights, vectorized=True)
-        ref = Routing(net, weights, vectorized=False)
+        vec = Routing(net, weights)
+        ref = ScalarRouting(net, weights)
         rng = random.Random(net.num_links)
         dests = [rng.randrange(net.num_nodes) for _ in range(8)]
         inj = _random_injections(net, rng, len(dests))
@@ -83,8 +89,8 @@ def test_destination_rows_bitwise_equal_scalar():
 
 def test_destination_rows_handles_repeated_destinations():
     net, weights = _instances()[0]
-    vec = Routing(net, weights, vectorized=True)
-    ref = Routing(net, weights, vectorized=False)
+    vec = Routing(net, weights)
+    ref = ScalarRouting(net, weights)
     rng = random.Random(0)
     dests = [5, 5, 9, 5]
     inj = _random_injections(net, rng, len(dests))
@@ -105,7 +111,7 @@ def test_destination_rows_empty_batch():
 def test_destination_link_loads_matches_link_loads_sum():
     """Summing vectorized per-destination rows reproduces link_loads."""
     for net, weights in _instances()[:2]:
-        routing = Routing(net, weights, vectorized=True)
+        routing = Routing(net, weights)
         rng = random.Random(1)
         demands = np.zeros((net.num_nodes, net.num_nodes))
         for _ in range(25):
@@ -121,8 +127,8 @@ def test_destination_link_loads_matches_link_loads_sum():
 
 def test_pair_fractions_bitwise_equal_scalar():
     for net, weights in _instances():
-        vec = Routing(net, weights, vectorized=True)
-        ref = Routing(net, weights, vectorized=False)
+        vec = Routing(net, weights)
+        ref = ScalarRouting(net, weights)
         rng = random.Random(2)
         for _ in range(6):
             s, t = rng.sample(range(net.num_nodes), 2)
@@ -133,7 +139,7 @@ def test_pair_fractions_bitwise_equal_scalar():
 
 def test_pair_fraction_rows_match_single_pair_calls():
     net, weights = _instances()[1]
-    routing = Routing(net, weights, vectorized=True)
+    routing = Routing(net, weights)
     dst = 4
     sources = [s for s in range(net.num_nodes) if s != dst][:10]
     rows = routing.pair_fraction_rows(dst, sources)
@@ -152,8 +158,8 @@ def test_pair_fraction_rows_validation():
 
 def test_dag_out_links_csr_matches_mask_path():
     for net, weights in _instances()[:3]:
-        vec = Routing(net, weights, vectorized=True)
-        ref = Routing(net, weights, vectorized=False)
+        vec = Routing(net, weights)
+        ref = ScalarRouting(net, weights)
         for dst in range(0, net.num_nodes, 5):
             assert vec.dag_out_links(dst) == ref.dag_out_links(dst)
 
@@ -165,8 +171,8 @@ def test_unreachable_error_message_matches_scalar():
     inj = np.zeros((1, 3))
     inj[0, 2] = 1.0
     messages = []
-    for vectorized in (True, False):
-        routing = Routing(net, unit_weights(3), vectorized=vectorized)
+    for routing_class in (Routing, ScalarRouting):
+        routing = routing_class(net, unit_weights(3))
         with pytest.raises(RoutingError) as err:
             routing.destination_rows([0], inj)
         messages.append(str(err.value))
@@ -228,38 +234,88 @@ def test_batched_dijkstra_all_empty():
 
 
 # ----------------------------------------------------------------------
-# Batched derivation
+# Parent-to-child derivation
 # ----------------------------------------------------------------------
-def test_derive_routings_batch_equals_sequential():
-    net, weights = _instances()[1]
-    parent = Routing(net, weights)
+def _mixed_children(net, weights, parent):
+    """Weight-delta and topology-delta children of one parent."""
     rng = random.Random(23)
-    deltas = []
-    while len(deltas) < 8:
+    children = []
+    while len(children) < 6:
         link = rng.randrange(net.num_links)
         new_w = rng.randint(1, 30)
         if new_w != weights[link]:
-            deltas.append(WeightDelta.single(link, int(weights[link]), new_w))
-    batched = derive_routings_batch(parent, deltas)
-    assert len(batched) == len(deltas)
-    for delta, (child, affected) in zip(deltas, batched):
-        seq_child, seq_affected = derive_routing(parent, delta)
-        np.testing.assert_array_equal(affected, seq_affected)
-        np.testing.assert_array_equal(
-            child.distance_matrix, seq_child.distance_matrix
+            delta = WeightDelta.single(link, int(weights[link]), new_w)
+            affected = affected_destinations(net, parent.distance_matrix, delta)
+            children.append((net, delta.apply(weights), affected))
+    for u, v in net.duplex_pairs()[:3]:
+        failed = [l.index for l in net.links if {l.src, l.dst} == {u, v}]
+        projection = TopologyProjection(net, failed)
+        affected = destinations_using_links(
+            net, parent.distance_matrix, weights, failed
         )
-        np.testing.assert_array_equal(child.weights, seq_child.weights)
-        # Unaffected DAG caches are shared with the parent, like the
-        # sequential path shares them.
-        for t, dag in parent.soa_dag_cache().items():
-            if t not in set(int(x) for x in affected):
-                assert child.soa_dag_cache().get(t) is dag
+        children.append(
+            (projection.network, projection.project_weights(weights), affected)
+        )
+    # Every destination affected: a weight child still re-solves the
+    # affected rows, a topology child is past the full-SPF cutoff.
+    everything = np.arange(net.num_nodes)
+    children.append((net, weights, everything))
+    children.append((projection.network, projection.project_weights(weights), everything))
+    return children
 
 
-def test_derive_routings_batch_empty():
-    net, weights = _instances()[0]
+def test_derive_children_batch_equals_single_calls():
+    """One multi-child call equals one call per child, bit for bit."""
+    net, weights = _instances()[1]
     parent = Routing(net, weights)
-    assert derive_routings_batch(parent, []) == []
+    parent.destination_rows([0, 1], np.ones((2, net.num_nodes)))  # warm DAGs
+    children = _mixed_children(net, weights, parent)
+    batched = derive_children(parent, children)
+    assert len(batched) == len(children)
+    for child, routing in zip(children, batched):
+        (single,) = derive_children(parent, [child])
+        np.testing.assert_array_equal(routing.distance_matrix, single.distance_matrix)
+        np.testing.assert_array_equal(routing.weights, single.weights)
+        assert routing.network is single.network is child[0]
+        np.testing.assert_array_equal(
+            routing.distance_matrix, distances_to_all(child[0], child[1])
+        )
+
+
+def test_derive_children_shares_dags_exactly_when_link_space_kept():
+    net, weights = _instances()[1]
+    parent = ScalarRouting(net, weights)
+    for t in range(net.num_nodes):
+        parent.dag_out_links(t)
+    parent.ensure_dags(range(net.num_nodes))
+    children = _mixed_children(net, weights, parent)
+    for child, routing in zip(children, derive_children(parent, children)):
+        assert type(routing) is ScalarRouting  # children keep the parent's class
+        unaffected = set(range(net.num_nodes)) - set(child[2].tolist())
+        if child[0] is net:
+            assert set(routing.dag_cache()) == unaffected
+            assert set(routing.soa_dag_cache()) == unaffected
+            for t in unaffected:
+                assert routing.dag_cache()[t] is parent.dag_cache()[t]
+                assert routing.soa_dag_cache()[t] is parent.soa_dag_cache()[t]
+        else:
+            assert routing.dag_cache() == {}
+            assert routing.soa_dag_cache() == {}
+
+
+def test_full_spf_cutoff_applies_to_topology_children_only():
+    net, weights = _instances()[1]
+    parent = Routing(net, weights)
+    everything = np.arange(net.num_nodes)
+    projection = TopologyProjection(net, [0])
+    assert uses_full_spf(parent, projection.network, everything)
+    assert not uses_full_spf(parent, projection.network, everything[:1])
+    assert not uses_full_spf(parent, net, everything)
+
+
+def test_derive_children_empty():
+    net, weights = _instances()[0]
+    assert derive_children(Routing(net, weights), []) == []
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +342,7 @@ def test_from_precomputed_distance_matrix_is_read_only():
 def test_schedule_shares_dag_cache_across_calls():
     """Repeated batched calls reuse the per-destination CSR DAGs."""
     net, weights = _instances()[0]
-    routing = Routing(net, weights, vectorized=True)
+    routing = Routing(net, weights)
     inj = np.zeros((2, net.num_nodes))
     inj[0, 1] = 1.0
     inj[1, 2] = 1.0
@@ -299,7 +355,7 @@ def test_schedule_shares_dag_cache_across_calls():
 
 def test_build_schedule_rejects_mismatched_dims():
     net, weights = _instances()[0]
-    routing = Routing(net, weights, vectorized=True)
+    routing = Routing(net, weights)
     dags = routing.ensure_dags([0])
     schedule = build_schedule(
         dags, net.link_destinations(), net.num_nodes, net.num_links

@@ -57,6 +57,13 @@ def test_as_weight_array_rejects_non_integers():
         as_weight_array([1.5, 2, 3], 3)
 
 
+def test_as_weight_array_rejects_non_numbers():
+    """Outside input (a JSON body) gets a ValueError, never a TypeError."""
+    for bad in (["1", "2", "3"], [1, None, 3]):
+        with pytest.raises(ValueError, match="numbers"):
+            as_weight_array(bad, 3)
+
+
 def test_as_weight_array_accepts_integral_floats():
     w = as_weight_array([1.0, 2.0, 3.0], 3)
     assert w.dtype == np.int64

@@ -7,8 +7,8 @@ are compared across all three topology families:
 
 * the batched :func:`~repro.scenarios.sweep_scenarios` (derived
   routings, shared projections, reused load rows),
-* the naive ``batched=False`` mode (fresh routing + full loads per
-  scenario),
+* the naive :class:`~repro._reference.NaiveSweepEngine` (fresh routing
+  + full loads per scenario),
 * a from-scratch :class:`~repro.core.evaluator.DualTopologyEvaluator`
   constructed over the lowered network and routable traffic — the same
   oracle pattern as ``tests/test_evaluator_incremental.py``.
@@ -17,18 +17,23 @@ are compared across all three topology families:
 from __future__ import annotations
 
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+from repro._reference import NaiveSweepEngine
 from repro.core.evaluator import LOAD_MODE, SLA_MODE, DualTopologyEvaluator
 from repro.eval.experiment import ExperimentConfig, build_network, build_traffic
+from repro.routing import incremental
+from repro.routing.spf import distances_to_all
 from repro.routing.weights import random_weights
 from repro.scenarios import (
     HotSpotSurge,
     LinkFailure,
     NodeFailure,
     SrlgFailure,
+    SweepEngine,
     TrafficScale,
     TrafficShift,
     compose,
@@ -68,6 +73,11 @@ def _mixed_scenarios(net):
     ]
 
 
+def _naive_sweep(net, wh, wl, high, low, scenarios):
+    """The per-scenario rebuild every batched sweep must equal."""
+    return NaiveSweepEngine(net, wh, wl, high, low).sweep(scenarios)
+
+
 def _assert_same_load_evaluation(got, expected):
     assert got.phi_high == expected.phi_high
     assert got.phi_low == expected.phi_low
@@ -81,9 +91,7 @@ def _assert_same_load_evaluation(got, expected):
 def test_batched_sweep_bit_identical_to_full_evaluator(topology):
     """Batched outcomes equal a from-scratch evaluator per scenario."""
     net, high, low, wh, wl = _setup(topology)
-    result = sweep_scenarios(
-        net, wh, wl, high, low, _mixed_scenarios(net), batched=True
-    )
+    result = sweep_scenarios(net, wh, wl, high, low, _mixed_scenarios(net))
     for outcome in result.outcomes:
         lowered = outcome.lowered
         oracle = DualTopologyEvaluator(
@@ -101,11 +109,11 @@ def test_batched_sweep_bit_identical_to_full_evaluator(topology):
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_batched_equals_naive_per_scenario_rebuild(topology):
-    """`batched=True` and `batched=False` agree bit for bit, outcome by outcome."""
+    """Batched and naive sweeps agree bit for bit, outcome by outcome."""
     net, high, low, wh, wl = _setup(topology, seed=9)
     scenarios = _mixed_scenarios(net)
-    batched = sweep_scenarios(net, wh, wl, high, low, scenarios, batched=True)
-    naive = sweep_scenarios(net, wh, wl, high, low, scenarios, batched=False)
+    batched = sweep_scenarios(net, wh, wl, high, low, scenarios)
+    naive = _naive_sweep(net, wh, wl, high, low, scenarios)
     _assert_same_load_evaluation(batched.baseline, naive.baseline)
     assert len(batched.outcomes) == len(naive.outcomes)
     for b, n in zip(batched.outcomes, naive.outcomes):
@@ -119,19 +127,17 @@ def test_batched_equals_naive_per_scenario_rebuild(topology):
 
 
 @pytest.mark.parametrize("fallback_fraction", [0.0, 1.01])
-def test_forced_fallback_and_forced_derivation_agree(fallback_fraction):
+def test_forced_fallback_and_forced_derivation_agree(fallback_fraction, monkeypatch):
     """Both sides of the affected-set size cutoff stay bit-identical.
 
     ``0.0`` forces the full-SPF fallback for every failure; ``1.01``
     forces derivation even for huge affected sets.
     """
+    monkeypatch.setattr(incremental, "DEFAULT_FALLBACK_FRACTION", fallback_fraction)
     net, high, low, wh, wl = _setup("isp", seed=3)
     scenarios = _mixed_scenarios(net)
-    forced = sweep_scenarios(
-        net, wh, wl, high, low, scenarios,
-        batched=True, fallback_fraction=fallback_fraction,
-    )
-    naive = sweep_scenarios(net, wh, wl, high, low, scenarios, batched=False)
+    forced = sweep_scenarios(net, wh, wl, high, low, scenarios)
+    naive = _naive_sweep(net, wh, wl, high, low, scenarios)
     for f, n in zip(forced.outcomes, naive.outcomes):
         _assert_same_load_evaluation(f.evaluation, n.evaluation)
     if fallback_fraction == 0.0:
@@ -144,9 +150,7 @@ def test_sla_mode_bit_identical():
     """SLA-mode scenarios: penalties and per-pair delays match the oracle."""
     net, high, low, wh, _wl = _setup("isp", mode=SLA_MODE, seed=13)
     scenarios = _mixed_scenarios(net)
-    batched = sweep_scenarios(
-        net, wh, wh, high, low, scenarios, mode=SLA_MODE, batched=True
-    )
+    batched = sweep_scenarios(net, wh, wh, high, low, scenarios, mode=SLA_MODE)
     for outcome in batched.outcomes:
         lowered = outcome.lowered
         oracle = DualTopologyEvaluator(
@@ -166,6 +170,42 @@ def test_sla_mode_bit_identical():
         np.testing.assert_array_equal(
             outcome.evaluation.low_loads, expected.low_loads
         )
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_node_failure_routings_equal_from_scratch_distances(topology):
+    """Derived degraded routings carry no stale entries for isolated nodes.
+
+    A failed node's column is copied from the intact parent unless the
+    derivation resets it; a stale finite entry also makes the SoA kernel
+    divide 0 by 0, so RuntimeWarnings are errors here.
+    """
+    net, high, low, wh, _wl = _setup(topology)
+    engine = SweepEngine(net, wh, wh, high, low)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for node in range(net.num_nodes):
+            projection = engine.evaluate(NodeFailure.single(node)).lowered.projection
+            derived = engine._class_routing(engine._high, projection)
+            np.testing.assert_array_equal(
+                derived.distance_matrix,
+                distances_to_all(projection.network, projection.project_weights(wh)),
+            )
+
+
+def test_engine_rejects_fractional_weights():
+    """Weights are validated, not truncated: 2.5 must not evaluate as 2."""
+    net, high, low, wh, _wl = _setup("isp")
+    with pytest.raises(ValueError, match="integers"):
+        SweepEngine(net, wh + 0.5, wh, high, low)
+    with pytest.raises(ValueError, match="integers"):
+        SweepEngine(net, wh, wh + 0.5, high, low)
+
+
+def test_sweep_scenarios_rejects_fractional_weights():
+    net, high, low, wh, _wl = _setup("isp")
+    with pytest.raises(ValueError, match="integers"):
+        sweep_scenarios(net, wh + 0.5, wh + 0.5, high, low, [NodeFailure.single(2)])
 
 
 class TestSessionPath:

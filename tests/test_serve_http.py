@@ -328,6 +328,13 @@ def test_unknown_session_field_is_400(base_url):
     assert "unknown session spec fields" in json.loads(body)["error"]
 
 
+def test_fractional_session_weights_are_400(base_url):
+    session = {"topology": "isp", "utilization": 0.5, "weights": [2.5] * 70}
+    status, body = _post(base_url, "/whatif", {"scenario": "node:3", "session": session})
+    assert status == 400
+    assert "integers" in json.loads(body)["error"]
+
+
 def test_malformed_json_is_400(base_url):
     request = urllib.request.Request(
         base_url + "/whatif", data=b"{not json", headers={}

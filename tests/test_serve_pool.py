@@ -31,6 +31,14 @@ def test_weight_spellings_share_one_key():
     assert as_list.key() != SessionSpec(**ISP).key()  # symbolic "unit" differs
 
 
+def test_fractional_weights_are_rejected_not_truncated():
+    """2.5 must not share the key (and the answers) of weight 2."""
+    with pytest.raises(ValueError, match="integers"):
+        SessionSpec(**ISP, weights=[2.5] * 70)
+    with pytest.raises(ValueError, match="integers"):
+        SessionSpec(**ISP, weights={"high": [2] * 70, "low": [2.5] * 70})
+
+
 def test_from_jsonable_rejects_unknown_fields():
     with pytest.raises(ValueError, match="unknown session spec fields"):
         SessionSpec.from_jsonable({"topology": "isp", "bogus": 1})
