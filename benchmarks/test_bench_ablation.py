@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.dtr_search import optimize_dtr
+from repro.api import Session, optimize
 from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.search_params import SearchParams
 from repro.costs.fortz import fortz_cost
@@ -20,11 +20,11 @@ from repro.eval.experiment import ExperimentConfig, build_network, build_traffic
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
 
 
-def _evaluator() -> DualTopologyEvaluator:
+def _session() -> Session:
     config = ExperimentConfig(topology="isp", seed=BENCH_SEED)
     net = build_network(config.topology, config.seed)
     high, low, _ = build_traffic(net, config, random.Random(BENCH_SEED))
-    return DualTopologyEvaluator(net, high, low, mode="load")
+    return Session.from_evaluator(DualTopologyEvaluator(net, high, low, mode="load"))
 
 
 def _params(**overrides) -> SearchParams:
@@ -37,10 +37,10 @@ def _params(**overrides) -> SearchParams:
 @pytest.mark.parametrize("tau", [0.0, 1.5, 6.0])
 def test_ablation_tau(benchmark, tau):
     """tau=1.5 balances exploring all links vs focusing on extremes."""
-    evaluator = _evaluator()
+    session = _session()
 
     def run():
-        return optimize_dtr(evaluator, _params(tau=tau), random.Random(BENCH_SEED))
+        return optimize(session, "dtr", _params(tau=tau), rng=random.Random(BENCH_SEED))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\ntau={tau}: objective={result.objective}")
@@ -50,11 +50,11 @@ def test_ablation_tau(benchmark, tau):
 @pytest.mark.parametrize("m", [1, 5, 10])
 def test_ablation_neighborhood_size(benchmark, m):
     """m=5 neighbors per iteration is the paper's setting."""
-    evaluator = _evaluator()
+    session = _session()
 
     def run():
-        return optimize_dtr(
-            evaluator, _params(neighborhood_size=m), random.Random(BENCH_SEED)
+        return optimize(
+            session, "dtr", _params(neighborhood_size=m), rng=random.Random(BENCH_SEED)
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -65,13 +65,14 @@ def test_ablation_neighborhood_size(benchmark, m):
 @pytest.mark.parametrize("interval", [5, 50, 10_000])
 def test_ablation_diversification(benchmark, interval):
     """interval=10000 effectively disables diversification."""
-    evaluator = _evaluator()
+    session = _session()
 
     def run():
-        return optimize_dtr(
-            evaluator,
+        return optimize(
+            session,
+            "dtr",
             _params(diversification_interval=interval),
-            random.Random(BENCH_SEED),
+            rng=random.Random(BENCH_SEED),
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

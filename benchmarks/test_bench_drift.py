@@ -8,12 +8,11 @@ fixed STR and DTR settings evolve across the drift sweep.
 
 import random
 
-from repro.core.dtr_search import optimize_dtr
+from repro.api import Session, optimize
 from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.search_params import SearchParams
-from repro.core.str_search import optimize_str
 from repro.eval.ascii_plot import format_table
-from repro.eval.drift import drift_sweep
+from repro.eval.drift import drift_sweep_session
 from repro.eval.experiment import ExperimentConfig, build_network, build_traffic
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
 
@@ -27,20 +26,20 @@ def test_traffic_drift(benchmark):
     evaluator = DualTopologyEvaluator(net, high, low, mode="load")
     params = SearchParams.scaled(max(BENCH_SCALE, 0.04))
     rng = random.Random(BENCH_SEED)
-    str_result = optimize_str(evaluator, params, rng)
-    dtr_result = optimize_dtr(
-        evaluator, params, rng,
+    session = Session.from_evaluator(evaluator)
+    str_result = optimize(session, "str", params, rng=rng)
+    dtr_result = optimize(
+        session, "dtr", params, rng=rng,
         initial_high=str_result.weights, initial_low=str_result.weights,
     )
 
+    def sweep(result):
+        fixed = Session(net, high, low, cost_model="load")
+        fixed.set_weights(result.high_weights, result.low_weights)
+        return drift_sweep_session(fixed, SCALES)
+
     def run():
-        str_report = drift_sweep(
-            net, str_result.weights, str_result.weights, high, low, SCALES
-        )
-        dtr_report = drift_sweep(
-            net, dtr_result.high_weights, dtr_result.low_weights, high, low, SCALES
-        )
-        return str_report, dtr_report
+        return sweep(str_result), sweep(dtr_result)
 
     str_report, dtr_report = benchmark.pedantic(run, rounds=1, iterations=1)
     print()

@@ -143,8 +143,8 @@ def test_incremental_speedup_on_single_weight_moves():
 
 def test_incremental_speedup_within_str_search():
     """End-to-end check: a short STR search runs faster with the delta path."""
+    from repro.api import Session, optimize
     from repro.core.search_params import SearchParams
-    from repro.core.str_search import optimize_str
 
     config = ExperimentConfig(topology="powerlaw")
     rng = random.Random(BENCH_SEED)
@@ -158,8 +158,9 @@ def test_incremental_speedup_within_str_search():
     for label, flag in (("incremental", True), ("full", False)):
         evaluator = DualTopologyEvaluator(net, high, low, incremental=flag)
         start = time.perf_counter()
-        results[label] = optimize_str(
-            evaluator, params=params, rng=random.Random(BENCH_SEED)
+        results[label] = optimize(
+            Session.from_evaluator(evaluator), "str", params,
+            rng=random.Random(BENCH_SEED),
         )
         timings[label] = time.perf_counter() - start
 

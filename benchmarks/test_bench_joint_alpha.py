@@ -9,10 +9,10 @@ lexicographic solution.
 
 import random
 
+from repro.api import Session, optimize
 from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.joint_search import alpha_sweep
 from repro.core.search_params import SearchParams
-from repro.core.str_search import optimize_str
 from repro.eval.ascii_plot import format_table
 from repro.eval.experiment import ExperimentConfig, build_network, build_traffic
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
@@ -26,7 +26,9 @@ def test_alpha_sweep(benchmark):
     high, low, _ = build_traffic(net, config, random.Random(BENCH_SEED))
     evaluator = DualTopologyEvaluator(net, high, low, mode="load")
     params = SearchParams.scaled(max(BENCH_SCALE, 0.04))
-    str_result = optimize_str(evaluator, params, random.Random(BENCH_SEED))
+    str_result = optimize(
+        Session.from_evaluator(evaluator), "str", params, rng=random.Random(BENCH_SEED)
+    )
 
     def run():
         return alpha_sweep(

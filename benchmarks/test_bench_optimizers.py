@@ -8,11 +8,11 @@ search on top of each.  Also reports convergence statistics.
 
 import random
 
-from repro.core.annealing import AnnealingParams, anneal_str
-from repro.core.dtr_search import optimize_dtr
+from repro.api import Session, optimize
+from repro.core.annealing import AnnealingParams
 from repro.core.evaluator import DualTopologyEvaluator
+from repro.core.lexicographic import LexCost
 from repro.core.search_params import SearchParams
-from repro.core.str_search import optimize_str
 from repro.eval.ascii_plot import format_table
 from repro.eval.convergence import trace_from_history
 from repro.eval.experiment import ExperimentConfig, build_network, build_traffic
@@ -23,18 +23,22 @@ def test_local_search_vs_annealing(benchmark):
     config = ExperimentConfig(topology="isp", seed=BENCH_SEED)
     net = build_network(config.topology, config.seed)
     high, low, _ = build_traffic(net, config, random.Random(BENCH_SEED))
-    evaluator = DualTopologyEvaluator(net, high, low, mode="load")
+    session = Session.from_evaluator(DualTopologyEvaluator(net, high, low, mode="load"))
     params = SearchParams.scaled(max(BENCH_SCALE, 0.04))
 
     def run():
         rng = random.Random(BENCH_SEED)
-        local = optimize_str(evaluator, params, rng)
+        local = optimize(session, "str", params, rng=rng)
         budget = AnnealingParams(iterations=max(local.evaluations, 100))
-        annealed = anneal_str(evaluator, budget, params, random.Random(BENCH_SEED))
+        annealed = optimize(
+            session, "anneal", params, annealing_params=budget,
+            rng=random.Random(BENCH_SEED),
+        )
         return local, annealed
 
     local, annealed = benchmark.pedantic(run, rounds=1, iterations=1)
-    local_trace = trace_from_history(local.history, params.total_iterations())
+    history = [(p.iteration, LexCost(p.primary, p.secondary)) for p in local.cost_trace]
+    local_trace = trace_from_history(history, params.total_iterations())
     print()
     print(
         format_table(
@@ -50,7 +54,7 @@ def test_local_search_vs_annealing(benchmark):
                     "annealing",
                     annealed.evaluation.phi_high,
                     annealed.evaluation.phi_low,
-                    len(annealed.history) - 1,
+                    len(annealed.cost_trace) - 1,
                 ),
             ],
         )
@@ -63,24 +67,26 @@ def test_dtr_on_top_of_each_seed(benchmark):
     config = ExperimentConfig(topology="isp", seed=BENCH_SEED)
     net = build_network(config.topology, config.seed)
     high, low, _ = build_traffic(net, config, random.Random(BENCH_SEED))
-    evaluator = DualTopologyEvaluator(net, high, low, mode="load")
+    session = Session.from_evaluator(DualTopologyEvaluator(net, high, low, mode="load"))
     params = SearchParams.scaled(max(BENCH_SCALE, 0.04))
 
     def run():
         rng = random.Random(BENCH_SEED)
-        local = optimize_str(evaluator, params, rng)
-        annealed = anneal_str(
-            evaluator,
-            AnnealingParams(iterations=max(local.evaluations, 100)),
+        local = optimize(session, "str", params, rng=rng)
+        annealed = optimize(
+            session,
+            "anneal",
             params,
-            random.Random(BENCH_SEED),
+            annealing_params=AnnealingParams(iterations=max(local.evaluations, 100)),
+            rng=random.Random(BENCH_SEED),
         )
         results = {}
         for label, seed_weights in (("local", local.weights), ("annealed", annealed.weights)):
-            results[label] = optimize_dtr(
-                evaluator,
+            results[label] = optimize(
+                session,
+                "dtr",
                 params,
-                random.Random(BENCH_SEED),
+                rng=random.Random(BENCH_SEED),
                 initial_high=seed_weights,
                 initial_low=seed_weights,
             )

@@ -9,11 +9,10 @@ configuration state.
 
 import random
 
-from repro.core.dtr_search import optimize_dtr
+from repro.api import Session, optimize
 from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.search_params import SearchParams
 from repro.core.slicing import optimize_sliced_low
-from repro.core.str_search import optimize_str
 from repro.eval.ascii_plot import format_table
 from repro.eval.experiment import ExperimentConfig, build_network, build_traffic
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
@@ -28,9 +27,10 @@ def test_topology_count_ablation(benchmark):
     evaluator = DualTopologyEvaluator(net, high, low, mode="load")
     params = SearchParams.scaled(max(BENCH_SCALE, 0.04))
     rng = random.Random(BENCH_SEED)
-    str_result = optimize_str(evaluator, params, rng)
-    dtr_result = optimize_dtr(
-        evaluator, params, rng,
+    session = Session.from_evaluator(evaluator)
+    str_result = optimize(session, "str", params, rng=rng)
+    dtr_result = optimize(
+        session, "dtr", params, rng=rng,
         initial_high=str_result.weights, initial_low=str_result.weights,
     )
 

@@ -11,16 +11,15 @@ Run:  python examples/failure_robustness.py
 import random
 
 from repro import (
-    DualTopologyEvaluator,
     SearchParams,
+    Session,
     gravity_traffic_matrix,
     isp_topology,
-    optimize_dtr,
-    optimize_str,
+    optimize_session,
     random_high_priority,
     scale_to_utilization,
 )
-from repro.eval.robustness import failure_sweep
+from repro.eval.robustness import failure_sweep_session
 from repro.network.topology_isp import isp_city_name
 
 
@@ -31,21 +30,19 @@ def main() -> None:
     high = random_high_priority(low, density=0.10, fraction=0.30, rng=rng)
     high_tm, low_tm = scale_to_utilization(net, high.matrix, low, 0.55)
 
-    evaluator = DualTopologyEvaluator(net, high_tm, low_tm, mode="load")
+    session = Session(net, high_tm, low_tm, cost_model="load")
     params = SearchParams.scaled(0.25)
-    str_result = optimize_str(evaluator, params, rng)
-    dtr_result = optimize_dtr(
-        evaluator, params, rng,
+    str_result = optimize_session(session, strategy="str", params=params, rng=rng)
+    dtr_result = optimize_session(
+        session, strategy="dtr", params=params, rng=rng,
         initial_high=str_result.weights, initial_low=str_result.weights,
     )
 
     print("single-adjacency failure sweep over the 35 ISP adjacencies\n")
-    reports = {
-        "STR": failure_sweep(net, str_result.weights, str_result.weights, high_tm, low_tm),
-        "DTR": failure_sweep(
-            net, dtr_result.high_weights, dtr_result.low_weights, high_tm, low_tm
-        ),
-    }
+    reports = {}
+    for label, result in (("STR", str_result), ("DTR", dtr_result)):
+        session.set_weights(result.high_weights, result.low_weights)
+        reports[label] = failure_sweep_session(session)
     for label, report in reports.items():
         print(f"{label}:")
         print(f"  intact   Phi_L = {report.baseline.phi_low:.3e}")

@@ -13,12 +13,11 @@ import random
 
 from repro import (
     DualRouting,
-    DualTopologyEvaluator,
     SearchParams,
+    Session,
     gravity_traffic_matrix,
     isp_topology,
-    optimize_dtr,
-    optimize_str,
+    optimize_session,
     random_high_priority,
     scale_to_utilization,
 )
@@ -36,11 +35,11 @@ def main() -> None:
     high = random_high_priority(low, density=0.15, fraction=0.30, rng=rng)
     high_tm, low_tm = scale_to_utilization(net, high.matrix, low, 0.7)
 
-    evaluator = DualTopologyEvaluator(net, high_tm, low_tm, mode="load")
+    session = Session(net, high_tm, low_tm, cost_model="load")
     params = SearchParams.scaled(0.25)
-    str_result = optimize_str(evaluator, params, rng)
-    dtr_result = optimize_dtr(
-        evaluator, params, rng,
+    str_result = optimize_session(session, strategy="str", params=params, rng=rng)
+    dtr_result = optimize_session(
+        session, strategy="dtr", params=params, rng=rng,
         initial_high=str_result.weights, initial_low=str_result.weights,
     )
 

@@ -12,13 +12,12 @@ Run:  python examples/sla_aware_backbone.py
 import random
 
 from repro import (
-    DualTopologyEvaluator,
     SearchParams,
+    Session,
     SlaParams,
     gravity_traffic_matrix,
     isp_topology,
-    optimize_dtr,
-    optimize_str,
+    optimize_session,
     random_high_priority,
     scale_to_utilization,
 )
@@ -52,19 +51,20 @@ def main() -> None:
     high_tm, low_tm = scale_to_utilization(net, high.matrix, low, 0.55)
 
     sla = SlaParams(theta_ms=25.0)
-    evaluator = DualTopologyEvaluator(net, high_tm, low_tm, mode="sla", sla_params=sla)
+    session = Session(net, high_tm, low_tm, cost_model="sla", sla_params=sla)
     params = SearchParams.scaled(0.3)
 
     print(f"SLA bound: {sla.theta_ms} ms, penalty a={sla.penalty_const}, b={sla.penalty_per_ms}/ms")
     print(f"{high_tm.pair_count()} high-priority city pairs")
 
-    str_result = optimize_str(evaluator, params, rng)
+    str_result = optimize_session(session, strategy="str", params=params, rng=rng)
     describe("STR (single topology)", str_result.evaluation)
 
-    dtr_result = optimize_dtr(
-        evaluator,
-        params,
-        rng,
+    dtr_result = optimize_session(
+        session,
+        strategy="dtr",
+        params=params,
+        rng=rng,
         initial_high=str_result.weights,
         initial_low=str_result.weights,
     )

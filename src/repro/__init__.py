@@ -30,9 +30,10 @@ Quickstart (the ``repro.api`` facade)::
     print(str_result.objective, dtr_result.objective)
     print(session.what_if((3, 17)).format())   # incremental what-if query
 
-The legacy free functions (``optimize_str``, ``optimize_dtr``,
-``optimize_joint``, ``anneal_str``) remain as deprecation shims that
-delegate to the registered strategies.
+Every search runs through ``optimize_session`` (``repro.api.optimize``)
+and returns one :class:`OptimizationResult`; wrap a hand-built
+:class:`DualTopologyEvaluator` with ``Session.from_evaluator`` to search
+on it.
 """
 
 from repro.api import (
@@ -45,11 +46,9 @@ from repro.api import (
     register_strategy,
 )
 from repro.api import optimize as optimize_session
-from repro.core.dtr_search import DtrResult, optimize_dtr
 from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.lexicographic import LexCost
 from repro.core.search_params import SearchParams
-from repro.core.str_search import StrResult, optimize_str
 from repro.costs.fortz import fortz_cost, fortz_cost_vector
 from repro.costs.joint import joint_cost
 from repro.costs.load_cost import evaluate_load_cost
@@ -96,10 +95,6 @@ __all__ = [
     "LexCost",
     "SearchParams",
     "DualTopologyEvaluator",
-    "optimize_str",
-    "StrResult",
-    "optimize_dtr",
-    "DtrResult",
     "ExperimentConfig",
     "run_comparison",
     "Session",

@@ -262,7 +262,7 @@ _SESSION_MUTATORS = frozenset(
     # these touch the evaluator's LRU caches, the sweep engine's memos,
     # or the lazily built baseline slots.
     {
-        "under_scenario", "under_failure", "what_if", "scaled_traffic",
+        "under_scenario", "what_if", "scaled_traffic",
         "sweep", "sweep_space", "evaluate", "objective",
         "set_weights", "adopt", "optimize",
     }

@@ -8,7 +8,7 @@ One stable surface for every optimization and evaluation workflow:
   :data:`~repro.api.strategies.STRATEGIES` registry (``str``, ``dtr``,
   ``joint``, ``anneal`` built in) and returns a common
   :class:`OptimizationResult`;
-* ``session.what_if`` / ``session.under_failure`` /
+* ``session.what_if`` / ``session.under_scenario`` /
   ``session.scaled_traffic`` answer incremental what-if queries against
   the session baseline;
 * :func:`register_strategy` / :func:`register_cost_model` make new
@@ -26,13 +26,13 @@ Quickstart::
     session = Session.from_config(ExperimentConfig(topology="isp"))
     result = optimize(session, strategy="dtr")
     print(result.objective, result.wall_time_s)
-    print(session.what_if((3, 17)).format())      # one-link what-if
-    print(session.under_failure((0, 4)).format()) # adjacency failure
-    print(session.scaled_traffic(1.2).format())   # 20% traffic growth
+    print(session.what_if((3, 17)).format())           # one-link what-if
+    print(session.under_scenario("link:0-4").format()) # adjacency failure
+    print(session.scaled_traffic(1.2).format())        # 20% traffic growth
 
-See ``docs/api.md`` for the design and the migration guide from the
-legacy free functions (``optimize_str`` et al.), which now delegate
-here.
+:func:`optimize` is the one search entry point; to search with a
+hand-built evaluator, wrap it with :meth:`Session.from_evaluator`.  See
+``docs/api.md`` for the design and the table of removed names.
 """
 
 from __future__ import annotations
@@ -60,13 +60,12 @@ from repro.api.registry import (
 from repro.api.session import Session
 from repro.api.strategies import (
     STRATEGIES,
-    OptimizationResult,
     Strategy,
-    TracePoint,
     available_strategies,
     get_strategy,
     register_strategy,
 )
+from repro.core.result import OptimizationResult, TracePoint
 from repro.core.search_params import SearchParams
 
 __all__ = [
@@ -105,9 +104,9 @@ def optimize(
 ) -> OptimizationResult:
     """Run one registered strategy on a session.
 
-    The single entry point behind ``repro-dtr optimize``, the experiment
-    harness, and the legacy free functions.  The result's weight setting
-    is adopted as the session baseline, so subsequent
+    The single search entry point, behind ``repro-dtr optimize``, the
+    experiment harness and the campaign workers.  The result's weight
+    setting is adopted as the session baseline, so subsequent
     ``session.what_if(...)`` queries probe around the optimum.
 
     Args:

@@ -7,10 +7,9 @@ pluggable cost model, and deterministic named RNG streams — and exposes:
 
 * :meth:`Session.optimize`: run any registered strategy by name;
 * the incremental what-if queries :meth:`Session.what_if`,
-  :meth:`Session.under_scenario` (with :meth:`Session.under_failure` as
-  a single-adjacency shim), and :meth:`Session.scaled_traffic`, which
-  answer "what changes if ...?" against the session's baseline weight
-  setting without rebuilding routing state that cannot change;
+  :meth:`Session.under_scenario` and :meth:`Session.scaled_traffic`,
+  which answer "what changes if ...?" against the session's baseline
+  weight setting without rebuilding routing state that cannot change;
 * :meth:`Session.sweep`: batched evaluation of a whole
   :class:`~repro.scenarios.ScenarioSet` (link/node/SRLG failures,
   traffic shifts — see :mod:`repro.scenarios`), sharing topology
@@ -53,7 +52,6 @@ import numpy as np
 
 from repro.api.cost_models import CostModel, CostModelLike, get_cost_model
 from repro.api.queries import (
-    KIND_FAILURE,
     KIND_SCENARIO,
     KIND_TRAFFIC,
     KIND_WEIGHTS,
@@ -65,17 +63,15 @@ from repro.core.evaluator import (
     DualTopologyEvaluator,
     Evaluation,
 )
-from repro.costs.load_cost import evaluate_load_cost, load_cost_from_loads
-from repro.costs.sla import SlaParams, evaluate_sla_cost, sla_cost_from_loads
-from repro.network.failures import FailureScenario
+from repro.costs.load_cost import load_cost_from_loads
+from repro.costs.sla import SlaParams, sla_cost_from_loads
 from repro.network.graph import Network
 from repro.routing.incremental import WeightDelta
-from repro.routing.state import Routing
 from repro.routing.weights import as_weight_array, weights_key
 from repro.traffic.matrix import TrafficMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.api.strategies import OptimizationResult
+    from repro.core.result import OptimizationResult
     from repro.eval.experiment import ExperimentConfig
     from repro.scenarios.algebra import Scenario
     from repro.scenarios.batch import ScenarioOutcome, SweepEngine, SweepResult
@@ -83,9 +79,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 DeltaLike = Union[WeightDelta, tuple[int, int], dict[int, int]]
 """A weight change: a :class:`WeightDelta`, a ``(link, new_weight)``
 pair, or a ``{link: new_weight}`` mapping."""
-
-ScenarioLike = Union[FailureScenario, tuple[int, int]]
-"""A failure: a prebuilt scenario or the ``(u, v)`` adjacency to fail."""
 
 
 class Session:
@@ -145,7 +138,6 @@ class Session:
                 verify_incremental=verify_incremental,
             )
         self._baseline: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._direct_cache: dict[bytes, Evaluation] = {}
         self._sweep_engine_cache: Optional[tuple[bytes, "SweepEngine"]] = None
         self.config: Optional["ExperimentConfig"] = None
         #: Serializes evaluator/engine access when the session is shared
@@ -192,10 +184,10 @@ class Session:
         seed: int = 1,
         cost_model: Optional[CostModelLike] = None,
     ) -> "Session":
-        """Wrap an existing evaluator (the legacy entry points use this).
+        """Wrap a hand-built evaluator, e.g. to pass it to :func:`repro.api.optimize`.
 
         The evaluator instance is shared, not copied, so its caches and
-        evaluation counters keep working exactly as before.
+        evaluation counters carry over between the sessions that wrap it.
         """
         return cls(
             evaluator.network,
@@ -388,56 +380,6 @@ class Session:
             utilization_delta=total_d,
         )
 
-    def under_failure(self, scenario: Optional[ScenarioLike]) -> WhatIfResult:
-        """Cost/utilization impact of one duplex-adjacency failure.
-
-        A delegating shim over the general :meth:`under_scenario`: the
-        failure becomes a :class:`~repro.scenarios.LinkFailure` and rides
-        the shared scenario engine, so repeated failure queries reuse the
-        intact routing state instead of rebuilding it per call.
-
-        Args:
-            scenario: A :class:`FailureScenario`, the ``(u, v)``
-                adjacency to fail, or ``None`` for the intact network
-                (zero deltas; the sweep's baseline row).
-
-        Returns:
-            A :class:`WhatIfResult` with ``kind="failure"``; for a real
-            failure, ``variant`` is an evaluation over the *degraded*
-            network while the utilization deltas are projected back to
-            intact link indexing (failed links show their lost load).
-        """
-        from repro.scenarios.algebra import LinkFailure
-
-        wh, wl = self._require_baseline()
-        if scenario is None:
-            baseline = self._direct_evaluation(self.network, wh, wl, cache=True)
-            high_d, low_d, total_d = utilization_deltas(
-                self.network.capacities(), baseline, baseline.high_loads,
-                baseline.low_loads,
-            )
-            return WhatIfResult(
-                kind=KIND_FAILURE,
-                description="intact network",
-                baseline=baseline,
-                variant=baseline,
-                baseline_objective=self.cost_model.objective(baseline, self.network),
-                variant_objective=self.cost_model.objective(baseline, self.network),
-                high_utilization_delta=high_d,
-                low_utilization_delta=low_d,
-                utilization_delta=total_d,
-            )
-        if isinstance(scenario, FailureScenario):
-            u, v = scenario.failed_pair
-        else:
-            u, v = scenario
-        pair = (min(int(u), int(v)), max(int(u), int(v)))
-        return self.under_scenario(
-            LinkFailure.single(*pair),
-            kind=KIND_FAILURE,
-            description=f"failure of adjacency {pair}",
-        )
-
     def under_scenario(
         self,
         scenario: Union["Scenario", str],
@@ -461,7 +403,8 @@ class Session:
             scenario: A :class:`~repro.scenarios.Scenario` or a spec
                 string such as ``"node:3"`` or ``"link:0-4+surge:3x2.0"``
                 (see :func:`repro.scenarios.parse_scenario`).
-            kind: Result kind (``under_failure`` passes ``"failure"``).
+            kind: Result kind (``repro-dtr whatif --failure`` passes
+                ``"failure"``).
             description: Override for the result description.
 
         Returns:
@@ -644,7 +587,7 @@ class Session:
         if isinstance(spec, WeightDelta):
             return spec
         if isinstance(spec, dict):
-            items = spec.items()
+            items = list(spec.items())
         else:
             try:
                 link, new_weight = spec
@@ -654,50 +597,13 @@ class Session:
                     "or a {link: new_weight} mapping"
                 ) from None
             items = [(link, new_weight)]
-        new = base.copy()
-        for link, new_weight in items:
-            link = int(link)
+        links = [int(link) for link, _ in items]
+        for link in links:
             if not 0 <= link < base.size:
                 raise ValueError(
                     f"link index {link} out of range [0, {base.size})"
                 )
-            new[link] = int(new_weight)
+        new = base.copy()
+        # Validate before the int64 store, which would truncate 2.5 to 2.
+        new[links] = as_weight_array([weight for _, weight in items], len(links))
         return WeightDelta.from_weights(base, new)
-
-    def _direct_evaluation(
-        self,
-        net: Network,
-        wh: np.ndarray,
-        wl: np.ndarray,
-        cache: bool = False,
-    ) -> Evaluation:
-        """From-scratch evaluation via plain routings (failure queries).
-
-        Both the intact baseline and every degraded variant use this
-        path, keeping a failure sweep's ratios free of cross-path
-        floating-point noise.
-        """
-        if cache:
-            key = weights_key(wh) + b"|" + weights_key(wl)
-            hit = self._direct_cache.get(key)
-            if hit is not None:
-                return hit
-        high_routing = Routing(net, wh)
-        low_routing = high_routing if np.array_equal(wh, wl) else Routing(net, wl)
-        if self.evaluator.mode == LOAD_MODE:
-            evaluation: Evaluation = evaluate_load_cost(
-                net, high_routing, low_routing, self.high_traffic, self.low_traffic
-            )
-        else:
-            evaluation = evaluate_sla_cost(
-                net,
-                high_routing,
-                low_routing,
-                self.high_traffic,
-                self.low_traffic,
-                params=self.sla_params,
-            )
-        if cache:
-            self._direct_cache.clear()  # single-slot: a new baseline evicts the old
-            self._direct_cache[key] = evaluation
-        return evaluation

@@ -16,22 +16,16 @@ References:
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Optional, Protocol, Sequence, runtime_checkable
 
-import numpy as np
-
 from repro.api.registry import Registry
-from repro.core.annealing import AnnealingParams, _anneal_str_impl
-from repro.core.dtr_search import _optimize_dtr_impl
-from repro.core.evaluator import Evaluation
-from repro.core.joint_search import _optimize_joint_impl
-from repro.core.lexicographic import LexCost
+from repro.core.annealing import AnnealingParams, _anneal_search
+from repro.core.dtr_search import _dtr_search
+from repro.core.joint_search import _joint_search
 from repro.core.progress import ProgressFn
+from repro.core.result import OptimizationResult
 from repro.core.search_params import SearchParams
-from repro.core.str_search import _optimize_str_impl
-from repro.routing.state import Routing
+from repro.core.str_search import _str_search
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.session import Session
@@ -65,83 +59,6 @@ def available_strategies() -> tuple[str, ...]:
     return STRATEGIES.names()
 
 
-@dataclass(frozen=True)
-class TracePoint:
-    """One improvement event in a search's cost trace.
-
-    ``primary``/``secondary`` are the strategy's own objective at the
-    improvement: the lexicographic components for ``str``/``dtr``/
-    ``anneal``, and ``(J, 0.0)`` for ``joint`` (which optimizes a
-    scalar).
-    """
-
-    phase: str
-    iteration: int
-    primary: float
-    secondary: float
-
-
-@dataclass
-class OptimizationResult:
-    """The common outcome every strategy produces.
-
-    Attributes:
-        strategy: Registry name of the strategy that produced this.
-        high_weights: Best high-priority weight vector (for
-            single-topology strategies, identical to ``low_weights``).
-        low_weights: Best low-priority weight vector.
-        objective: Lexicographic cost of the best setting.
-        evaluation: Full evaluation of the best setting.
-        cost_trace: Normalized improvement history.
-        evaluations: Weight settings evaluated during the search.
-        wall_time_s: Wall-clock seconds spent inside the strategy.
-        metadata: Strategy-specific extras (budgets, alpha, acceptance
-            counts, ...), JSON-friendly where possible.
-        raw: The legacy result dataclass (``StrResult``, ``DtrResult``,
-            ``JointResult``, or ``AnnealingResult``) for callers that
-            still need strategy-specific fields.
-    """
-
-    strategy: str
-    high_weights: np.ndarray
-    low_weights: np.ndarray
-    objective: LexCost
-    evaluation: Evaluation
-    cost_trace: tuple[TracePoint, ...]
-    evaluations: int
-    wall_time_s: float
-    metadata: dict[str, Any] = field(default_factory=dict)
-    raw: Any = None
-
-    @property
-    def dual(self) -> bool:
-        """Whether the high and low topologies use different weights."""
-        return not np.array_equal(self.high_weights, self.low_weights)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The single weight vector of a single-topology result.
-
-        Raises:
-            ValueError: for a dual result — use ``high_weights`` /
-                ``low_weights`` there.
-        """
-        if self.dual:
-            raise ValueError(
-                f"{self.strategy} produced a dual setting; "
-                "use high_weights / low_weights"
-            )
-        return self.high_weights
-
-    def routing(self, session: "Session") -> tuple[Routing, Routing]:
-        """The (cached) high and low routings of the best setting."""
-        evaluator = session.evaluator
-        return (
-            evaluator.high_routing(self.high_weights),
-            evaluator.low_routing(self.low_weights),
-        )
-
-
 @runtime_checkable
 class Strategy(Protocol):
     """What a pluggable weight-search strategy must provide."""
@@ -156,11 +73,6 @@ class Strategy(Protocol):
     ) -> OptimizationResult:
         """Search the session's network/traffic and return the best setting."""
         ...
-
-
-def _timed(session: "Session"):
-    """Start an (evaluations, wall-time) measurement around one search."""
-    return session.evaluator.evaluations, time.perf_counter()
 
 
 def _search_rng(session: "Session", rng: Optional[random.Random]) -> random.Random:
@@ -184,32 +96,13 @@ class StrStrategy:
         relaxation_epsilons: Iterable[float] = (),
         progress: Optional[ProgressFn] = None,
     ) -> OptimizationResult:
-        _, t0 = _timed(session)
-        raw = _optimize_str_impl(
+        return _str_search(
             session.evaluator,
-            params=params,
-            rng=_search_rng(session, rng),
+            params,
+            _search_rng(session, rng),
             initial_weights=initial_weights,
             relaxation_epsilons=relaxation_epsilons,
             progress=progress,
-        )
-        return OptimizationResult(
-            strategy=self.name,
-            high_weights=raw.weights,
-            low_weights=raw.weights,
-            objective=raw.objective,
-            evaluation=raw.evaluation,
-            cost_trace=tuple(
-                TracePoint("str", it, cost.primary, cost.secondary)
-                for it, cost in raw.history
-            ),
-            evaluations=raw.evaluations,
-            wall_time_s=time.perf_counter() - t0,
-            metadata={
-                "iterations": raw.iterations,
-                "relaxation_epsilons": sorted(raw.relaxed),
-            },
-            raw=raw,
         )
 
 
@@ -229,29 +122,13 @@ class DtrStrategy:
         initial_low: Optional[Sequence[int]] = None,
         progress: Optional[ProgressFn] = None,
     ) -> OptimizationResult:
-        _, t0 = _timed(session)
-        raw = _optimize_dtr_impl(
+        return _dtr_search(
             session.evaluator,
-            params=params,
-            rng=_search_rng(session, rng),
+            params,
+            _search_rng(session, rng),
             initial_high=initial_high,
             initial_low=initial_low,
             progress=progress,
-        )
-        return OptimizationResult(
-            strategy=self.name,
-            high_weights=raw.high_weights,
-            low_weights=raw.low_weights,
-            objective=raw.objective,
-            evaluation=raw.evaluation,
-            cost_trace=tuple(
-                TracePoint(phase, it, cost.primary, cost.secondary)
-                for phase, it, cost in raw.history
-            ),
-            evaluations=raw.evaluations,
-            wall_time_s=time.perf_counter() - t0,
-            metadata={"seeded": initial_high is not None},
-            raw=raw,
         )
 
 
@@ -273,28 +150,13 @@ class JointStrategy:
     ) -> OptimizationResult:
         if alpha is None:
             alpha = float(getattr(session.cost_model, "alpha", 1.0))
-        start_evals, t0 = _timed(session)
-        raw = _optimize_joint_impl(
+        return _joint_search(
             session.evaluator,
             alpha,
-            params=params,
-            rng=_search_rng(session, rng),
+            params,
+            _search_rng(session, rng),
             initial_weights=initial_weights,
             progress=progress,
-        )
-        return OptimizationResult(
-            strategy=self.name,
-            high_weights=raw.weights,
-            low_weights=raw.weights,
-            objective=raw.lexicographic,
-            evaluation=session.evaluator.evaluate_str(raw.weights),
-            cost_trace=tuple(
-                TracePoint("joint", it, j, 0.0) for it, j in raw.history
-            ),
-            evaluations=session.evaluator.evaluations - start_evals,
-            wall_time_s=time.perf_counter() - t0,
-            metadata={"alpha": raw.alpha, "joint_cost": raw.joint_cost},
-            raw=raw,
         )
 
 
@@ -314,34 +176,11 @@ class AnnealStrategy:
         initial_weights: Optional[Sequence[int]] = None,
         progress: Optional[ProgressFn] = None,
     ) -> OptimizationResult:
-        start_evals, t0 = _timed(session)
-        schedule = annealing_params or AnnealingParams()
-        raw = _anneal_str_impl(
+        return _anneal_search(
             session.evaluator,
-            params=schedule,
-            search_params=params,
-            rng=_search_rng(session, rng),
+            annealing_params,
+            params,
+            _search_rng(session, rng),
             initial_weights=initial_weights,
             progress=progress,
-        )
-        return OptimizationResult(
-            strategy=self.name,
-            high_weights=raw.weights,
-            low_weights=raw.weights,
-            objective=raw.objective,
-            evaluation=raw.evaluation,
-            cost_trace=tuple(
-                TracePoint("anneal", it, cost.primary, cost.secondary)
-                for it, cost in raw.history
-            ),
-            evaluations=session.evaluator.evaluations - start_evals,
-            wall_time_s=time.perf_counter() - t0,
-            metadata={
-                "accepted": raw.accepted,
-                "rejected": raw.rejected,
-                "iterations": schedule.iterations,
-                "initial_temperature": schedule.initial_temperature,
-                "cooling": schedule.cooling,
-            },
-            raw=raw,
         )

@@ -519,8 +519,8 @@ def _run_compare(args: argparse.Namespace) -> int:
     )
     result = run_comparison(config)
     print(f"topology={args.topology} mode={args.mode} AD={result.average_utilization:.3f}")
-    print(f"STR objective: {result.str_evaluation.objective}")
-    print(f"DTR objective: {result.dtr_evaluation.objective}")
+    print(f"STR objective: {result.str_result.evaluation.objective}")
+    print(f"DTR objective: {result.dtr_result.evaluation.objective}")
     print(f"R_H={result.ratio_high:.3f}  R_L={result.ratio_low:.3f}")
     return 0
 
@@ -591,7 +591,9 @@ def _run_optimize(args: argparse.Namespace) -> int:
 
 
 def _run_whatif(args: argparse.Namespace) -> int:
+    from repro.api.queries import KIND_FAILURE
     from repro.routing.weights import unit_weights
+    from repro.scenarios.algebra import LinkFailure
 
     if args.link is None and (args.new_weight is not None or args.apply_to is not None):
         return _usage_error("--new-weight/--apply-to only apply to --link queries")
@@ -615,7 +617,12 @@ def _run_whatif(args: argparse.Namespace) -> int:
                 (args.link, args.new_weight), topology=args.apply_to or "both"
             )
         elif args.failure is not None:
-            result = session.under_failure(tuple(args.failure))
+            u, v = sorted(args.failure)
+            result = session.under_scenario(
+                LinkFailure.single(u, v),
+                kind=KIND_FAILURE,
+                description=f"failure of adjacency {(u, v)}",
+            )
         elif args.scenario is not None:
             result = session.under_scenario(args.scenario)
         else:

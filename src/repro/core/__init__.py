@@ -13,22 +13,16 @@ from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.rank_selection import draw_rank, rank_probabilities
 from repro.core.perturbation import perturb_weights
 from repro.core.neighborhood import NeighborhoodSampler
-from repro.core.str_search import StrResult, optimize_str
-from repro.core.dtr_search import DtrResult, optimize_dtr
-from repro.core.joint_search import JointResult, alpha_sweep, optimize_joint
-from repro.core.annealing import AnnealingParams, AnnealingResult, anneal_str
+from repro.core.joint_search import alpha_sweep
+from repro.core.annealing import AnnealingParams
 from repro.core.slicing import SlicedResult, optimize_sliced_low, slice_traffic_matrix
 
 __all__ = [
     "SlicedResult",
     "optimize_sliced_low",
     "slice_traffic_matrix",
-    "JointResult",
-    "optimize_joint",
     "alpha_sweep",
     "AnnealingParams",
-    "AnnealingResult",
-    "anneal_str",
     "LexCost",
     "ProgressFn",
     "ProgressTicker",
@@ -38,8 +32,4 @@ __all__ = [
     "rank_probabilities",
     "perturb_weights",
     "NeighborhoodSampler",
-    "optimize_str",
-    "StrResult",
-    "optimize_dtr",
-    "DtrResult",
 ]

@@ -13,19 +13,17 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from repro.core.evaluator import DualTopologyEvaluator, Evaluation
+from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.lexicographic import LexCost
 from repro.core.progress import ProgressFn, ProgressTicker
+from repro.core.result import OptimizationResult, TracePoint
 from repro.core.search_params import SearchParams
-from repro.determinism import default_rng
 from repro.routing.incremental import WeightDelta
-from repro.routing.weights import random_weights
+from repro.routing.weights import as_weight_array, random_weights
 
 
 @dataclass(frozen=True)
@@ -57,18 +55,6 @@ class AnnealingParams:
             raise ValueError("moves_per_proposal must be >= 1")
 
 
-@dataclass
-class AnnealingResult:
-    """Outcome of a simulated-annealing run."""
-
-    weights: np.ndarray
-    objective: LexCost
-    evaluation: Evaluation
-    accepted: int = 0
-    rejected: int = 0
-    history: list[tuple[int, LexCost]] = field(default_factory=list)
-
-
 def _acceptance_probability(
     current: LexCost, candidate: LexCost, temperature: float
 ) -> float:
@@ -88,50 +74,14 @@ def _acceptance_probability(
     return math.exp(-increase / max(temperature, 1e-12))
 
 
-def anneal_str(
+def _anneal_search(
     evaluator: DualTopologyEvaluator,
-    params: Optional[AnnealingParams] = None,
-    search_params: Optional[SearchParams] = None,
-    rng: Optional[random.Random] = None,
+    params: Optional[AnnealingParams],
+    search_params: Optional[SearchParams],
+    rng: random.Random,
     initial_weights: Optional[Sequence[int]] = None,
     progress: Optional[ProgressFn] = None,
-) -> AnnealingResult:
-    """Deprecated entry point: delegates to the ``"anneal"`` strategy.
-
-    Use :func:`repro.api.optimize` with ``strategy="anneal"`` instead;
-    this shim wraps the evaluator in a :class:`repro.api.Session`, routes
-    the call through the strategy registry, and unwraps the legacy
-    :class:`AnnealingResult` — results are identical for a fixed ``rng``.
-    """
-    warnings.warn(
-        "anneal_str is deprecated; use "
-        "repro.api.optimize(session, strategy='anneal')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import optimize as api_optimize
-    from repro.api.session import Session
-
-    result = api_optimize(
-        Session.from_evaluator(evaluator),
-        strategy="anneal",
-        params=search_params,
-        annealing_params=params,
-        rng=rng or default_rng("core/annealing"),
-        initial_weights=initial_weights,
-        progress=progress,
-    )
-    return result.raw
-
-
-def _anneal_str_impl(
-    evaluator: DualTopologyEvaluator,
-    params: Optional[AnnealingParams] = None,
-    search_params: Optional[SearchParams] = None,
-    rng: Optional[random.Random] = None,
-    initial_weights: Optional[Sequence[int]] = None,
-    progress: Optional[ProgressFn] = None,
-) -> AnnealingResult:
+) -> OptimizationResult:
     """Simulated-annealing search for a single (STR) weight vector.
 
     The implementation behind the registered ``"anneal"`` strategy.
@@ -141,8 +91,8 @@ def _anneal_str_impl(
         params: Annealing schedule; defaults roughly match the evaluation
             budget of the default :class:`SearchParams` local search.
         search_params: Supplies the weight range and progress interval;
-            defaults if omitted.
-        rng: Source of randomness; a fresh unseeded one is created if omitted.
+            defaults if ``None``.
+        rng: Source of randomness.
         initial_weights: Starting point; random weights if omitted.
         progress: Optional heartbeat callback, called as
             ``progress("anneal", iteration, total)`` every
@@ -150,11 +100,17 @@ def _anneal_str_impl(
             termination.
 
     Returns:
-        An :class:`AnnealingResult` with the best (not final) state.
+        An :class:`OptimizationResult` with the best (not final) state;
+        ``metadata`` holds the acceptance counts and the schedule.
+
+    Raises:
+        ValueError: on an invalid starting point (fractional weights are
+            rejected, never truncated).
     """
+    t0 = time.perf_counter()
+    start_evals = evaluator.evaluations
     params = params or AnnealingParams()
     search_params = search_params or SearchParams()
-    rng = rng or default_rng("core/annealing")
     num_links = evaluator.network.num_links
 
     if initial_weights is None:
@@ -162,7 +118,7 @@ def _anneal_str_impl(
             num_links, rng, search_params.min_weight, search_params.max_weight
         )
     else:
-        current = np.array(initial_weights, dtype=np.int64)
+        current = as_weight_array(initial_weights, num_links)
 
     current_eval = evaluator.evaluate_str(current)
     best = current.copy()
@@ -205,11 +161,23 @@ def _anneal_str_impl(
         temperature *= params.cooling
 
     ticker.finish("anneal", params.iterations)
-    return AnnealingResult(
-        weights=best,
+    return OptimizationResult(
+        strategy="anneal",
+        high_weights=best,
+        low_weights=best,
         objective=best_objective,
         evaluation=evaluator.evaluate_str(best),
-        accepted=accepted,
-        rejected=rejected,
-        history=history,
+        cost_trace=tuple(
+            TracePoint("anneal", it, cost.primary, cost.secondary)
+            for it, cost in history
+        ),
+        evaluations=evaluator.evaluations - start_evals,
+        wall_time_s=time.perf_counter() - t0,
+        metadata={
+            "accepted": accepted,
+            "rejected": rejected,
+            "iterations": params.iterations,
+            "initial_temperature": params.initial_temperature,
+            "cooling": params.cooling,
+        },
     )

@@ -12,45 +12,23 @@ randomly perturbing a fraction of weights after ``M`` stale iterations.
 from __future__ import annotations
 
 import random
-import warnings
-from dataclasses import dataclass, field
+import time
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.evaluator import DualTopologyEvaluator, Evaluation
+from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.lexicographic import LexCost
 from repro.core.neighborhood import NeighborhoodSampler
 from repro.core.perturbation import perturb_weights
 from repro.core.progress import ProgressFn, ProgressTicker
+from repro.core.result import OptimizationResult, TracePoint
 from repro.core.search_params import SearchParams
-from repro.determinism import default_rng
-from repro.routing.weights import random_weights
+from repro.routing.weights import as_weight_array, random_weights
 
 PHASE_HIGH = "high"
 PHASE_LOW = "low"
 PHASE_REFINE = "refine"
-
-
-@dataclass
-class DtrResult:
-    """Outcome of a DTR search.
-
-    Attributes:
-        high_weights: Best high-priority weight vector ``W_H*``.
-        low_weights: Best low-priority weight vector ``W_L*``.
-        objective: Lexicographic cost of the best setting.
-        evaluation: Full evaluation of the best setting.
-        history: ``(phase, iteration, objective)`` at each improvement.
-        evaluations: Weight settings evaluated during the search.
-    """
-
-    high_weights: np.ndarray
-    low_weights: np.ndarray
-    objective: LexCost
-    evaluation: Evaluation
-    history: list[tuple[str, int, LexCost]] = field(default_factory=list)
-    evaluations: int = 0
 
 
 class _DtrSearch:
@@ -196,50 +174,14 @@ class _DtrSearch:
         )
 
 
-def optimize_dtr(
+def _dtr_search(
     evaluator: DualTopologyEvaluator,
-    params: Optional[SearchParams] = None,
-    rng: Optional[random.Random] = None,
+    params: Optional[SearchParams],
+    rng: random.Random,
     initial_high: Optional[Sequence[int]] = None,
     initial_low: Optional[Sequence[int]] = None,
     progress: Optional[ProgressFn] = None,
-) -> DtrResult:
-    """Deprecated entry point: delegates to the ``"dtr"`` strategy.
-
-    Use :func:`repro.api.optimize` with ``strategy="dtr"`` instead; this
-    shim wraps the evaluator in a :class:`repro.api.Session`, routes the
-    call through the strategy registry, and unwraps the legacy
-    :class:`DtrResult` — results are identical for a fixed ``rng``.
-    """
-    warnings.warn(
-        "optimize_dtr is deprecated; use "
-        "repro.api.optimize(session, strategy='dtr')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import optimize as api_optimize
-    from repro.api.session import Session
-
-    result = api_optimize(
-        Session.from_evaluator(evaluator),
-        strategy="dtr",
-        params=params,
-        rng=rng or default_rng("core/dtr_search"),
-        initial_high=initial_high,
-        initial_low=initial_low,
-        progress=progress,
-    )
-    return result.raw
-
-
-def _optimize_dtr_impl(
-    evaluator: DualTopologyEvaluator,
-    params: Optional[SearchParams] = None,
-    rng: Optional[random.Random] = None,
-    initial_high: Optional[Sequence[int]] = None,
-    initial_low: Optional[Sequence[int]] = None,
-    progress: Optional[ProgressFn] = None,
-) -> DtrResult:
+) -> OptimizationResult:
     """Search for a dual weight setting minimizing the lexicographic objective.
 
     The implementation behind the registered ``"dtr"`` strategy (the
@@ -247,8 +189,8 @@ def _optimize_dtr_impl(
 
     Args:
         evaluator: Cost evaluator (load or SLA mode).
-        params: Search budgets; library defaults if omitted.
-        rng: Source of randomness; a fresh unseeded one is created if omitted.
+        params: Search budgets; library defaults if ``None``.
+        rng: Source of randomness.
         initial_high: Starting high-priority weights; random if omitted.
             Seeding both vectors with an STR solution guarantees DTR never
             ends lexicographically worse than that solution.
@@ -260,22 +202,27 @@ def _optimize_dtr_impl(
             ``params.progress_interval`` iterations.
 
     Returns:
-        A :class:`DtrResult`.
+        An :class:`OptimizationResult` whose ``metadata["seeded"]`` says
+        whether ``initial_high`` was given.
+
+    Raises:
+        ValueError: on an invalid starting point (fractional weights are
+            rejected, never truncated).
     """
+    t0 = time.perf_counter()
     params = params or SearchParams()
-    rng = rng or default_rng("core/dtr_search")
     num_links = evaluator.network.num_links
 
     if initial_high is None:
         wh0 = random_weights(num_links, rng, params.min_weight, params.max_weight)
     else:
-        wh0 = np.array(initial_high, dtype=np.int64)
+        wh0 = as_weight_array(initial_high, num_links)
     if initial_low is None:
         wl0 = wh0.copy() if initial_high is not None else random_weights(
             num_links, rng, params.min_weight, params.max_weight
         )
     else:
-        wl0 = np.array(initial_low, dtype=np.int64)
+        wl0 = as_weight_array(initial_low, num_links)
 
     start_evals = evaluator.evaluations
     search = _DtrSearch(evaluator, params, rng, wh0, wl0, progress=progress)
@@ -283,11 +230,17 @@ def _optimize_dtr_impl(
     search.routine_low()
     search.routine_refine()
 
-    return DtrResult(
+    return OptimizationResult(
+        strategy="dtr",
         high_weights=search.best_wh,
         low_weights=search.best_wl,
         objective=search.best_objective,
         evaluation=evaluator.evaluate(search.best_wh, search.best_wl),
-        history=search.history,
+        cost_trace=tuple(
+            TracePoint(phase, it, cost.primary, cost.secondary)
+            for phase, it, cost in search.history
+        ),
         evaluations=evaluator.evaluations - start_evals,
+        wall_time_s=time.perf_counter() - t0,
+        metadata={"seeded": initial_high is not None},
     )

@@ -5,17 +5,17 @@ weighted sum is fragile: too small an ``alpha`` produces priority
 inversions, too large an ``alpha`` adds nothing over the lexicographic
 formulation, and no single value works across configurations.  This
 module makes that argument quantitative at full network scale: it runs
-the same local search as :func:`repro.core.str_search.optimize_str` but
-driven by ``J``, and provides a sweep utility that measures, per alpha,
-the achieved class costs and whether a priority inversion occurred
-relative to the lexicographic solution.
+the same local search as the ``"str"`` strategy but driven by ``J``, and
+provides a sweep utility that measures, per alpha, the achieved class
+costs and whether a priority inversion occurred relative to the
+lexicographic solution.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -25,82 +25,20 @@ from repro.core.lexicographic import LexCost
 from repro.core.neighborhood import NeighborhoodSampler
 from repro.core.perturbation import perturb_weights
 from repro.core.progress import ProgressFn, ProgressTicker
+from repro.core.result import OptimizationResult, TracePoint
 from repro.core.search_params import SearchParams
 from repro.costs.load_cost import LoadCostEvaluation
-from repro.determinism import default_rng
-from repro.routing.weights import random_weights
+from repro.routing.weights import as_weight_array, random_weights
 
 
-@dataclass
-class JointResult:
-    """Outcome of a joint-cost STR search for one alpha.
-
-    Attributes:
-        alpha: The trade-off multiplier used.
-        weights: Best weight vector found.
-        joint_cost: Best ``J`` value.
-        phi_high: High-priority cost of the best weights.
-        phi_low: Low-priority cost of the best weights.
-        history: ``(iteration, J)`` at each improvement.
-    """
-
-    alpha: float
-    weights: np.ndarray
-    joint_cost: float
-    phi_high: float
-    phi_low: float
-    history: list[tuple[int, float]] = field(default_factory=list)
-
-    @property
-    def lexicographic(self) -> LexCost:
-        """The class costs viewed lexicographically."""
-        return LexCost(self.phi_high, self.phi_low)
-
-
-def optimize_joint(
+def _joint_search(
     evaluator: DualTopologyEvaluator,
     alpha: float,
-    params: Optional[SearchParams] = None,
-    rng: Optional[random.Random] = None,
+    params: Optional[SearchParams],
+    rng: random.Random,
     initial_weights: Optional[Sequence[int]] = None,
     progress: Optional[ProgressFn] = None,
-) -> JointResult:
-    """Deprecated entry point: delegates to the ``"joint"`` strategy.
-
-    Use :func:`repro.api.optimize` with ``strategy="joint"`` instead;
-    this shim wraps the evaluator in a :class:`repro.api.Session`, routes
-    the call through the strategy registry, and unwraps the legacy
-    :class:`JointResult` — results are identical for a fixed ``rng``.
-    """
-    warnings.warn(
-        "optimize_joint is deprecated; use "
-        "repro.api.optimize(session, strategy='joint')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import optimize as api_optimize
-    from repro.api.session import Session
-
-    result = api_optimize(
-        Session.from_evaluator(evaluator),
-        strategy="joint",
-        alpha=alpha,
-        params=params,
-        rng=rng or default_rng("core/joint_search"),
-        initial_weights=initial_weights,
-        progress=progress,
-    )
-    return result.raw
-
-
-def _optimize_joint_impl(
-    evaluator: DualTopologyEvaluator,
-    alpha: float,
-    params: Optional[SearchParams] = None,
-    rng: Optional[random.Random] = None,
-    initial_weights: Optional[Sequence[int]] = None,
-    progress: Optional[ProgressFn] = None,
-) -> JointResult:
+) -> OptimizationResult:
     """Search a single weight vector minimizing ``J = alpha*Phi_H + Phi_L``.
 
     The implementation behind the registered ``"joint"`` strategy.
@@ -109,8 +47,8 @@ def _optimize_joint_impl(
         evaluator: A *load-mode* evaluator (the joint cost is defined on
             the load-based class costs).
         alpha: Non-negative trade-off multiplier.
-        params: Search budgets; library defaults if omitted.
-        rng: Source of randomness; a fresh unseeded one is created if omitted.
+        params: Search budgets; library defaults if ``None``.
+        rng: Source of randomness.
         initial_weights: Starting point; random weights if omitted.
         progress: Optional heartbeat callback, called as
             ``progress("joint", iteration, total)`` every
@@ -118,23 +56,29 @@ def _optimize_joint_impl(
             termination.
 
     Returns:
-        A :class:`JointResult`.
+        An :class:`OptimizationResult` whose objective is the best
+        setting's ``<Phi_H, Phi_L>`` and whose ``metadata`` holds
+        ``alpha`` and the best ``joint_cost``; its cost trace records
+        ``(J, 0.0)`` at each improvement.
 
     Raises:
-        ValueError: if the evaluator is not in load mode or alpha < 0.
+        ValueError: if the evaluator is not in load mode, alpha < 0, or
+            the starting point is invalid (fractional weights are
+            rejected, never truncated).
     """
+    t0 = time.perf_counter()
+    start_evals = evaluator.evaluations
     if evaluator.mode != LOAD_MODE:
         raise ValueError("joint-cost search requires a load-mode evaluator")
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
     params = params or SearchParams()
-    rng = rng or default_rng("core/joint_search")
     num_links = evaluator.network.num_links
 
     if initial_weights is None:
         current = random_weights(num_links, rng, params.min_weight, params.max_weight)
     else:
-        current = np.array(initial_weights, dtype=np.int64)
+        current = as_weight_array(initial_weights, num_links)
 
     def joint(evaluation: LoadCostEvaluation) -> float:
         return alpha * evaluation.phi_high + evaluation.phi_low
@@ -180,13 +124,16 @@ def _optimize_joint_impl(
             stale = 0
 
     ticker.finish("joint", total_iterations)
-    return JointResult(
-        alpha=alpha,
-        weights=best_weights,
-        joint_cost=best_joint,
-        phi_high=best_evaluation.phi_high,
-        phi_low=best_evaluation.phi_low,
-        history=history,
+    return OptimizationResult(
+        strategy="joint",
+        high_weights=best_weights,
+        low_weights=best_weights,
+        objective=LexCost(best_evaluation.phi_high, best_evaluation.phi_low),
+        evaluation=evaluator.evaluate_str(best_weights),
+        cost_trace=tuple(TracePoint("joint", it, j, 0.0) for it, j in history),
+        evaluations=evaluator.evaluations - start_evals,
+        wall_time_s=time.perf_counter() - t0,
+        metadata={"alpha": alpha, "joint_cost": best_joint},
     )
 
 
@@ -228,15 +175,16 @@ def alpha_sweep(
     """
     points = []
     for i, alpha in enumerate(alphas):
-        result = _optimize_joint_impl(
+        result = _joint_search(
             evaluator, float(alpha), params=params, rng=random.Random(seed + i)
         )
-        inversion = result.phi_high > reference_phi_high * (1.0 + inversion_tolerance)
+        phi_high = result.objective.primary
+        inversion = phi_high > reference_phi_high * (1.0 + inversion_tolerance)
         points.append(
             AlphaSweepPoint(
                 alpha=float(alpha),
-                phi_high=result.phi_high,
-                phi_low=result.phi_low,
+                phi_high=phi_high,
+                phi_low=result.objective.secondary,
                 priority_inversion=inversion,
             )
         )

@@ -14,62 +14,18 @@ best high-priority cost seen so far.
 from __future__ import annotations
 
 import random
-import warnings
-from dataclasses import dataclass, field
+import time
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.core.evaluator import DualTopologyEvaluator, Evaluation
-from repro.core.lexicographic import LexCost
 from repro.core.neighborhood import NeighborhoodSampler
 from repro.core.perturbation import perturb_weights
 from repro.core.progress import ProgressFn, ProgressTicker
+from repro.core.result import OptimizationResult, RelaxedSolution, TracePoint
 from repro.core.search_params import SearchParams
-from repro.determinism import default_rng
-from repro.routing.weights import random_weights
-
-__all__ = ["ProgressFn", "RelaxedSolution", "StrResult", "optimize_str"]
-
-
-@dataclass(frozen=True)
-class RelaxedSolution:
-    """Best relaxed STR solution for one ``epsilon``.
-
-    Attributes:
-        epsilon: The allowed high-priority degradation.
-        weights: The recorded weight vector.
-        primary_cost: Its high-priority cost (``Phi_H`` or ``Lambda``).
-        phi_low: Its low-priority cost ``Phi_L``.
-    """
-
-    epsilon: float
-    weights: np.ndarray
-    primary_cost: float
-    phi_low: float
-
-
-@dataclass
-class StrResult:
-    """Outcome of an STR search.
-
-    Attributes:
-        weights: Best (strict lexicographic) weight vector found.
-        objective: Its lexicographic cost.
-        evaluation: Full evaluation of the best weights.
-        relaxed: Best relaxed solution per requested epsilon.
-        history: ``(iteration, objective)`` recorded at each improvement.
-        iterations: Iterations executed.
-        evaluations: Weight settings evaluated (cache misses included).
-    """
-
-    weights: np.ndarray
-    objective: LexCost
-    evaluation: Evaluation
-    relaxed: dict[float, RelaxedSolution] = field(default_factory=dict)
-    history: list[tuple[int, LexCost]] = field(default_factory=list)
-    iterations: int = 0
-    evaluations: int = 0
+from repro.routing.weights import as_weight_array, random_weights
 
 
 def _descending_link_order(evaluation: Evaluation) -> list[int]:
@@ -77,61 +33,14 @@ def _descending_link_order(evaluation: Evaluation) -> list[int]:
     return sorted(range(len(keys)), key=lambda i: keys[i], reverse=True)
 
 
-def optimize_str(
+def _str_search(
     evaluator: DualTopologyEvaluator,
-    params: Optional[SearchParams] = None,
-    rng: Optional[random.Random] = None,
+    params: Optional[SearchParams],
+    rng: random.Random,
     initial_weights: Optional[Sequence[int]] = None,
     relaxation_epsilons: Iterable[float] = (),
     progress: Optional[ProgressFn] = None,
-) -> StrResult:
-    """Deprecated entry point: delegates to the ``"str"`` strategy.
-
-    Use :func:`repro.api.optimize` with ``strategy="str"`` instead; this
-    shim wraps the evaluator in a :class:`repro.api.Session`, routes the
-    call through the strategy registry, and unwraps the legacy
-    :class:`StrResult` — results are identical for a fixed ``rng``.
-
-    Args:
-        evaluator: Cost evaluator (load or SLA mode).
-        params: Search budgets; library defaults if omitted.
-        rng: Source of randomness; a fresh unseeded one is created if omitted.
-        initial_weights: Starting point; random weights if omitted.
-        relaxation_epsilons: Epsilons for which relaxed solutions are tracked.
-        progress: Optional heartbeat callback.
-
-    Returns:
-        A :class:`StrResult`.
-    """
-    warnings.warn(
-        "optimize_str is deprecated; use "
-        "repro.api.optimize(session, strategy='str')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import optimize as api_optimize
-    from repro.api.session import Session
-
-    result = api_optimize(
-        Session.from_evaluator(evaluator),
-        strategy="str",
-        params=params,
-        rng=rng or default_rng("core/str_search"),
-        initial_weights=initial_weights,
-        relaxation_epsilons=relaxation_epsilons,
-        progress=progress,
-    )
-    return result.raw
-
-
-def _optimize_str_impl(
-    evaluator: DualTopologyEvaluator,
-    params: Optional[SearchParams] = None,
-    rng: Optional[random.Random] = None,
-    initial_weights: Optional[Sequence[int]] = None,
-    relaxation_epsilons: Iterable[float] = (),
-    progress: Optional[ProgressFn] = None,
-) -> StrResult:
+) -> OptimizationResult:
     """Search for a single weight vector minimizing the lexicographic objective.
 
     The implementation behind the registered ``"str"`` strategy: the
@@ -141,8 +50,8 @@ def _optimize_str_impl(
 
     Args:
         evaluator: Cost evaluator (load or SLA mode).
-        params: Search budgets; library defaults if omitted.
-        rng: Source of randomness; a fresh unseeded one is created if omitted.
+        params: Search budgets; library defaults if ``None``.
+        rng: Source of randomness.
         initial_weights: Starting point; random weights if omitted.
         relaxation_epsilons: Epsilons for which relaxed solutions are tracked.
         progress: Optional heartbeat callback, called as
@@ -151,10 +60,15 @@ def _optimize_str_impl(
             search terminates.
 
     Returns:
-        A :class:`StrResult`.
+        An :class:`OptimizationResult` whose ``relaxed`` maps each
+        epsilon that admitted a solution to its best relaxed solution.
+
+    Raises:
+        ValueError: on a negative epsilon or an invalid starting point
+            (fractional weights are rejected, never truncated).
     """
+    t0 = time.perf_counter()
     params = params or SearchParams()
-    rng = rng or default_rng("core/str_search")
     num_links = evaluator.network.num_links
     epsilons = sorted(set(float(e) for e in relaxation_epsilons))
     if any(e < 0 for e in epsilons):
@@ -163,7 +77,7 @@ def _optimize_str_impl(
     if initial_weights is None:
         current = random_weights(num_links, rng, params.min_weight, params.max_weight)
     else:
-        current = np.array(initial_weights, dtype=np.int64)
+        current = as_weight_array(initial_weights, num_links)
 
     sampler = NeighborhoodSampler(params, rng)
     start_evals = evaluator.evaluations
@@ -225,12 +139,20 @@ def _optimize_str_impl(
             stale = 0
 
     ticker.finish("str", total_iterations)
-    return StrResult(
-        weights=best_weights,
+    return OptimizationResult(
+        strategy="str",
+        high_weights=best_weights,
+        low_weights=best_weights,
         objective=best_objective,
         evaluation=evaluator.evaluate_str(best_weights),
-        relaxed=relaxed,
-        history=history,
-        iterations=total_iterations,
+        cost_trace=tuple(
+            TracePoint("str", it, cost.primary, cost.secondary) for it, cost in history
+        ),
         evaluations=evaluator.evaluations - start_evals,
+        wall_time_s=time.perf_counter() - t0,
+        metadata={
+            "iterations": total_iterations,
+            "relaxation_epsilons": sorted(relaxed),
+        },
+        relaxed=relaxed,
     )

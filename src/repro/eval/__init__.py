@@ -21,11 +21,10 @@ from repro.eval.campaign import (
     run_campaign,
 )
 from repro.eval.convergence import ConvergenceTrace, relative_gap, trace_from_history
-from repro.eval.drift import DriftReport, drift_sweep
+from repro.eval.drift import DriftReport, drift_sweep_session
 from repro.eval.robustness import (
     RobustnessReport,
     ScenarioRobustnessReport,
-    failure_sweep,
     failure_sweep_session,
     scenario_sweep_session,
 )
@@ -49,10 +48,9 @@ __all__ = [
     "trace_from_history",
     "relative_gap",
     "DriftReport",
-    "drift_sweep",
+    "drift_sweep_session",
     "RobustnessReport",
     "ScenarioRobustnessReport",
-    "failure_sweep",
     "failure_sweep_session",
     "scenario_sweep_session",
 ]

@@ -230,15 +230,15 @@ def build_record(
             "ratio_low": result.ratio_low,
             "measured_utilization": result.average_utilization,
             "str": {
-                "objective": list(result.str_evaluation.objective.values),
-                "phi_low": result.str_evaluation.phi_low,
-                "max_utilization": result.str_evaluation.max_utilization,
+                "objective": list(result.str_result.evaluation.objective.values),
+                "phi_low": result.str_result.evaluation.phi_low,
+                "max_utilization": result.str_result.evaluation.max_utilization,
                 "evaluations": result.str_result.evaluations,
             },
             "dtr": {
-                "objective": list(result.dtr_evaluation.objective.values),
-                "phi_low": result.dtr_evaluation.phi_low,
-                "max_utilization": result.dtr_evaluation.max_utilization,
+                "objective": list(result.dtr_result.evaluation.objective.values),
+                "phi_low": result.dtr_result.evaluation.phi_low,
+                "max_utilization": result.dtr_result.evaluation.max_utilization,
                 "evaluations": result.dtr_result.evaluations,
             },
         },
@@ -253,8 +253,8 @@ def build_record(
         },
     }
     if config.mode == SLA_MODE:
-        record["metrics"]["str"]["violations"] = result.str_evaluation.violations
-        record["metrics"]["dtr"]["violations"] = result.dtr_evaluation.violations
+        record["metrics"]["str"]["violations"] = result.str_result.evaluation.violations
+        record["metrics"]["dtr"]["violations"] = result.dtr_result.evaluation.violations
     if robustness is not None:
         record["robustness"] = robustness
     if scenarios is not None:

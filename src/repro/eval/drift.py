@@ -20,9 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.network.graph import Network
-from repro.traffic.matrix import TrafficMatrix
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.session import Session
 
@@ -68,13 +65,6 @@ class DriftReport:
         return max(values) / min(values)
 
 
-def _validate_scales(scales: Sequence[float]) -> None:
-    if not scales:
-        raise ValueError("need at least one scale")
-    if any(s <= 0 for s in scales):
-        raise ValueError("scales must be positive")
-
-
 def drift_sweep_session(
     session: "Session", scales: Sequence[float] = DEFAULT_SCALES
 ) -> DriftReport:
@@ -97,7 +87,10 @@ def drift_sweep_session(
     """
     from repro.scenarios.algebra import TrafficScale
 
-    _validate_scales(scales)
+    if not scales:
+        raise ValueError("need at least one scale")
+    if any(s <= 0 for s in scales):
+        raise ValueError("scales must be positive")
     result = session.sweep(
         [TrafficScale(factor=float(scale)) for scale in scales]
     )
@@ -112,38 +105,3 @@ def drift_sweep_session(
             for scale, outcome in zip(scales, result.outcomes)
         )
     )
-
-
-def drift_sweep(
-    net: Network,
-    high_weights: Sequence[int],
-    low_weights: Sequence[int],
-    high_traffic: TrafficMatrix,
-    low_traffic: TrafficMatrix,
-    scales: Sequence[float] = DEFAULT_SCALES,
-) -> DriftReport:
-    """Evaluate fixed weights across jointly scaled traffic matrices.
-
-    Legacy entry point: builds a load-mode :class:`~repro.api.Session`
-    around the inputs and delegates to :func:`drift_sweep_session`.
-
-    Args:
-        net: The network.
-        high_weights: High-priority topology weights (fixed).
-        low_weights: Low-priority topology weights (fixed).
-        high_traffic: High-priority matrix at scale 1.0.
-        low_traffic: Low-priority matrix at scale 1.0.
-        scales: Multipliers applied to both matrices.
-
-    Returns:
-        A :class:`DriftReport` with one point per scale, in input order.
-
-    Raises:
-        ValueError: on an empty or non-positive scale list.
-    """
-    from repro.api.session import Session
-
-    _validate_scales(scales)
-    session = Session(net, high_traffic, low_traffic, cost_model="load")
-    session.set_weights(high_weights, low_weights)
-    return drift_sweep_session(session, scales)

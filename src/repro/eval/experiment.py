@@ -6,12 +6,11 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
-from repro.core.dtr_search import DtrResult
 from repro.determinism import derive_rng as _derive_rng
-from repro.core.evaluator import LOAD_MODE, SLA_MODE, DualTopologyEvaluator, Evaluation
+from repro.core.evaluator import LOAD_MODE, SLA_MODE, DualTopologyEvaluator
 from repro.core.progress import ProgressFn
+from repro.core.result import OptimizationResult
 from repro.core.search_params import SearchParams
-from repro.core.str_search import StrResult
 from repro.costs.sla import SlaParams
 from repro.eval.metrics import safe_ratio
 from repro.network.graph import Network
@@ -86,10 +85,8 @@ class ComparisonResult:
     """
 
     config: ExperimentConfig
-    str_result: StrResult
-    dtr_result: DtrResult
-    str_evaluation: Evaluation
-    dtr_evaluation: Evaluation
+    str_result: OptimizationResult
+    dtr_result: OptimizationResult
     high_traffic: TrafficMatrix
     low_traffic: TrafficMatrix
 
@@ -97,25 +94,28 @@ class ComparisonResult:
     def ratio_high(self) -> float:
         """``R_H``: STR high-priority cost over DTR high-priority cost."""
         return safe_ratio(
-            self.str_evaluation.objective.primary, self.dtr_evaluation.objective.primary
+            self.str_result.evaluation.objective.primary,
+            self.dtr_result.evaluation.objective.primary,
         )
 
     @property
     def ratio_low(self) -> float:
         """``R_L``: STR low-priority cost over DTR low-priority cost."""
-        return safe_ratio(self.str_evaluation.phi_low, self.dtr_evaluation.phi_low)
+        return safe_ratio(
+            self.str_result.evaluation.phi_low, self.dtr_result.evaluation.phi_low
+        )
 
     def relaxed_ratio_low(self, epsilon: float) -> float:
         """``R_L,eps``: relaxed-STR low-priority cost over DTR low-priority cost."""
         solution = self.str_result.relaxed.get(epsilon)
         if solution is None:
             raise KeyError(f"no relaxed solution tracked for epsilon={epsilon}")
-        return safe_ratio(solution.phi_low, self.dtr_evaluation.phi_low)
+        return safe_ratio(solution.phi_low, self.dtr_result.evaluation.phi_low)
 
     @property
     def average_utilization(self) -> float:
         """Measured mean link utilization under the STR solution (the paper's AD)."""
-        return self.str_evaluation.average_utilization
+        return self.str_result.evaluation.average_utilization
 
 
 def build_network(topology: str, seed: int) -> Network:
@@ -221,10 +221,8 @@ def run_comparison(
     )
     return ComparisonResult(
         config=config,
-        str_result=str_result.raw,
-        dtr_result=dtr_result.raw,
-        str_evaluation=str_result.evaluation,
-        dtr_evaluation=dtr_result.evaluation,
+        str_result=str_result,
+        dtr_result=dtr_result,
         high_traffic=session.high_traffic,
         low_traffic=session.low_traffic,
     )

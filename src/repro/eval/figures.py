@@ -169,14 +169,14 @@ def fig3(
     result = run_comparison(config)
     top = max(
         1.0,
-        float(result.str_evaluation.utilization.max()),
-        float(result.dtr_evaluation.utilization.max()),
+        float(result.str_result.evaluation.utilization.max()),
+        float(result.dtr_result.evaluation.utilization.max()),
     )
     edges, str_counts = utilization_histogram(
-        result.str_evaluation.utilization, max_utilization=top
+        result.str_result.evaluation.utilization, max_utilization=top
     )
     _, dtr_counts = utilization_histogram(
-        result.dtr_evaluation.utilization, max_utilization=top
+        result.dtr_result.evaluation.utilization, max_utilization=top
     )
     return Fig3Result(
         mode=mode,
@@ -299,7 +299,7 @@ def fig6(
         )
         result = run_comparison(config)
         curves[k] = sorted_high_utilization(
-            result.str_evaluation.high_loads, _capacities_of(result)
+            result.str_result.evaluation.high_loads, _capacities_of(result)
         )
     return Fig6Result(curves=curves)
 
@@ -366,8 +366,8 @@ def fig7(
     net = build_network(config.topology, config.seed)
     return Fig7Result(
         prop_delays_ms=net.prop_delays(),
-        str_utilization=result.str_evaluation.utilization,
-        dtr_utilization=result.dtr_evaluation.utilization,
+        str_utilization=result.str_result.evaluation.utilization,
+        dtr_utilization=result.dtr_result.evaluation.utilization,
     )
 
 
@@ -489,12 +489,12 @@ def fig9(
         points.append(
             Fig9Point(
                 theta_ms=float(theta),
-                str_violations=result.str_evaluation.violations,
-                dtr_violations=result.dtr_evaluation.violations,
-                str_phi_low=result.str_evaluation.phi_low,
-                dtr_phi_low=result.dtr_evaluation.phi_low,
-                str_max_utilization=result.str_evaluation.max_utilization,
-                dtr_max_utilization=result.dtr_evaluation.max_utilization,
+                str_violations=result.str_result.evaluation.violations,
+                dtr_violations=result.dtr_result.evaluation.violations,
+                str_phi_low=result.str_result.evaluation.phi_low,
+                dtr_phi_low=result.dtr_result.evaluation.phi_low,
+                str_max_utilization=result.str_result.evaluation.max_utilization,
+                dtr_max_utilization=result.dtr_result.evaluation.max_utilization,
             )
         )
     return Fig9Result(points=tuple(points))

@@ -8,11 +8,10 @@ natural companion to the paper's MTR deployment argument.
 
 Two sweep shapes are provided:
 
-* :func:`failure_sweep_session` / :func:`failure_sweep` — the classic
-  single-adjacency failure sweep, now riding
-  :meth:`repro.api.Session.sweep` (the batched scenario engine) instead
-  of one query per failure.  Failures that disconnect demand are **no
-  longer silently skipped**: each outcome carries an explicit
+* :func:`failure_sweep_session` — the classic single-adjacency failure
+  sweep, riding :meth:`repro.api.Session.sweep` (the batched scenario
+  engine) instead of one query per failure.  Failures that disconnect
+  demand are **not skipped**: each outcome carries an explicit
   ``disconnected`` flag and the demand volume lost, and cost statistics
   fold the connected outcomes only.
 * :func:`scenario_sweep_session` — the general form: any mix of
@@ -23,13 +22,11 @@ Two sweep shapes are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from repro.core.lexicographic import LexCost
-from repro.network.graph import Network
-from repro.traffic.matrix import TrafficMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.session import Session
@@ -168,37 +165,6 @@ def failure_sweep_session(session: "Session") -> RobustnessReport:
             )
         )
     return RobustnessReport(baseline=baseline, outcomes=tuple(outcomes))
-
-
-def failure_sweep(
-    net: Network,
-    high_weights: Sequence[int],
-    low_weights: Sequence[int],
-    high_traffic: TrafficMatrix,
-    low_traffic: TrafficMatrix,
-) -> RobustnessReport:
-    """Evaluate a weight setting under every single-adjacency failure.
-
-    Legacy entry point: builds a load-mode :class:`~repro.api.Session`
-    around the inputs and delegates to :func:`failure_sweep_session`.
-
-    Args:
-        net: The intact network.
-        high_weights: Weights of the high-priority topology.
-        low_weights: Weights of the low-priority topology (same vector
-            object or equal array for STR).
-        high_traffic: High-priority traffic matrix.
-        low_traffic: Low-priority traffic matrix.
-
-    Returns:
-        A :class:`RobustnessReport` with the baseline and all failure
-        outcomes, ordered by failed adjacency.
-    """
-    from repro.api.session import Session
-
-    session = Session(net, high_traffic, low_traffic, cost_model="load")
-    session.set_weights(high_weights, low_weights)
-    return failure_sweep_session(session)
 
 
 # ----------------------------------------------------------------------

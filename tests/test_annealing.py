@@ -5,11 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.annealing import (
-    AnnealingParams,
-    _acceptance_probability,
-    anneal_str,
-)
+from repro.api import Session, optimize
+from repro.core.annealing import AnnealingParams, _acceptance_probability
 from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.lexicographic import LexCost
 from repro.routing.weights import unit_weights
@@ -21,6 +18,11 @@ FAST = AnnealingParams(iterations=200, initial_temperature=0.3, cooling=0.99)
 def evaluator(isp_net, small_traffic):
     high, low = small_traffic
     return DualTopologyEvaluator(isp_net, high, low, mode="load")
+
+
+@pytest.fixture
+def session(evaluator):
+    return Session.from_evaluator(evaluator)
 
 
 class TestParams:
@@ -56,43 +58,47 @@ class TestAcceptance:
 
 
 class TestAnnealStr:
-    def test_improves_over_initial(self, evaluator):
-        initial = unit_weights(evaluator.network.num_links)
-        result = anneal_str(
-            evaluator, FAST, rng=random.Random(1), initial_weights=initial
+    def test_improves_over_initial(self, session):
+        initial = unit_weights(session.network.num_links)
+        result = optimize(
+            session, "anneal", annealing_params=FAST, rng=random.Random(1),
+            initial_weights=initial,
         )
-        assert result.objective <= evaluator.evaluate_str(initial).objective
+        assert result.objective <= session.evaluator.evaluate_str(initial).objective
 
-    def test_result_consistency(self, evaluator):
-        result = anneal_str(evaluator, FAST, rng=random.Random(2))
-        assert evaluator.evaluate_str(result.weights).objective == result.objective
+    def test_result_consistency(self, session):
+        result = optimize(session, "anneal", annealing_params=FAST, rng=random.Random(2))
+        assert session.evaluator.evaluate_str(result.weights).objective == result.objective
         assert result.evaluation.objective == result.objective
 
-    def test_counters(self, evaluator):
-        result = anneal_str(evaluator, FAST, rng=random.Random(3))
-        assert result.accepted + result.rejected == FAST.iterations
+    def test_counters(self, session):
+        result = optimize(session, "anneal", annealing_params=FAST, rng=random.Random(3))
+        assert (
+            result.metadata["accepted"] + result.metadata["rejected"] == FAST.iterations
+        )
 
-    def test_history_monotone(self, evaluator):
-        result = anneal_str(evaluator, FAST, rng=random.Random(4))
-        objectives = [o for _, o in result.history]
+    def test_history_monotone(self, session):
+        result = optimize(session, "anneal", annealing_params=FAST, rng=random.Random(4))
+        objectives = [(p.primary, p.secondary) for p in result.cost_trace]
         assert all(b <= a for a, b in zip(objectives, objectives[1:]))
 
-    def test_weights_in_range(self, evaluator):
-        result = anneal_str(evaluator, FAST, rng=random.Random(5))
+    def test_weights_in_range(self, session):
+        result = optimize(session, "anneal", annealing_params=FAST, rng=random.Random(5))
         assert np.all(result.weights >= 1)
         assert np.all(result.weights <= 30)
 
-    def test_deterministic(self, evaluator):
-        a = anneal_str(evaluator, FAST, rng=random.Random(42))
-        b = anneal_str(evaluator, FAST, rng=random.Random(42))
+    def test_deterministic(self, session):
+        a = optimize(session, "anneal", annealing_params=FAST, rng=random.Random(42))
+        b = optimize(session, "anneal", annealing_params=FAST, rng=random.Random(42))
         assert a.objective == b.objective
         np.testing.assert_array_equal(a.weights, b.weights)
 
-    def test_primary_never_degraded_vs_initial(self, evaluator):
+    def test_primary_never_degraded_vs_initial(self, session):
         """Accepted states can only match or improve the primary cost."""
-        initial = unit_weights(evaluator.network.num_links)
-        start = evaluator.evaluate_str(initial)
-        result = anneal_str(
-            evaluator, FAST, rng=random.Random(6), initial_weights=initial
+        initial = unit_weights(session.network.num_links)
+        start = session.evaluator.evaluate_str(initial)
+        result = optimize(
+            session, "anneal", annealing_params=FAST, rng=random.Random(6),
+            initial_weights=initial,
         )
         assert result.evaluation.phi_high <= start.phi_high + 1e-9

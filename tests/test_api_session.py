@@ -11,6 +11,7 @@ from repro.core.evaluator import DualTopologyEvaluator
 from repro.eval.experiment import ExperimentConfig, derive_rng, scaled_config
 from repro.routing.incremental import WeightDelta
 from repro.routing.weights import random_weights, unit_weights
+from repro.scenarios.algebra import LinkFailure
 
 CONFIG = scaled_config(
     ExperimentConfig(topology="isp", target_utilization=0.5, seed=2), 0.02
@@ -177,6 +178,16 @@ class TestWhatIf:
         with pytest.raises(ValueError, match="topology"):
             baseline_session.what_if((0, 5), topology="middle")
 
+    def test_rejects_fractional_and_out_of_range_new_weights(self, baseline_session):
+        """A non-integral or out-of-range new weight fails, never truncated."""
+        session = baseline_session
+        for spec in ((3, 2.5), {3: 2.5}, (3, 0), (3, 31)):
+            with pytest.raises(ValueError, match="link weights"):
+                session.what_if(spec)
+        assert session.what_if((3, 2)).variant_objective == (
+            session.what_if((3, 2.0)).variant_objective
+        )
+
     def test_rejects_bad_delta_type(self, baseline_session):
         with pytest.raises(TypeError, match="WeightDelta"):
             baseline_session.what_if("link3=5")
@@ -198,35 +209,11 @@ class TestWhatIf:
 
 
 class TestUnderFailure:
-    def test_matches_legacy_failure_sweep(self, baseline_session):
-        from repro.eval.robustness import failure_sweep, failure_sweep_session
-
-        session = baseline_session
-        via_session = failure_sweep_session(session)
-        legacy = failure_sweep(
-            session.network,
-            session.high_weights,
-            session.low_weights,
-            session.high_traffic,
-            session.low_traffic,
-        )
-        assert via_session.baseline == legacy.baseline
-        assert via_session.outcomes == legacy.outcomes
-        assert via_session.skipped_disconnecting == legacy.skipped_disconnecting
-
-    def test_intact_query_has_zero_deltas(self, baseline_session):
-        result = baseline_session.under_failure(None)
-        assert result.primary_delta == 0.0
-        assert result.secondary_delta == 0.0
-        np.testing.assert_array_equal(
-            result.utilization_delta, np.zeros(baseline_session.network.num_links)
-        )
-
     def test_failed_links_lose_their_load(self, baseline_session):
         session = baseline_session
         net = session.network
         u, v = net.duplex_pairs()[0]
-        result = session.under_failure((u, v))
+        result = session.under_scenario(LinkFailure.single(u, v), kind="failure")
         assert result.kind == "failure"
         # Deltas are reported in intact link indexing: the failed links'
         # utilization drops to zero (delta == -baseline utilization).
@@ -235,17 +222,6 @@ class TestUnderFailure:
                 assert result.utilization_delta[link.index] == pytest.approx(
                     -result.baseline.utilization[link.index]
                 )
-
-    def test_accepts_prebuilt_scenario(self, baseline_session):
-        from repro.network.failures import remove_adjacency
-
-        session = baseline_session
-        u, v = session.network.duplex_pairs()[0]
-        scenario = remove_adjacency(session.network, u, v)
-        assert (
-            session.under_failure(scenario).variant_objective
-            == session.under_failure((u, v)).variant_objective
-        )
 
 
 class TestScaledTraffic:

@@ -1,13 +1,9 @@
-"""Tests: all four strategies behind ``repro.api.optimize``, equivalent to legacy."""
-
-import random
+"""Tests: all four strategies behind ``repro.api.optimize``."""
 
 import numpy as np
 import pytest
 
-from repro.api import Session, optimize
-from repro.api.strategies import OptimizationResult, TracePoint
-from repro.core.evaluator import DualTopologyEvaluator
+from repro.api import OptimizationResult, Session, TracePoint, optimize
 from repro.core.search_params import SearchParams
 
 FAST = SearchParams(
@@ -46,9 +42,26 @@ class TestAllStrategiesRun:
         assert result.cost_trace and all(
             isinstance(p, TracePoint) for p in result.cost_trace
         )
-        assert result.raw is not None
+        assert result.relaxed == {}  # no relaxation epsilons requested
         # the session adopted the result as its what-if baseline
         np.testing.assert_array_equal(session.high_weights, result.high_weights)
+
+    @pytest.mark.parametrize(
+        "name, start",
+        [
+            ("str", "initial_weights"),
+            ("dtr", "initial_high"),
+            ("dtr", "initial_low"),
+            ("joint", "initial_weights"),
+            ("anneal", "initial_weights"),
+        ],
+    )
+    def test_fractional_starting_weights_rejected(self, make_session, name, start):
+        """A fractional start is an error, never truncated to an int64 start."""
+        session = make_session()
+        fractional = [2.5] * session.network.num_links
+        with pytest.raises(ValueError, match="integers"):
+            optimize(session, strategy=name, params=FAST, **{start: fractional})
 
     def test_only_dtr_is_dual(self, make_session):
         session = make_session()
@@ -82,81 +95,6 @@ class TestAllStrategiesRun:
         # JointCostModel(alpha=1.0) by name; verify the strategy picks it up
         result = optimize(session, strategy="joint", params=FAST)
         assert result.metadata["alpha"] == 1.0
-
-
-class TestLegacyEquivalence:
-    """The legacy entry points and the registry produce identical results."""
-
-    def _evaluator(self, isp_net, small_traffic, mode="load"):
-        high, low = small_traffic
-        return DualTopologyEvaluator(isp_net, high, low, mode=mode)
-
-    def test_str(self, isp_net, small_traffic):
-        from repro.core.str_search import optimize_str
-
-        with pytest.deprecated_call():
-            legacy = optimize_str(
-                self._evaluator(isp_net, small_traffic), FAST, random.Random(21)
-            )
-        session = Session.from_evaluator(self._evaluator(isp_net, small_traffic))
-        modern = optimize(
-            session, strategy="str", params=FAST, rng=random.Random(21)
-        )
-        np.testing.assert_array_equal(legacy.weights, modern.weights)
-        assert legacy.objective == modern.objective
-
-    def test_dtr(self, isp_net, small_traffic):
-        from repro.core.dtr_search import optimize_dtr
-
-        with pytest.deprecated_call():
-            legacy = optimize_dtr(
-                self._evaluator(isp_net, small_traffic), FAST, random.Random(22)
-            )
-        session = Session.from_evaluator(self._evaluator(isp_net, small_traffic))
-        modern = optimize(
-            session, strategy="dtr", params=FAST, rng=random.Random(22)
-        )
-        np.testing.assert_array_equal(legacy.high_weights, modern.high_weights)
-        np.testing.assert_array_equal(legacy.low_weights, modern.low_weights)
-        assert legacy.objective == modern.objective
-
-    def test_joint(self, isp_net, small_traffic):
-        from repro.core.joint_search import optimize_joint
-
-        with pytest.deprecated_call():
-            legacy = optimize_joint(
-                self._evaluator(isp_net, small_traffic), 2.0, FAST, random.Random(23)
-            )
-        session = Session.from_evaluator(self._evaluator(isp_net, small_traffic))
-        modern = optimize(
-            session, strategy="joint", params=FAST, alpha=2.0, rng=random.Random(23)
-        )
-        np.testing.assert_array_equal(legacy.weights, modern.weights)
-        assert legacy.joint_cost == modern.metadata["joint_cost"]
-        assert legacy.lexicographic == modern.objective
-
-    def test_anneal(self, isp_net, small_traffic):
-        from repro.core.annealing import AnnealingParams, anneal_str
-
-        schedule = AnnealingParams(iterations=40)
-        with pytest.deprecated_call():
-            legacy = anneal_str(
-                self._evaluator(isp_net, small_traffic),
-                schedule,
-                FAST,
-                random.Random(24),
-            )
-        session = Session.from_evaluator(self._evaluator(isp_net, small_traffic))
-        modern = optimize(
-            session,
-            strategy="anneal",
-            params=FAST,
-            annealing_params=schedule,
-            rng=random.Random(24),
-        )
-        np.testing.assert_array_equal(legacy.weights, modern.weights)
-        assert legacy.objective == modern.objective
-        assert legacy.accepted == modern.metadata["accepted"]
 
 
 class TestDefaultRngStream:

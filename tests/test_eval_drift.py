@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.eval.drift import DEFAULT_SCALES, drift_sweep, drift_sweep_session
+from repro.api import Session
+from repro.eval.drift import DEFAULT_SCALES, drift_sweep_session
 from repro.routing.weights import random_weights, unit_weights
 from repro.traffic.gravity import gravity_traffic_matrix
 from repro.traffic.highpriority import random_high_priority
@@ -23,10 +24,20 @@ def setup():
     return net, high_tm, low_tm
 
 
+def _session(setup, high_weights=None, low_weights=None):
+    """A load-mode session on ``setup`` (hop-count weights by default)."""
+    net, high_tm, low_tm = setup
+    session = Session(net, high_tm, low_tm, cost_model="load")
+    if high_weights is None:
+        high_weights = unit_weights(net.num_links)
+    session.set_weights(high_weights, low_weights)
+    return session
+
+
 def test_sweep_points_in_order(setup):
     net, high_tm, low_tm = setup
     w = unit_weights(net.num_links)
-    report = drift_sweep(net, w, w, high_tm, low_tm, scales=(0.8, 1.0, 1.2))
+    report = drift_sweep_session(_session(setup, w, w), scales=(0.8, 1.0, 1.2))
     assert [p.scale for p in report.points] == [0.8, 1.0, 1.2]
 
 
@@ -34,7 +45,7 @@ def test_costs_monotone_in_scale(setup):
     """More traffic on fixed weights can only cost more."""
     net, high_tm, low_tm = setup
     w = random_weights(net.num_links, random.Random(1))
-    report = drift_sweep(net, w, w, high_tm, low_tm, scales=(0.7, 1.0, 1.3))
+    report = drift_sweep_session(_session(setup, w, w), scales=(0.7, 1.0, 1.3))
     phi_lows = [p.phi_low for p in report.points]
     phi_highs = [p.phi_high for p in report.points]
     assert phi_lows == sorted(phi_lows)
@@ -46,7 +57,7 @@ def test_costs_monotone_in_scale(setup):
 def test_point_at(setup):
     net, high_tm, low_tm = setup
     w = unit_weights(net.num_links)
-    report = drift_sweep(net, w, w, high_tm, low_tm, scales=(1.0, 1.1))
+    report = drift_sweep_session(_session(setup, w, w), scales=(1.0, 1.1))
     assert report.point_at(1.1).scale == 1.1
     with pytest.raises(KeyError):
         report.point_at(0.5)
@@ -55,7 +66,7 @@ def test_point_at(setup):
 def test_low_cost_growth(setup):
     net, high_tm, low_tm = setup
     w = unit_weights(net.num_links)
-    report = drift_sweep(net, w, w, high_tm, low_tm, scales=(0.8, 1.2))
+    report = drift_sweep_session(_session(setup, w, w), scales=(0.8, 1.2))
     assert report.low_cost_growth() >= 1.0
 
 
@@ -64,7 +75,7 @@ def test_dual_weights(setup):
     rng = random.Random(2)
     wh = random_weights(net.num_links, rng)
     wl = random_weights(net.num_links, rng)
-    report = drift_sweep(net, wh, wl, high_tm, low_tm, scales=(1.0,))
+    report = drift_sweep_session(_session(setup, wh, wl), scales=(1.0,))
     assert report.points[0].phi_low > 0
 
 
@@ -72,28 +83,9 @@ def test_validation(setup):
     net, high_tm, low_tm = setup
     w = unit_weights(net.num_links)
     with pytest.raises(ValueError, match="at least one"):
-        drift_sweep(net, w, w, high_tm, low_tm, scales=())
+        drift_sweep_session(_session(setup, w, w), scales=())
     with pytest.raises(ValueError, match="positive"):
-        drift_sweep(net, w, w, high_tm, low_tm, scales=(0.0,))
-
-
-def _session(setup):
-    from repro.api import Session
-
-    net, high_tm, low_tm = setup
-    session = Session(net, high_tm, low_tm, cost_model="load")
-    session.set_weights(unit_weights(net.num_links))
-    return session
-
-
-def test_session_path_matches_legacy_wrapper(setup):
-    """drift_sweep is drift_sweep_session over a session it builds itself."""
-    net, high_tm, low_tm = setup
-    w = unit_weights(net.num_links)
-    scales = (0.8, 1.0, 1.2)
-    legacy = drift_sweep(net, w, w, high_tm, low_tm, scales=scales)
-    direct = drift_sweep_session(_session(setup), scales=scales)
-    assert direct == legacy
+        drift_sweep_session(_session(setup, w, w), scales=(0.0,))
 
 
 def test_session_sweep_rides_the_scenario_engine(setup):

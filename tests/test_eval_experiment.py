@@ -103,7 +103,10 @@ class TestRunComparison:
 
     def test_sla_mode(self):
         result = run_comparison(tiny_config(mode="sla", target_utilization=0.5))
-        assert result.dtr_evaluation.penalty <= result.str_evaluation.penalty + 1e-9
+        assert (
+            result.dtr_result.evaluation.penalty
+            <= result.str_result.evaluation.penalty + 1e-9
+        )
         assert result.ratio_low >= 1.0 - 1e-9
 
 

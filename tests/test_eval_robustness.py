@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.eval.robustness import failure_sweep
+from repro.api import Session
+from repro.eval.robustness import failure_sweep_session
 from repro.routing.weights import random_weights, unit_weights
 from repro.traffic.gravity import gravity_traffic_matrix
 from repro.traffic.highpriority import random_high_priority
@@ -23,10 +24,17 @@ def setup():
     return net, high_tm, low_tm
 
 
+def _session(net, high_weights, low_weights, high_traffic, low_traffic):
+    """A load-mode session whose baseline is the given weight setting."""
+    session = Session(net, high_traffic, low_traffic, cost_model="load")
+    session.set_weights(high_weights, low_weights)
+    return session
+
+
 def test_sweep_covers_all_adjacencies(setup):
     net, high_tm, low_tm = setup
     w = unit_weights(net.num_links)
-    report = failure_sweep(net, w, w, high_tm, low_tm)
+    report = failure_sweep_session(_session(net, w, w, high_tm, low_tm))
     assert len(report.outcomes) == 35
     assert report.skipped_disconnecting == 0
     assert report.baseline.failed_pair == (-1, -1)
@@ -36,7 +44,7 @@ def test_failures_never_improve_worst_case(setup):
     """Losing capacity cannot reduce the worst-case cost below baseline."""
     net, high_tm, low_tm = setup
     w = unit_weights(net.num_links)
-    report = failure_sweep(net, w, w, high_tm, low_tm)
+    report = failure_sweep_session(_session(net, w, w, high_tm, low_tm))
     assert report.worst_phi_low >= report.baseline.phi_low - 1e-9
     assert report.worst_phi_high >= report.baseline.phi_high - 1e-9
     assert report.degradation_factor() >= 1.0 - 1e-12
@@ -45,7 +53,7 @@ def test_failures_never_improve_worst_case(setup):
 def test_mean_bounded_by_worst(setup):
     net, high_tm, low_tm = setup
     w = random_weights(net.num_links, random.Random(1))
-    report = failure_sweep(net, w, w, high_tm, low_tm)
+    report = failure_sweep_session(_session(net, w, w, high_tm, low_tm))
     assert report.mean_phi_low <= report.worst_phi_low + 1e-9
     assert report.mean_phi_high <= report.worst_phi_high + 1e-9
 
@@ -55,8 +63,8 @@ def test_dual_weights_evaluated_independently(setup):
     rng = random.Random(2)
     wh = random_weights(net.num_links, rng)
     wl = random_weights(net.num_links, rng)
-    dual_report = failure_sweep(net, wh, wl, high_tm, low_tm)
-    str_report = failure_sweep(net, wh, wh, high_tm, low_tm)
+    dual_report = failure_sweep_session(_session(net, wh, wl, high_tm, low_tm))
+    str_report = failure_sweep_session(_session(net, wh, wh, high_tm, low_tm))
     assert dual_report.baseline.phi_high == pytest.approx(str_report.baseline.phi_high)
     assert dual_report.baseline.phi_low != pytest.approx(str_report.baseline.phi_low)
 
@@ -64,7 +72,7 @@ def test_dual_weights_evaluated_independently(setup):
 def test_outcomes_sorted_by_pair(setup):
     net, high_tm, low_tm = setup
     w = unit_weights(net.num_links)
-    report = failure_sweep(net, w, w, high_tm, low_tm)
+    report = failure_sweep_session(_session(net, w, w, high_tm, low_tm))
     pairs = [o.failed_pair for o in report.outcomes]
     assert pairs == sorted(pairs)
 
@@ -76,7 +84,7 @@ def test_disconnecting_failures_surfaced_not_skipped(line4):
     high = TrafficMatrix.from_pairs(4, [(0, 3, 1.0)])
     low = TrafficMatrix.from_pairs(4, [(3, 0, 2.0)])
     w = unit_weights(line4.num_links)
-    report = failure_sweep(line4, w, w, high, low)
+    report = failure_sweep_session(_session(line4, w, w, high, low))
     # Every adjacency of a chain disconnects the 0<->3 demand: all three
     # outcomes are present, flagged, and account for the lost volume.
     assert len(report.outcomes) == 3
@@ -98,7 +106,7 @@ def test_partial_disconnection_flags_only_cut_pairs(line4):
     high = TrafficMatrix.from_pairs(4, [(0, 1, 1.0)])
     low = TrafficMatrix.from_pairs(4, [(2, 3, 2.0), (0, 1, 0.5)])
     w = unit_weights(line4.num_links)
-    report = failure_sweep(line4, w, w, high, low)
+    report = failure_sweep_session(_session(line4, w, w, high, low))
     by_pair = {o.failed_pair: o for o in report.outcomes}
     # Failing 2-3 cuts only the (2, 3) demand; the (0, 1) pair keeps its
     # direct link, and the evaluation covers that routable remainder.

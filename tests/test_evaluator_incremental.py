@@ -150,8 +150,8 @@ def test_missing_parent_falls_back_to_full():
 
 
 def test_search_results_identical_with_and_without_incremental():
+    from repro.api import Session, optimize
     from repro.core.search_params import SearchParams
-    from repro.core.str_search import optimize_str
 
     params = SearchParams(
         iterations_high=6, iterations_low=4, iterations_refine=2, neighborhood_size=3
@@ -163,7 +163,9 @@ def test_search_results_identical_with_and_without_incremental():
     results = []
     for incremental in (True, False):
         evaluator = DualTopologyEvaluator(net, high, low, incremental=incremental)
-        result = optimize_str(evaluator, params=params, rng=random.Random(42))
+        result = optimize(
+            Session.from_evaluator(evaluator), "str", params, rng=random.Random(42)
+        )
         results.append(result)
     assert results[0].objective == results[1].objective
     np.testing.assert_array_equal(results[0].weights, results[1].weights)

@@ -9,10 +9,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.dtr_search import optimize_dtr
+from repro.api import Session, optimize
 from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.search_params import SearchParams
-from repro.core.str_search import optimize_str
 from repro.costs.sla import SlaParams
 from repro.network.topology_isp import isp_topology
 from repro.routing.multi_topology import DualRouting
@@ -36,11 +35,13 @@ def pipeline():
     high = random_high_priority(low, density=0.1, fraction=0.3, rng=rng)
     high_tm, low_tm = scale_to_utilization(net, high.matrix, low, 0.65)
     evaluator = DualTopologyEvaluator(net, high_tm, low_tm, mode="load")
-    str_result = optimize_str(evaluator, PARAMS, random.Random(1))
-    dtr_result = optimize_dtr(
-        evaluator,
+    session = Session.from_evaluator(evaluator)
+    str_result = optimize(session, "str", PARAMS, rng=random.Random(1))
+    dtr_result = optimize(
+        session,
+        "dtr",
         PARAMS,
-        random.Random(1),
+        rng=random.Random(1),
         initial_high=str_result.weights,
         initial_low=str_result.weights,
     )
@@ -87,14 +88,17 @@ def test_sla_relaxation_narrows_gap():
     high_tm, low_tm = scale_to_utilization(net, high.matrix, low, 0.5)
 
     def gap(theta_ms: float) -> float:
-        evaluator = DualTopologyEvaluator(
-            net, high_tm, low_tm, mode="sla", sla_params=SlaParams(theta_ms=theta_ms)
+        session = Session.from_evaluator(
+            DualTopologyEvaluator(
+                net, high_tm, low_tm, mode="sla", sla_params=SlaParams(theta_ms=theta_ms)
+            )
         )
-        str_result = optimize_str(evaluator, PARAMS, random.Random(5))
-        dtr_result = optimize_dtr(
-            evaluator,
+        str_result = optimize(session, "str", PARAMS, rng=random.Random(5))
+        dtr_result = optimize(
+            session,
+            "dtr",
             PARAMS,
-            random.Random(5),
+            rng=random.Random(5),
             initial_high=str_result.weights,
             initial_low=str_result.weights,
         )

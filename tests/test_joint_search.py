@@ -5,10 +5,11 @@ import random
 import numpy as np
 import pytest
 
+from repro.api import Session, optimize
 from repro.core.evaluator import DualTopologyEvaluator
-from repro.core.joint_search import alpha_sweep, optimize_joint
+from repro.core.joint_search import alpha_sweep
 from repro.core.search_params import SearchParams
-from repro.core.str_search import optimize_str
+from repro.determinism import default_rng
 from repro.routing.weights import unit_weights
 
 FAST = SearchParams(
@@ -22,50 +23,61 @@ def evaluator(isp_net, small_traffic):
     return DualTopologyEvaluator(isp_net, high, low, mode="load")
 
 
+@pytest.fixture
+def session(evaluator):
+    return Session.from_evaluator(evaluator)
+
+
 def test_requires_load_mode(isp_net, small_traffic):
     high, low = small_traffic
     sla_eval = DualTopologyEvaluator(isp_net, high, low, mode="sla")
     with pytest.raises(ValueError, match="load-mode"):
-        optimize_joint(sla_eval, alpha=10.0)
+        optimize(
+            Session.from_evaluator(sla_eval), "joint",
+            alpha=10.0, rng=default_rng("core/joint_search"),
+        )
 
 
-def test_negative_alpha_rejected(evaluator):
+def test_negative_alpha_rejected(session):
     with pytest.raises(ValueError, match="non-negative"):
-        optimize_joint(evaluator, alpha=-1.0)
+        optimize(session, "joint", alpha=-1.0, rng=default_rng("core/joint_search"))
 
 
-def test_improves_over_initial(evaluator):
-    initial = unit_weights(evaluator.network.num_links)
-    result = optimize_joint(
-        evaluator, alpha=10.0, params=FAST, rng=random.Random(1), initial_weights=initial
+def test_improves_over_initial(session):
+    initial = unit_weights(session.network.num_links)
+    result = optimize(
+        session, "joint", FAST, alpha=10.0, rng=random.Random(1), initial_weights=initial
     )
-    start = evaluator.evaluate_str(initial)
-    assert result.joint_cost <= 10.0 * start.phi_high + start.phi_low
+    start = session.evaluator.evaluate_str(initial)
+    assert result.metadata["joint_cost"] <= 10.0 * start.phi_high + start.phi_low
 
 
-def test_result_consistency(evaluator):
-    result = optimize_joint(evaluator, alpha=5.0, params=FAST, rng=random.Random(2))
-    evaluation = evaluator.evaluate_str(result.weights)
-    assert result.phi_high == pytest.approx(evaluation.phi_high)
-    assert result.phi_low == pytest.approx(evaluation.phi_low)
-    assert result.joint_cost == pytest.approx(5.0 * result.phi_high + result.phi_low)
-    assert result.lexicographic.primary == pytest.approx(result.phi_high)
+def test_result_consistency(session):
+    result = optimize(session, "joint", FAST, alpha=5.0, rng=random.Random(2))
+    phi_high, phi_low = result.objective.values
+    evaluation = session.evaluator.evaluate_str(result.weights)
+    assert phi_high == pytest.approx(evaluation.phi_high)
+    assert phi_low == pytest.approx(evaluation.phi_low)
+    assert result.metadata["joint_cost"] == pytest.approx(5.0 * phi_high + phi_low)
+    assert result.objective.primary == pytest.approx(phi_high)
 
 
-def test_history_monotone(evaluator):
-    result = optimize_joint(evaluator, alpha=5.0, params=FAST, rng=random.Random(3))
-    values = [j for _, j in result.history]
+def test_history_monotone(session):
+    result = optimize(session, "joint", FAST, alpha=5.0, rng=random.Random(3))
+    values = [point.primary for point in result.cost_trace]
     assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
 
-def test_alpha_zero_ignores_high_priority(evaluator):
+def test_alpha_zero_ignores_high_priority(session):
     """alpha=0 optimizes Phi_L alone; high priority can be sacrificed."""
-    result = optimize_joint(evaluator, alpha=0.0, params=FAST, rng=random.Random(4))
-    assert result.joint_cost == pytest.approx(result.phi_low)
+    result = optimize(session, "joint", FAST, alpha=0.0, rng=random.Random(4))
+    assert result.metadata["joint_cost"] == pytest.approx(result.objective.secondary)
 
 
 def test_alpha_sweep_flags_inversions(evaluator):
-    str_result = optimize_str(evaluator, FAST, random.Random(5))
+    str_result = optimize(
+        Session.from_evaluator(evaluator), "str", FAST, rng=random.Random(5)
+    )
     points = alpha_sweep(
         evaluator,
         alphas=(0.0, 1e6),
@@ -87,7 +99,9 @@ def test_triangle_alpha_30_inverts_priority(triangle):
 
     high = TrafficMatrix.from_pairs(3, [(0, 2, 1 / 3)])
     low = TrafficMatrix.from_pairs(3, [(0, 2, 2 / 3)])
-    evaluator = DualTopologyEvaluator(triangle, high, low, mode="load")
+    session = Session.from_evaluator(
+        DualTopologyEvaluator(triangle, high, low, mode="load")
+    )
     params = SearchParams(
         iterations_high=150,
         iterations_low=150,
@@ -95,20 +109,20 @@ def test_triangle_alpha_30_inverts_priority(triangle):
         diversification_interval=20,
     )
     initial = unit_weights(triangle.num_links)
-    result30 = optimize_joint(
-        evaluator, alpha=30.0, params=params, rng=random.Random(6), initial_weights=initial
+    result30 = optimize(
+        session, "joint", params, alpha=30.0, rng=random.Random(6), initial_weights=initial
     )
-    result35 = optimize_joint(
-        evaluator, alpha=35.0, params=params, rng=random.Random(6), initial_weights=initial
+    result35 = optimize(
+        session, "joint", params, alpha=35.0, rng=random.Random(6), initial_weights=initial
     )
-    assert result30.joint_cost == pytest.approx(30 / 2 + 4 / 3)
-    assert result35.joint_cost == pytest.approx(35 / 3 + 64 / 9)
-    assert result30.phi_high > 1 / 3 + 1e-9
-    assert result35.phi_high == pytest.approx(1 / 3)
+    assert result30.metadata["joint_cost"] == pytest.approx(30 / 2 + 4 / 3)
+    assert result35.metadata["joint_cost"] == pytest.approx(35 / 3 + 64 / 9)
+    assert result30.objective.primary > 1 / 3 + 1e-9
+    assert result35.objective.primary == pytest.approx(1 / 3)
 
 
-def test_deterministic(evaluator):
-    a = optimize_joint(evaluator, alpha=3.0, params=FAST, rng=random.Random(42))
-    b = optimize_joint(evaluator, alpha=3.0, params=FAST, rng=random.Random(42))
-    assert a.joint_cost == b.joint_cost
+def test_deterministic(session):
+    a = optimize(session, "joint", FAST, alpha=3.0, rng=random.Random(42))
+    b = optimize(session, "joint", FAST, alpha=3.0, rng=random.Random(42))
+    assert a.metadata["joint_cost"] == b.metadata["joint_cost"]
     np.testing.assert_array_equal(a.weights, b.weights)

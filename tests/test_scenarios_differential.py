@@ -242,19 +242,6 @@ class TestSessionPath:
         assert result.disconnected == lowered.disconnected
         assert result.lost_demand == lowered.lost_demand
 
-    def test_under_failure_shim_equals_under_scenario(self, session):
-        session, _wh, _wl = session
-        u, v = session.network.duplex_pairs()[0]
-        via_shim = session.under_failure((u, v))
-        via_scenario = session.under_scenario(LinkFailure.single(u, v))
-        assert via_shim.kind == "failure"
-        assert via_shim.scenario_kind == "link"
-        assert via_shim.description == f"failure of adjacency {(u, v)}"
-        _assert_same_load_evaluation(via_shim.variant, via_scenario.variant)
-        np.testing.assert_array_equal(
-            via_shim.utilization_delta, via_scenario.utilization_delta
-        )
-
     def test_under_scenario_accepts_spec_strings(self, session):
         session, _wh, _wl = session
         by_string = session.under_scenario("node:3")
