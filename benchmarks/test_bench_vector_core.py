@@ -163,7 +163,13 @@ def test_vectorized_destination_rows_kernel_speedup():
 
 
 def test_vectorized_sla_evaluation_matches_and_speeds_up():
-    """SLA mode rides the batched pair-fraction kernel; results identical."""
+    """SLA mode: the reverse delay pass vs the scalar DP; results identical.
+
+    The reference is :class:`repro._reference.ScalarEvaluator`, whose
+    pair delays come from the scalar loop of the same recurrence
+    (``ScalarRouting.path_delays``), so the penalties and pair delays
+    compare exactly.
+    """
     net, high, low, settings = _workload()
     subset = settings[: max(4, NUM_EVALS // 4)]
     vec_s, vec_evals = _time_pass(net, high, low, subset, True, mode=SLA_MODE)
@@ -191,7 +197,7 @@ def test_vectorized_sla_evaluation_matches_and_speeds_up():
         f"speedup {speedup:.2f}x"
     )
     print()
-    # SLA evaluation shares the load-mode kernels plus the pair-fraction
-    # batching; anything at or above break-even here is a regression
-    # guard, the hard >=5x gate lives on the load-mode sections.
+    # SLA evaluation shares the load-mode kernels plus the reverse delay
+    # pass; anything at or above break-even here is a regression guard,
+    # the hard >=5x gate lives on the load-mode sections.
     assert speedup >= 1.0

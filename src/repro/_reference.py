@@ -4,7 +4,8 @@ bit and the benchmarks time against them:
 
 * :class:`ScalarRouting` / :class:`ScalarEvaluator` — the scalar Python
   loops the struct-of-arrays kernels of :mod:`repro.routing.soa` replay
-  (DAG masks, per-destination accumulation, pair fractions);
+  (DAG masks, per-destination accumulation, pair fractions, mean path
+  delays);
 * :class:`NaiveSweepEngine` / :class:`ReferenceSession` — the naive
   per-scenario rebuild: a fresh degraded routing and a full load pass per
   scenario, with no shared projections, derived routings or reused rows.
@@ -78,12 +79,30 @@ class ScalarRouting(Routing):
                 node_frac[self._net.link(link_idx).dst] += share
         return fractions
 
-    def pair_fraction_rows(self, dst: int, sources) -> np.ndarray:
-        sources = [int(s) for s in sources]
-        rows = np.empty((len(sources), self._net.num_links))
-        for i, s in enumerate(sources):
-            rows[i] = self.pair_link_fractions(s, dst)
-        return rows
+    def path_delays(self, dests, link_delays: np.ndarray) -> np.ndarray:
+        dests = [int(t) for t in dests]
+        delays = np.asarray(link_delays, dtype=float)
+        if delays.shape != (self._net.num_links,):
+            raise ValueError(
+                f"expected link delays of shape ({self._net.num_links},), "
+                f"got {delays.shape}"
+            )
+        out = np.zeros((len(dests), self._net.num_nodes))
+        link_dst = self._net.link_destinations()
+        for i, t in enumerate(dests):
+            dist = self._dist[t]
+            dag_out = self.dag_out_links(t)
+            row = out[i]
+            for u in descending_distance_order(dist)[::-1]:  # closest first
+                u = int(u)
+                if u == t:
+                    continue
+                total = 0.0
+                for link_idx in dag_out[u]:  # ascending link index
+                    total += delays[link_idx] + row[link_dst[link_idx]]
+                row[u] = total / len(dag_out[u])
+            row[~np.isfinite(dist)] = np.inf
+        return out
 
 
 class ScalarEvaluator(DualTopologyEvaluator):

@@ -559,7 +559,7 @@ class Session:
                 high_loads,
                 low_loads,
                 self.high_traffic,
-                self.evaluator.high_routing(wh).pair_link_fractions,
+                self.evaluator.high_routing(wh),
                 params=self.sla_params,
             )
 

@@ -7,7 +7,10 @@ independent layers keyed by weight vector:
 
 * the *high layer* — high-priority routing, per-destination and total
   loads, residual capacities, per-link high cost, and (in SLA mode) link
-  delays, per-pair flow fractions, and per-pair penalties;
+  delays, per-pair delays and the folded penalty.  The pair delays come
+  from one reverse pass over the routing's DAGs
+  (:func:`repro.costs.sla.pair_delay_penalty`); no per-pair link
+  fractions are stored;
 * the *low layer* — low-priority routing and loads.
 
 A full evaluation combines one entry of each layer with a cheap O(|E|)
@@ -22,11 +25,14 @@ caller supplies the parent vector and a
 cache-missed layer is *derived* from the parent's layer instead of
 rebuilt: only the destinations whose SP structure can change (the slack
 test of :func:`repro.routing.incremental.affected_destinations`) get
-their Dijkstra row, SP DAG, load row, and (in SLA mode) pair fractions
-recomputed; everything else is reused verbatim.  Both paths assemble
-total loads by summing the per-destination rows in the same order, so a
-derived layer is bit-identical to a rebuilt one.  ``incremental=False``
-falls back to full recomputation everywhere, and
+their Dijkstra row, SP DAG and load row recomputed; everything else is
+reused verbatim.  Both paths assemble total loads by summing the
+per-destination rows in the same order, so a derived layer is
+bit-identical to a rebuilt one.  In SLA mode the link delays move with
+the loads, so every pair delay is recomputed; the reverse pass reads the
+same DAGs and delays either way and its per-node sums do not depend on
+batching, so the pair delays are bit-identical too.
+``incremental=False`` falls back to full recomputation everywhere, and
 ``verify_incremental=True`` cross-checks every derived layer against a
 full rebuild (the verification fallback used by the property tests).
 """
@@ -44,7 +50,12 @@ from repro import obs
 from repro.costs.fortz import fortz_cost_vector
 from repro.costs.load_cost import LoadCostEvaluation
 from repro.costs.residual import residual_capacities
-from repro.costs.sla import SlaCostEvaluation, SlaParams, link_delays_ms
+from repro.costs.sla import (
+    SlaCostEvaluation,
+    SlaParams,
+    link_delays_ms,
+    pair_delay_penalty,
+)
 from repro.network.graph import Network
 from repro.routing.incremental import (
     WeightDelta,
@@ -73,7 +84,6 @@ class _HighLayer:
     residual: np.ndarray
     per_link_cost: np.ndarray
     link_delays: Optional[np.ndarray] = None
-    pair_fractions: Optional[dict[tuple[int, int], np.ndarray]] = None
     pair_delays: Optional[dict[tuple[int, int], float]] = None
     penalty: float = 0.0
     violations: int = 0
@@ -574,44 +584,12 @@ class DualTopologyEvaluator:
             per_link_cost=per_link_cost,
         )
         if self.mode == SLA_MODE:
-            delays = link_delays_ms(
+            layer.link_delays = link_delays_ms(
                 self._net, loads, per_link_cost, self.sla_params.packet_size_bits
             )
-            # Pairs sharing a destination share its DAG: group them so
-            # each destination's fractions come from one batched kernel
-            # pass, then fold penalties in the original pairs() order
-            # (the accumulation order is part of the bit-identity
-            # contract with the non-grouped build).
-            by_dest: dict[int, list[int]] = {}
-            for s, t, _rate in self._high_traffic.pairs():
-                if affected is not None and t not in affected:
-                    continue
-                by_dest.setdefault(t, []).append(s)
-            fresh: dict[tuple[int, int], np.ndarray] = {}
-            for t, sources in by_dest.items():
-                frac_rows = routing.pair_fraction_rows(t, sources)
-                for j, s in enumerate(sources):
-                    fresh[(s, t)] = frac_rows[j].copy()
-            fractions: dict[tuple[int, int], np.ndarray] = {}
-            pair_delays: dict[tuple[int, int], float] = {}
-            penalty = 0.0
-            violations = 0
-            for s, t, _rate in self._high_traffic.pairs():
-                frac = fresh.get((s, t))
-                if frac is None:
-                    frac = parent.pair_fractions[(s, t)]
-                fractions[(s, t)] = frac
-                xi = float(frac @ delays)
-                pair_delays[(s, t)] = xi
-                pair_penalty = self.sla_params.pair_penalty(xi)
-                if pair_penalty > 0:
-                    violations += 1
-                    penalty += pair_penalty
-            layer.link_delays = delays
-            layer.pair_fractions = fractions
-            layer.pair_delays = pair_delays
-            layer.penalty = penalty
-            layer.violations = violations
+            layer.pair_delays, layer.penalty, layer.violations = pair_delay_penalty(
+                routing, self._high_traffic, layer.link_delays, self.sla_params
+            )
         return layer
 
     def _build_low_layer(
@@ -668,18 +646,9 @@ class DualTopologyEvaluator:
         if which == "high" and self.mode == SLA_MODE:
             if not np.array_equal(derived.link_delays, rebuilt.link_delays):
                 raise IncrementalMismatchError("high layer: link delays differ")
-            if set(derived.pair_fractions) != set(rebuilt.pair_fractions):
-                raise IncrementalMismatchError("high layer: pair sets differ")
-            for pair, frac in rebuilt.pair_fractions.items():
-                if not np.array_equal(derived.pair_fractions[pair], frac):
-                    raise IncrementalMismatchError(
-                        f"high layer: pair fractions differ for {pair}"
-                    )
             if derived.pair_delays != rebuilt.pair_delays:
                 raise IncrementalMismatchError("high layer: pair delays differ")
             if derived.violations != rebuilt.violations:
                 raise IncrementalMismatchError("high layer: violation counts differ")
-            if abs(derived.penalty - rebuilt.penalty) > 1e-9 * max(
-                1.0, abs(rebuilt.penalty)
-            ):
+            if derived.penalty != rebuilt.penalty:
                 raise IncrementalMismatchError("high layer: SLA penalties differ")

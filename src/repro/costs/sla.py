@@ -9,6 +9,17 @@ where ``s`` is the mean packet size, ``p_l`` the propagation delay, and
 Each high-priority pair ``(s, t)`` with mean end-to-end delay
 ``xi(s, t)`` above the SLA bound ``theta`` contributes a penalty
 ``a + b * (xi - theta)`` (Eq. 4, with a = 100, b = 1).
+
+``xi(s, t)`` is the mean of the path delays over the pair's ECMP paths,
+weighted by the even-split flow.  It is linear over the high routing's
+shortest-path DAG toward ``t``: ``E_t(t) = 0`` and ``E_t(v)`` is the
+mean over the DAG out-links ``l = (v -> u)`` of ``D_l + E_t(u)``.  One
+reverse-level pass per evaluation (:meth:`Routing.path_delays
+<repro.routing.state.Routing.path_delays>`) therefore yields ``xi`` for
+every high-priority pair at once, with no per-pair link-fraction
+vectors.  :func:`pair_delay_penalty` is the one fold of those delays
+into violations and penalty, shared by the evaluator's high layer and
+:func:`sla_cost_from_loads`.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from repro.core.lexicographic import LexCost
 from repro.costs.fortz import fortz_cost_vector
 from repro.costs.residual import residual_capacities
 from repro.network.graph import Network
+from repro.routing.spf import RoutingError
 from repro.routing.state import Routing
 from repro.traffic.matrix import TrafficMatrix
 
@@ -78,6 +90,58 @@ def link_delays_ms(
     transmission_ms = packet_size_bits / (capacities * 1e6) * 1e3
     queueing_factor = per_link_high_cost / capacities + 1.0
     return transmission_ms * queueing_factor + net.prop_delays()
+
+
+def traffic_pair_delays(
+    routing: Routing, traffic: TrafficMatrix, link_delays: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean ECMP delay ``xi(s, t)`` of every demand of ``traffic``.
+
+    One :meth:`Routing.path_delays <repro.routing.state.Routing.path_delays>`
+    pass over the demanded destinations (ascending, the list the
+    evaluator's load rows use, so its compiled schedule is reused).
+
+    Returns:
+        ``(srcs, dsts, xi)`` aligned arrays in :meth:`TrafficMatrix.pairs`
+        order (source-major).
+
+    Raises:
+        RoutingError: if a demanded destination is unreachable from its
+            source (reported for the first such pair in that order).
+    """
+    srcs, dsts = np.nonzero(traffic.demands)
+    dests, rows = np.unique(dsts, return_inverse=True)
+    xi = routing.path_delays(dests, link_delays)[rows, srcs]
+    unreachable = np.flatnonzero(~np.isfinite(xi))
+    if unreachable.size:
+        i = unreachable[0]
+        raise RoutingError(f"node {dsts[i]} unreachable from node {srcs[i]}")
+    return srcs, dsts, xi
+
+
+def pair_delay_penalty(
+    high_routing: Routing,
+    high_traffic: TrafficMatrix,
+    link_delays: np.ndarray,
+    params: SlaParams,
+) -> tuple[dict[tuple[int, int], float], float, int]:
+    """Fold per-pair delays into the SLA penalty (Eq. 4-5).
+
+    Returns:
+        ``(pair_delays, penalty, violations)``: ``xi(s, t)`` per
+        high-priority pair, the total penalty ``Lambda`` (added pair by
+        pair in :meth:`TrafficMatrix.pairs` order) and the number of
+        pairs whose delay exceeds ``theta``.
+    """
+    srcs, dsts, xi = traffic_pair_delays(high_routing, high_traffic, link_delays)
+    values = xi.tolist()
+    penalty = 0.0
+    violations = 0
+    for value in values:
+        if value > params.theta_ms:
+            violations += 1
+            penalty += params.pair_penalty(value)
+    return dict(zip(zip(srcs.tolist(), dsts.tolist()), values)), penalty, violations
 
 
 @dataclass(frozen=True)
@@ -145,15 +209,15 @@ def sla_cost_from_loads(
     high_loads: np.ndarray,
     low_loads: np.ndarray,
     high_traffic: TrafficMatrix,
-    pair_fractions,
+    high_routing: Routing,
     params: SlaParams = SlaParams(),
 ) -> SlaCostEvaluation:
     """The SLA-based cost of already-computed per-link class loads.
 
     The single source of the Eq. 3-5 costing pass, shared by
-    :func:`evaluate_sla_cost` (routed loads) and
-    ``Session.scaled_traffic`` (rescaled loads), so the delay/penalty
-    formula cannot diverge between evaluation paths.
+    :func:`evaluate_sla_cost` (routed loads), ``SweepEngine`` (degraded
+    loads) and ``Session.scaled_traffic`` (rescaled loads), so the
+    delay/penalty formula cannot diverge between evaluation paths.
 
     Args:
         net: The network.
@@ -161,8 +225,8 @@ def sla_cost_from_loads(
         low_loads: Per-link low-priority loads.
         high_traffic: High-priority traffic matrix (its pairs incur the
             per-pair penalties).
-        pair_fractions: ``(s, t) -> per-link flow-fraction vector`` over
-            the high-priority routing's ECMP paths.
+        high_routing: The high-priority routing whose ECMP paths the
+            pairs' delays average over.
         params: SLA bound and penalty parameters.
     """
     capacities = net.capacities()
@@ -170,17 +234,9 @@ def sla_cost_from_loads(
     per_link_high = fortz_cost_vector(high_loads, capacities)
     per_link_low = fortz_cost_vector(low_loads, residual)
     delays = link_delays_ms(net, high_loads, per_link_high, params.packet_size_bits)
-
-    pair_delays: dict[tuple[int, int], float] = {}
-    penalty = 0.0
-    violations = 0
-    for s, t, _rate in high_traffic.pairs():
-        xi = float(pair_fractions(s, t) @ delays)
-        pair_delays[(s, t)] = xi
-        pair_penalty = params.pair_penalty(xi)
-        if pair_penalty > 0:
-            violations += 1
-            penalty += pair_penalty
+    pair_delays, penalty, violations = pair_delay_penalty(
+        high_routing, high_traffic, delays, params
+    )
 
     return SlaCostEvaluation(
         penalty=penalty,
@@ -207,8 +263,8 @@ def evaluate_sla_cost(
 ) -> SlaCostEvaluation:
     """Evaluate the SLA-based cost of a (possibly dual) routing.
 
-    End-to-end delay of a pair is the flow-fraction-weighted sum of link
-    delays over its ECMP paths in the high-priority topology.
+    End-to-end delay of a pair is the mean path delay over its ECMP
+    paths in the high-priority topology, weighted by the even-split flow.
 
     Args:
         net: The network.
@@ -226,6 +282,6 @@ def evaluate_sla_cost(
         high_routing.link_loads(high_traffic),
         low_routing.link_loads(low_traffic),
         high_traffic,
-        high_routing.pair_link_fractions,
+        high_routing,
         params=params,
     )

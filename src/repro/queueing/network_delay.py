@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.costs.sla import PACKET_SIZE_BITS
+from repro.costs.sla import PACKET_SIZE_BITS, traffic_pair_delays
 from repro.network.graph import Network
 from repro.routing.state import Routing
 from repro.traffic.matrix import TrafficMatrix
@@ -84,7 +84,12 @@ def link_class_delays(
 def pair_delay_ms(
     routing: Routing, link_delays_ms: np.ndarray, src: int, dst: int
 ) -> float:
-    """Mean end-to-end delay of a pair: flow-fraction-weighted link delays."""
+    """Mean end-to-end delay of one pair: flow-fraction-weighted link delays.
+
+    The single-pair query; :func:`network_delay_report` costs every pair
+    of a class with one :meth:`Routing.path_delays
+    <repro.routing.state.Routing.path_delays>` pass instead.
+    """
     return float(routing.pair_link_fractions(src, dst) @ link_delays_ms)
 
 
@@ -129,18 +134,11 @@ def network_delay_report(
     )
 
     def summarize(routing: Routing, traffic: TrafficMatrix, link_ms: np.ndarray):
-        weighted = 0.0
-        volume = 0.0
-        worst = 0.0
-        count = 0
-        for s, t, rate in traffic.pairs():
-            xi = pair_delay_ms(routing, link_ms, s, t)
-            weighted += xi * rate
-            volume += rate
-            worst = max(worst, xi)
-            count += 1
-        mean = weighted / volume if volume > 0 else 0.0
-        return mean, worst, count
+        srcs, dsts, xi = traffic_pair_delays(routing, traffic, link_ms)
+        rates = traffic.demands[srcs, dsts]
+        volume = float(rates.sum())
+        mean = float(xi @ rates) / volume if volume > 0 else 0.0
+        return mean, float(xi.max(initial=0.0)), int(xi.size)
 
     mean_h, worst_h, n_h = summarize(high_routing, high_traffic, delays.high_ms)
     mean_l, worst_l, n_l = summarize(low_routing, low_traffic, delays.low_ms)

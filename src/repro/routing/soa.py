@@ -6,7 +6,10 @@ distance order, each node's accumulated flow split evenly over its DAG
 out-links.  This module replays exactly that computation as numpy
 gather/scatter kernels over *many* rows at once, where a row is one
 ``(destination, injection-vector)`` pair — per-destination load rows for
-the evaluator, per-source fraction rows for the SLA path.
+the evaluator, and single-pair fraction rows for what-if queries.
+:func:`mean_path_delays` runs the same schedule backwards for the SLA
+costing: the mean ECMP path delay from every node to each row's
+destination (see "The reverse pass" below).
 
 Bit-identity contract
 ---------------------
@@ -38,6 +41,18 @@ Rows are independent (each row owns a disjoint slice of the flat flow
 and load buffers), so any set of destinations — including the same
 destination repeated with different injections — batches into one
 schedule.
+
+The reverse pass
+----------------
+Even ECMP splitting makes a pair's mean delay linear over the DAG:
+``E_t(t) = 0`` and ``E_t(v) = (sum over DAG out-links l = (v -> u), in
+ascending link order, of (D_l + E_t(u))) / outdeg_t(v)``.  Walking the
+steps closest level first, every ``E_t(u)`` a step reads was written by
+an earlier step, so one pass yields ``xi(s, t) = E_t(s)`` for every
+source at once.  Each node's sum starts at ``0.0`` and adds its
+out-links in ascending link order whatever the batching, so the values
+do not depend on which other rows share the schedule, and they equal
+the scalar loop of :class:`repro._reference.ScalarRouting` bit for bit.
 """
 
 from __future__ import annotations
@@ -56,6 +71,9 @@ _OBS_ACCUMULATE_SECONDS = obs.histogram(
 )
 _OBS_SCHEDULE_SECONDS = obs.histogram(
     "repro_routing_kernel_seconds", _OBS_KERNEL_HELP, {"kernel": "build_schedule"}
+)
+_OBS_DELAYS_SECONDS = obs.histogram(
+    "repro_routing_kernel_seconds", _OBS_KERNEL_HELP, {"kernel": "mean_path_delays"}
 )
 _OBS_ACCUMULATE_ROWS = obs.histogram(
     "repro_routing_accumulate_rows",
@@ -113,6 +131,8 @@ class Schedule(NamedTuple):
     ``load_pos`` is the flat load-buffer slot of every link contribution
     across all steps, in step order — the single end-of-run scatter
     target (each slot appears at most once, see the module contract).
+    ``load_pos % num_links`` is each slot's link id, which the reverse
+    delay pass reads.
     """
 
     num_rows: int
@@ -337,8 +357,8 @@ def build_schedule(dags, link_dst, num_nodes: int, num_links: int) -> Schedule:
     """Compile an accumulation plan for a list of DAG rows.
 
     The same :class:`DestinationDag` may appear several times — each
-    occurrence is an independent row (the pair-fraction path batches one
-    destination against many unit injections this way).
+    occurrence is an independent row (one destination can be batched
+    against several injection vectors this way).
 
     Args:
         dags: One DAG per row.
@@ -359,8 +379,8 @@ def build_schedule(dags, link_dst, num_nodes: int, num_links: int) -> Schedule:
     level_cat = np.concatenate([dag.levels for dag in dags])
     count_cat = np.concatenate([dag.order_counts for dag in dags])
     # Link pool: each distinct DAG's CSR link stream appears once;
-    # repeated rows (the pair-fraction batching routes one destination
-    # against many injections) point into the same pool segment.
+    # repeated rows (one destination against several injections) point
+    # into the same pool segment.
     pool_parts: list[np.ndarray] = []
     pool_offset: dict[int, int] = {}
     starts_parts = []
@@ -467,3 +487,42 @@ def accumulate_rows(schedule: Schedule, injections: np.ndarray) -> np.ndarray:
         rows[schedule.load_pos] += np.concatenate(chunks)
     _OBS_ACCUMULATE_SECONDS.observe(perf_counter() - started)
     return rows.reshape(k, m)
+
+
+def mean_path_delays(schedule: Schedule, link_delays: np.ndarray) -> np.ndarray:
+    """Run a schedule backwards: mean ECMP path delay to each row's destination.
+
+    Args:
+        schedule: Output of :func:`build_schedule`.
+        link_delays: ``(num_links,)`` per-link delays ``D_l``.
+
+    Returns:
+        ``(num_rows, num_nodes)`` matrix ``E`` with ``E[i, v]`` the mean
+        delay of the even-split flow from ``v`` to row ``i``'s
+        destination (see "The reverse pass" in the module docstring).
+        The destination and every node off the row's DAG read ``0.0``.
+    """
+    k, n, m = schedule.num_rows, schedule.num_nodes, schedule.num_links
+    started = perf_counter()
+    delays = np.asarray(link_delays, dtype=float)
+    if delays.shape != (m,):
+        raise ValueError(f"expected link delays of shape ({m},), got {delays.shape}")
+    expected = np.zeros(k * n)
+    if schedule.steps:
+        # D_l of every slot in step order, read off the load scatter
+        # targets (``row * num_links + l``) rather than kept per step, so
+        # cached schedules hold no extra array for this pass.
+        slot_delays = delays.take(schedule.load_pos % m)
+        end = slot_delays.size
+        for step in reversed(schedule.steps):
+            start = end - step.dst_pos.size
+            per_link = expected.take(step.dst_pos)
+            per_link += slot_delays[start:end]
+            end = start
+            # bincount adds each bin's weights one by one in input order,
+            # starting from 0.0: per node, its out-links in ascending order.
+            sums = np.bincount(step.rep, weights=per_link, minlength=step.flow_pos.size)
+            sums /= step.counts_f
+            expected[step.flow_pos] = sums
+    _OBS_DELAYS_SECONDS.observe(perf_counter() - started)
+    return expected.reshape(k, n)

@@ -15,6 +15,7 @@ from repro.routing.soa import (
     build_arrays_and_schedule,
     build_destination_dags,
     build_schedule,
+    mean_path_delays,
     slice_destination_dags,
 )
 from repro.routing.spf import (
@@ -27,18 +28,17 @@ from repro.traffic.matrix import TrafficMatrix
 
 DemandsLike = Union[TrafficMatrix, np.ndarray]
 
-_PAIR_SCHEDULE_CAP = 64
-"""Single-row pair-fraction schedules kept per routing (FIFO).  Bounds the
-memory of long-lived memoized routings (the sweep engine keeps hundreds)
-while covering every destination an SLA costing pass revisits."""
-
 _DEST_SCHEDULE_CAP = 2
 """Multi-row destination schedules kept per routing (FIFO), keyed by the
-requested destination list.  Two entries cover the evaluator's hot path —
-the high and the low layer of one evaluation request rows for the same
-active-destination list, so the second layer reuses the first layer's
-compiled schedule — while keeping the worst case (two full-network
-schedules) small next to the DAG cache itself."""
+requested destination list.  A from-scratch high layer's SLA delay pass
+(:meth:`Routing.path_delays` over every high-priority destination)
+reuses the schedule its load rows just compiled for the same list; when
+an STR move shares the routing, the low layer's list is the second
+entry, so a later query on either list (e.g. the delay pass of
+``Session.scaled_traffic``) still hits.  The extra key a derived layer's
+delay pass adds only evicts its affected-row list, which nothing
+requests again.  The worst case (two full-network schedules) stays
+small next to the DAG cache itself."""
 
 
 class Routing:
@@ -46,13 +46,14 @@ class Routing:
 
     Computes (and caches) all-destination shortest-path distances, the
     per-destination shortest-path DAGs, ECMP link loads for any traffic
-    matrix, and per-pair link flow fractions — the primitives every cost
-    function in the paper needs.
+    matrix, mean ECMP path delays, and per-pair link flow fractions — the
+    primitives every cost function in the paper needs.
 
-    Per-destination accumulation (:meth:`destination_rows`,
-    :meth:`destination_link_loads`, :meth:`pair_link_fractions`) runs on
-    the struct-of-arrays kernels of :mod:`repro.routing.soa`, which are
-    bit-identical to the scalar Python reference loop kept in
+    Per-destination work (:meth:`destination_rows`,
+    :meth:`destination_link_loads`, :meth:`path_delays`,
+    :meth:`pair_link_fractions`) runs on the struct-of-arrays kernels of
+    :mod:`repro.routing.soa`, which are bit-identical to the scalar
+    Python reference loops kept in
     :class:`repro._reference.ScalarRouting` (the cross-check the
     differential suites pin down).
     """
@@ -65,7 +66,6 @@ class Routing:
         self._dag_out: dict[int, list[list[int]]] = {}
         self._dags: dict[int, DestinationDag] = {}
         self._pending_dags: Optional[tuple[list[int], tuple]] = None
-        self._pair_schedules: OrderedDict[int, Schedule] = OrderedDict()
         self._dest_schedules: OrderedDict[bytes, Schedule] = OrderedDict()
         self._all_finite: Optional[bool] = None
 
@@ -98,7 +98,6 @@ class Routing:
         routing._dag_out = dict(dag_out) if dag_out else {}
         routing._dags = dict(dags) if dags else {}
         routing._pending_dags = None
-        routing._pair_schedules = OrderedDict()
         routing._dest_schedules = OrderedDict()
         routing._all_finite = None
         return routing
@@ -254,36 +253,7 @@ class Routing:
             if bad.any():
                 i, u = (int(x) for x in np.argwhere(bad)[0])
                 raise RoutingError(f"node {dests[i]} unreachable from node {u}")
-        key = darr.tobytes()
-        schedule = self._dest_schedules.get(key)
-        if schedule is None:
-            net = self._net
-            self._materialize_pending_dags()
-            uncached = [t for t in dict.fromkeys(dests) if t not in self._dags]
-            if len(uncached) == k:
-                # No destination cached and no repeats: build the DAG
-                # arrays and their schedule in one fused pass.  The
-                # per-destination tuples are sliced out lazily — the
-                # evaluator's load-mode passes only ever run the
-                # schedule, so the slicing cost would be pure overhead
-                # on the hottest path.
-                if k == net.num_nodes and np.array_equal(darr, np.arange(k)):
-                    dist_rows = self._dist
-                else:
-                    dist_rows = self._dist[darr]
-                arrays, schedule = build_arrays_and_schedule(
-                    net, self._weights, dist_rows, dests, net.link_destinations()
-                )
-                self._pending_dags = (dests, arrays)
-            else:
-                dags = self.ensure_dags(dests)
-                schedule = build_schedule(
-                    dags, net.link_destinations(), net.num_nodes, net.num_links
-                )
-            while len(self._dest_schedules) >= _DEST_SCHEDULE_CAP:
-                self._dest_schedules.popitem(last=False)
-            self._dest_schedules[key] = schedule
-        return accumulate_rows(schedule, inj)
+        return accumulate_rows(self._schedule(dests, darr), inj)
 
     def destination_link_loads(self, dst: int, injections: np.ndarray) -> np.ndarray:
         """Per-link loads contributed by traffic destined to ``dst`` alone.
@@ -303,13 +273,39 @@ class Routing:
         inj = np.asarray(injections, dtype=float)
         return self.destination_rows([dst], inj[None, :])[0]
 
+    def path_delays(self, dests, link_delays: np.ndarray) -> np.ndarray:
+        """Mean ECMP path delay from every node to each of ``dests``.
+
+        One reverse pass of the destinations' schedule
+        (:func:`repro.routing.soa.mean_path_delays`) gives every source's
+        delay at once; the list shares the schedule cache of
+        :meth:`destination_rows`.
+
+        Args:
+            dests: Destination node per row (repeats allowed).
+            link_delays: ``(num_links,)`` per-link delays ``D_l``.
+
+        Returns:
+            Matrix of shape ``(len(dests), num_nodes)``: entry ``[i, v]``
+            is the mean delay from ``v`` to ``dests[i]`` — ``0.0`` at the
+            destination itself and ``inf`` where ``v`` cannot reach it.
+        """
+        dests = [int(t) for t in dests]
+        if not dests:
+            return np.empty((0, self._net.num_nodes))
+        darr = np.asarray(dests, dtype=np.int64)
+        out = mean_path_delays(self._schedule(dests, darr), link_delays)
+        if not self._reachable_from_everywhere():
+            out[~np.isfinite(self._dist[darr])] = np.inf
+        return out
+
     def pair_link_fractions(self, src: int, dst: int) -> np.ndarray:
         """Fraction of the ``(src, dst)`` flow crossing each link.
 
         The fractions of the links out of any traversed node sum to the
-        fraction entering that node, so path delay can be averaged as
-        ``sum_l fraction(l) * delay(l)`` (delay is additive along paths and
-        splitting is flow-proportional).
+        fraction entering that node, so ``pair_link_fractions(s, t) @ D``
+        is the pair's mean path delay — the single-pair oracle of
+        :meth:`path_delays`.  Builds a one-row schedule per call.
 
         Raises:
             RoutingError: if ``dst`` is unreachable from ``src``.
@@ -319,41 +315,13 @@ class Routing:
         dist = self._dist[dst]
         if not np.isfinite(dist[src]):
             raise RoutingError(f"node {dst} unreachable from node {src}")
-        inj = np.zeros((1, self._net.num_nodes))
-        inj[0, src] = 1.0
-        return accumulate_rows(self._pair_schedule(dst), inj)[0]
-
-    def pair_fraction_rows(self, dst: int, sources) -> np.ndarray:
-        """Pair fractions toward ``dst`` for many sources in one kernel pass.
-
-        Row ``i`` equals ``pair_link_fractions(sources[i], dst)`` — the
-        batching the SLA evaluator layer rides (all pairs sharing a
-        destination share its DAG and schedule).
-
-        Raises:
-            ValueError: if any source equals ``dst``.
-            RoutingError: if ``dst`` is unreachable from any source
-                (reported for the first offending source in order).
-        """
-        sources = [int(s) for s in sources]
-        dist = self._dist[dst]
-        for s in sources:
-            if s == dst:
-                raise ValueError("src and dst must differ")
-            if not np.isfinite(dist[s]):
-                raise RoutingError(f"node {dst} unreachable from node {s}")
-        if not sources:
-            return np.empty((0, self._net.num_links))
-        dag = self.ensure_dags([dst])[0]
+        net = self._net
         schedule = build_schedule(
-            [dag] * len(sources),
-            self._net.link_destinations(),
-            self._net.num_nodes,
-            self._net.num_links,
+            self.ensure_dags([dst]), net.link_destinations(), net.num_nodes, net.num_links
         )
-        inj = np.zeros((len(sources), self._net.num_nodes))
-        inj[np.arange(len(sources)), sources] = 1.0
-        return accumulate_rows(schedule, inj)
+        inj = np.zeros((1, net.num_nodes))
+        inj[0, src] = 1.0
+        return accumulate_rows(schedule, inj)[0]
 
     def average_hop_count(self, src: int, dst: int) -> float:
         """Mean number of hops of the ECMP flow from ``src`` to ``dst``."""
@@ -408,20 +376,36 @@ class Routing:
             self._all_finite = bool(np.isfinite(self._dist).all())
         return self._all_finite
 
-    def _pair_schedule(self, dst: int) -> Schedule:
-        """A cached single-row schedule for destination ``dst``."""
-        schedule = self._pair_schedules.get(dst)
-        if schedule is None:
-            dag = self.ensure_dags([dst])[0]
-            schedule = build_schedule(
-                [dag],
-                self._net.link_destinations(),
-                self._net.num_nodes,
-                self._net.num_links,
+    def _schedule(self, dests: list[int], darr: np.ndarray) -> Schedule:
+        """The compiled schedule of the row list ``dests``, cached by list."""
+        key = darr.tobytes()
+        schedule = self._dest_schedules.get(key)
+        if schedule is not None:
+            return schedule
+        net, k = self._net, len(dests)
+        self._materialize_pending_dags()
+        uncached = [t for t in dict.fromkeys(dests) if t not in self._dags]
+        if len(uncached) == k:
+            # No destination cached and no repeats: build the DAG arrays
+            # and their schedule in one fused pass.  The per-destination
+            # tuples are sliced out lazily — the evaluator's load-mode
+            # passes only ever run the schedule, so the slicing cost
+            # would be pure overhead on the hottest path.
+            if k == net.num_nodes and np.array_equal(darr, np.arange(k)):
+                dist_rows = self._dist
+            else:
+                dist_rows = self._dist[darr]
+            arrays, schedule = build_arrays_and_schedule(
+                net, self._weights, dist_rows, dests, net.link_destinations()
             )
-            while len(self._pair_schedules) >= _PAIR_SCHEDULE_CAP:
-                self._pair_schedules.popitem(last=False)
-            self._pair_schedules[dst] = schedule
+            self._pending_dags = (dests, arrays)
+        else:
+            schedule = build_schedule(
+                self.ensure_dags(dests), net.link_destinations(), net.num_nodes, net.num_links
+            )
+        while len(self._dest_schedules) >= _DEST_SCHEDULE_CAP:
+            self._dest_schedules.popitem(last=False)
+        self._dest_schedules[key] = schedule
         return schedule
 
     def _demand_array(self, traffic: DemandsLike) -> np.ndarray:

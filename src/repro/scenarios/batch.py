@@ -451,7 +451,7 @@ class SweepEngine:
             high_loads,
             low_loads,
             high_traffic,
-            high_routing.pair_link_fractions,
+            high_routing,
             params=self.sla_params,
         )
 

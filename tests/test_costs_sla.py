@@ -1,8 +1,11 @@
 """Tests for the SLA-based cost (paper Eqs. 3-5)."""
 
+import random
+
 import numpy as np
 import pytest
 
+from repro.core.evaluator import SLA_MODE, DualTopologyEvaluator
 from repro.core.lexicographic import LexCost
 from repro.costs.fortz import fortz_cost_vector
 from repro.costs.sla import (
@@ -11,6 +14,7 @@ from repro.costs.sla import (
     evaluate_sla_cost,
     link_delays_ms,
 )
+from repro.eval.experiment import ExperimentConfig, build_network, build_traffic
 from repro.routing.state import Routing
 from repro.routing.weights import unit_weights
 from repro.traffic.matrix import TrafficMatrix
@@ -141,3 +145,23 @@ class TestEvaluateSlaCost:
         lightly = self.make(line4, theta_ms=100.0, rate=10.0)
         heavily = self.make(line4, theta_ms=100.0, rate=99.0)
         assert heavily.phi_low > lightly.phi_low * 10
+
+
+def test_violations_count_pairs_over_bound_with_zero_penalty():
+    """A pair over theta is a violation even when its penalty is 0.
+
+    Regression: violations counted ``pair_penalty(xi) > 0``, so with
+    ``a = b = 0`` every pair over the bound read as compliant.
+    """
+    config = ExperimentConfig(topology="random", mode=SLA_MODE)
+    net = build_network("random", 1)
+    high, low, _meta = build_traffic(net, config, random.Random(1))
+    params = SlaParams(theta_ms=1e-3, penalty_const=0.0, penalty_per_ms=0.0)
+    w = unit_weights(net.num_links)
+    routing = Routing(net, w)
+    direct = evaluate_sla_cost(net, routing, routing, high, low, params)
+    evaluator = DualTopologyEvaluator(net, high, low, mode=SLA_MODE, sla_params=params)
+    for result in (direct, evaluator.evaluate_str(w)):
+        assert min(result.pair_delays_ms.values()) > params.theta_ms
+        assert result.violations == high.pair_count() > 0
+        assert result.penalty == 0.0

@@ -1,8 +1,11 @@
 """Tests for network-wide exact priority-delay estimates."""
 
+import random
+
 import numpy as np
 import pytest
 
+from repro.eval.experiment import ExperimentConfig, build_network, build_traffic
 from repro.queueing.network_delay import (
     SATURATED_DELAY_MS,
     link_class_delays,
@@ -10,7 +13,7 @@ from repro.queueing.network_delay import (
     pair_delay_ms,
 )
 from repro.routing.state import Routing
-from repro.routing.weights import unit_weights
+from repro.routing.weights import random_weights, unit_weights
 from repro.traffic.matrix import TrafficMatrix
 
 
@@ -101,3 +104,27 @@ def test_report_empty_class(line4):
     report = network_delay_report(line4, routing, routing, empty, low)
     assert report.high_pairs == 0
     assert report.mean_high_ms == 0.0
+
+
+def test_report_matches_per_pair_oracle():
+    """One reverse pass per class equals the per-pair fraction oracle."""
+    net = build_network("powerlaw", 4)
+    rng = random.Random(4)
+    high, low, _meta = build_traffic(net, ExperimentConfig(topology="powerlaw"), rng)
+    high_routing = Routing(net, random_weights(net.num_links, rng))
+    low_routing = Routing(net, random_weights(net.num_links, rng))
+    report = network_delay_report(net, high_routing, low_routing, high, low)
+    delays = link_class_delays(
+        net, high_routing.link_loads(high), low_routing.link_loads(low)
+    )
+    for routing, traffic, link_ms, mean, worst, count in (
+        (high_routing, high, delays.high_ms, report.mean_high_ms,
+         report.worst_high_ms, report.high_pairs),
+        (low_routing, low, delays.low_ms, report.mean_low_ms,
+         report.worst_low_ms, report.low_pairs),
+    ):
+        xi = np.array([pair_delay_ms(routing, link_ms, s, t) for s, t, _ in traffic.pairs()])
+        rates = np.array([rate for _s, _t, rate in traffic.pairs()])
+        assert count == xi.size == traffic.pair_count()
+        np.testing.assert_allclose(mean, (xi * rates).sum() / rates.sum(), rtol=1e-12)
+        np.testing.assert_allclose(worst, xi.max(), rtol=1e-12)

@@ -137,25 +137,6 @@ def test_pair_fractions_bitwise_equal_scalar():
             )
 
 
-def test_pair_fraction_rows_match_single_pair_calls():
-    net, weights = _instances()[1]
-    routing = Routing(net, weights)
-    dst = 4
-    sources = [s for s in range(net.num_nodes) if s != dst][:10]
-    rows = routing.pair_fraction_rows(dst, sources)
-    assert rows.shape == (len(sources), net.num_links)
-    for i, s in enumerate(sources):
-        np.testing.assert_array_equal(rows[i], routing.pair_link_fractions(s, dst))
-    assert routing.pair_fraction_rows(dst, []).shape == (0, net.num_links)
-
-
-def test_pair_fraction_rows_validation():
-    net, weights = _instances()[0]
-    routing = Routing(net, weights)
-    with pytest.raises(ValueError, match="differ"):
-        routing.pair_fraction_rows(3, [0, 3])
-
-
 def test_dag_out_links_csr_matches_mask_path():
     for net, weights in _instances()[:3]:
         vec = Routing(net, weights)
