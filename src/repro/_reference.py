@@ -117,7 +117,7 @@ class NaiveSweepEngine(SweepEngine):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         for cls in (self._high, self._low):
-            cls.index = {}  # no intact load row is ever reused
+            cls.row_of = np.full_like(cls.row_of, -1)  # no intact row is reused
 
     def _lower(self, scenario):
         return scenario.lower(self._net, self._high_tm, self._low_tm, projections=None)

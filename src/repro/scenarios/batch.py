@@ -98,7 +98,10 @@ class _ClassState:
         self.routing = routing
         self.demands = traffic.demands
         self.active = np.flatnonzero(self.demands.sum(axis=0) > 0)
-        self.index = {int(t): i for i, t in enumerate(self.active)}
+        # Row of ``rows`` holding each destination's intact load row
+        # (-1: none to reuse).
+        self.row_of = np.full(net.num_nodes, -1, dtype=np.int64)
+        self.row_of[self.active] = np.arange(self.active.size)
         if self.active.size:
             self.rows = routing.destination_rows(
                 self.active, self.demands[:, self.active].T
@@ -555,33 +558,32 @@ class SweepEngine:
         active = np.flatnonzero(demands.sum(axis=0) > 0)
         num_links = routing.network.num_links
         rows = np.empty((active.size, num_links))
-        surviving = None if projection.is_identity else projection.surviving_index_array()
-        failed = (
-            np.asarray(projection.failed_links, dtype=np.int64)
-            if projection.failed_links
-            else None
-        )
-        untouched = demands is cls.demands  # no transform, nothing disconnected
-        recompute: list[int] = []
-        for i, t in enumerate(active):
-            t = int(t)
-            j = cls.index.get(t)
-            if (
-                j is not None
-                and (failed is None or not cls.rows[j][failed].any())
-                and (untouched or np.array_equal(demands[:, t], cls.demands[:, t]))
-            ):
-                rows[i] = cls.rows[j] if surviving is None else cls.rows[j][surviving]
-                self.stats["reused_rows"] += 1
+        # The reuse test for every active destination at once.
+        parent_rows = cls.row_of[active]
+        reuse = parent_rows >= 0
+        if projection.failed_links:
+            failed = np.asarray(projection.failed_links, dtype=np.int64)
+            reuse[reuse] = ~cls.rows[np.ix_(parent_rows[reuse], failed)].any(axis=1)
+        if demands is not cls.demands:  # a traffic transform or a disconnection
+            ts = active[reuse]
+            reuse[reuse] = (demands[:, ts] == cls.demands[:, ts]).all(axis=0)
+        kept = np.flatnonzero(reuse)
+        if kept.size:
+            if projection.is_identity:
+                rows[kept] = cls.rows[parent_rows[kept]]
             else:
-                recompute.append(i)
-        if recompute:
+                rows[kept] = cls.rows[
+                    np.ix_(parent_rows[kept], projection.surviving_index_array())
+                ]
+            self.stats["reused_rows"] += int(kept.size)
+        recompute = np.flatnonzero(~reuse)
+        if recompute.size:
             # One batched kernel call covers every row the reuse test
             # rejected; rows land in active-destination order, so the
             # fixed summation below is unchanged.
             ts = active[recompute]
             rows[recompute] = routing.destination_rows(ts, demands[:, ts].T)
-            self.stats["recomputed_rows"] += len(recompute)
+            self.stats["recomputed_rows"] += int(recompute.size)
         return _ordered_row_sum(rows, num_links)
 
 

@@ -45,9 +45,10 @@ from repro.serve.cache import PlanCache
 from repro.serve.encoding import whatif_payload
 
 DEFAULT_WINDOW_S = 0.005
-"""Batching window: how long the dispatcher keeps draining after the
-first request of a batch.  Small enough to be invisible per query, long
-enough to coalesce genuinely concurrent arrivals."""
+"""Batching window: how long the oldest request of a batch may wait in
+the queue for companions, counted from its submission.  Small enough to
+be invisible per query, long enough to coalesce genuinely concurrent
+arrivals."""
 
 DEFAULT_MAX_BATCH = 64
 
@@ -167,11 +168,23 @@ class MicroBatchScheduler:
         self._drain_now()
 
     def _drain_batch(self, first: _Job) -> list[_Job]:
-        """The micro-batch: keep draining until the window closes."""
+        """The micro-batch: everything queued, plus arrivals until the
+        window of the oldest job closes.
+
+        The window runs from ``first``'s submission, not from its
+        dispatch: jobs that queued while the dispatcher was busy have
+        already waited, so they are batched with whatever else is queued
+        and dispatched without a further wait.
+        """
         batch = [first]
-        deadline = time.monotonic() + self.window_s
+        deadline = first.submitted + self.window_s
         while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
+            try:
+                batch.append(self._queue.get_nowait())
+                continue
+            except queue.Empty:
+                pass
+            remaining = deadline - time.perf_counter()
             if remaining <= 0:
                 break
             try:

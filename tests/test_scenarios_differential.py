@@ -27,6 +27,7 @@ from repro.core.evaluator import LOAD_MODE, SLA_MODE, DualTopologyEvaluator
 from repro.eval.experiment import ExperimentConfig, build_network, build_traffic
 from repro.routing import incremental
 from repro.routing.spf import distances_to_all
+from repro.routing.state import Routing
 from repro.routing.weights import random_weights
 from repro.scenarios import (
     HotSpotSurge,
@@ -124,6 +125,39 @@ def test_batched_equals_naive_per_scenario_rebuild(topology):
     # Naive mode must not have reused anything.
     assert naive.stats["reused_rows"] == 0
     assert naive.stats["derived_routings"] == 0
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_row_reuse_follows_the_per_destination_rule(topology):
+    """Reuse counts equal the reuse rule applied destination by destination.
+
+    A destination's intact load row is reused iff it has one, the row
+    puts no flow on a failed link, and the scenario leaves its demand
+    column unchanged; every other active destination is recomputed.
+    """
+    net, high, low, wh, wl = _setup(topology)
+    engine = SweepEngine(net, wh, wl, high, low)
+    intact = ((Routing(net, wh), high), (Routing(net, wl), low))
+    for scenario in _mixed_scenarios(net):
+        reused, recomputed = engine.stats["reused_rows"], engine.stats["recomputed_rows"]
+        lowered = engine.evaluate(scenario).lowered
+        failed = list(lowered.projection.failed_links)
+        expected_reused = expected_total = 0
+        for (routing, traffic), demands in zip(
+            intact, (lowered.high_traffic.demands, lowered.low_traffic.demands)
+        ):
+            for t in np.flatnonzero(demands.sum(axis=0) > 0):
+                expected_total += 1
+                column = traffic.demands[:, t]
+                if column.sum() > 0:
+                    row = routing.destination_rows([t], column[None, :])[0]
+                    if not row[failed].any() and np.array_equal(demands[:, t], column):
+                        expected_reused += 1
+        assert engine.stats["reused_rows"] - reused == expected_reused, scenario
+        assert (
+            engine.stats["recomputed_rows"] - recomputed
+            == expected_total - expected_reused
+        ), scenario
 
 
 @pytest.mark.parametrize("fallback_fraction", [0.0, 1.01])

@@ -10,6 +10,7 @@ byte for byte, a serial single-threaded reference.
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -115,6 +116,51 @@ def test_window_coalesces_a_burst_into_one_batch(reference):
     assert stats["max_batch_size"] >= 2
     assert stats["coalesced_queries"] >= 2
     assert stats["batches"] < stats["queries"]
+
+
+def test_jobs_that_queued_while_busy_dispatch_without_a_further_wait(reference):
+    """The window runs from the oldest job's submission, not its dispatch.
+
+    A burst that queues up behind a stalled batch has already waited
+    longer than the window by the time the dispatcher frees up, so it is
+    drained as one batch and answered without sitting out the window
+    again.
+    """
+    window_s = 0.5
+    session = SPEC.build()
+    key = SPEC.key()
+    scheduler = MicroBatchScheduler(PlanCache(), window_s=window_s)
+    entered, release = threading.Event(), threading.Event()
+    original = session.under_scenario
+
+    def gated(*args, **kwargs):
+        entered.set()
+        release.wait(timeout=5)
+        return original(*args, **kwargs)
+
+    session.under_scenario = gated
+    try:
+        scheduler.start()
+        first = scheduler.submit(key, session, QUERIES[0])
+        assert entered.wait(timeout=5)  # the first batch is being evaluated
+        burst = [scheduler.submit(key, session, q) for q in QUERIES[1:]]
+        time.sleep(window_s * 1.2)  # the burst outlives its window in the queue
+        started = time.perf_counter()
+        release.set()
+        first.result(timeout=10)
+        for q, future in zip(QUERIES[1:], burst):
+            payload, _ = future.result(timeout=10)
+            assert canonical_body(payload) == reference[q]
+        elapsed = time.perf_counter() - started
+    finally:
+        session.under_scenario = original
+        scheduler.stop()
+    stats = scheduler.metrics()
+    assert stats["batches"] == 2
+    assert stats["max_batch_size"] == len(QUERIES) - 1
+    # Draining from dispatch would have held the burst for the full
+    # window after the first batch finished.
+    assert elapsed < window_s * 0.8
 
 
 def test_groups_isolate_sessions():
