@@ -8,8 +8,11 @@ contracts:
   ``served`` envelope) equals, byte for byte, the encoding of a direct
   ``Session.under_scenario`` / ``Session.sweep`` call on an independent
   session built from the same :class:`~repro.serve.SessionSpec`;
-* **Observability** — ``/metrics`` reports the expected scheduler and
-  plan-cache counters for the traffic just sent.
+* **Observability** — ``/metrics`` counters move by exactly the traffic
+  just sent: scheduler ``queries`` and plan-cache ``lookups`` each rise
+  by the number of what-ifs (a hit answered before the queue counts
+  once, like any other), the cache's hits rise by the hits the client
+  saw, ``hits + misses == lookups``, and ``errors`` stays put.
 
 Exits non-zero on any mismatch; CI's ``serve-smoke`` job runs exactly
 this against a freshly started server.  Run it yourself::
@@ -81,6 +84,12 @@ def main(argv=None) -> int:
         for q in queries
     }
 
+    def read_metrics() -> dict:
+        with urllib.request.urlopen(args.url + "/metrics") as response:
+            return json.loads(response.read())
+
+    before = read_metrics()
+
     def whatif(q: str) -> tuple[str, bytes, bool]:
         status, body = _post(
             args.url + "/whatif", {"scenario": q, "session": session_body}
@@ -111,19 +120,24 @@ def main(argv=None) -> int:
     if not sweep_ok:
         print("MISMATCH on sweep kinds=['link']", file=sys.stderr)
 
-    with urllib.request.urlopen(args.url + "/metrics") as response:
-        metrics = json.loads(response.read())
-    scheduler = metrics["scheduler"]
-    cache = metrics["plan_cache"]
+    after = read_metrics()
+
+    def delta(component: str, counter: str) -> int:
+        return after[component][counter] - before[component][counter]
+
+    cache = after["plan_cache"]
     expected_hits = len(stream) - len(queries)
     counters_ok = (
-        scheduler["queries"] >= len(stream)
-        and scheduler["errors"] == 0
-        and cache["hits"] >= expected_hits
+        delta("scheduler", "queries") == len(stream)
+        and delta("plan_cache", "lookups") == len(stream)
+        and cache["hits"] + cache["misses"] == cache["lookups"]
+        and delta("plan_cache", "hits") == hits
+        and delta("scheduler", "cache_hits") == hits
+        and delta("scheduler", "errors") == 0
         and hits >= expected_hits
     )
     if not counters_ok:
-        print(f"unexpected counters: {metrics}", file=sys.stderr)
+        print(f"unexpected counters: before {before}, after {after}", file=sys.stderr)
 
     print(
         f"serve smoke: {len(stream)} whatif queries "

@@ -146,7 +146,7 @@ def serve_session(session: Session, **options):
         session: A session with a baseline weight setting
             (``set_weights``/``optimize`` first).
         **options: Forwarded to :class:`~repro.serve.ServeService`
-            (``pool``, ``cache``, ``scheduler``, ``window_s``).
+            (``pool``, ``cache``, ``scheduler``).
 
     Raises:
         ValueError: if the session has no baseline weight setting.

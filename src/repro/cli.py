@@ -20,8 +20,7 @@ Subcommands::
     repro-dtr campaign status    --out DIR
     repro-dtr campaign aggregate --out DIR [--json agg.json]
     repro-dtr serve     --port 8093 --topology isp --utilization 0.5 \
-                        [--log serve.jsonl] [--pool-size 4] [--window-ms 5] \
-                        [--trace spans.jsonl]
+                        [--log serve.jsonl] [--pool-size 4] [--trace spans.jsonl]
     repro-dtr query     --url http://127.0.0.1:8093 --scenario node:3
     repro-dtr query     --url ... --sweep link node [--metrics]
     repro-dtr query     --url ... --space space:all-link-2
@@ -328,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument("--pool-size", type=int, default=4,
                      help="warm sessions kept (LRU)")
-    srv.add_argument("--window-ms", type=float, default=5.0,
-                     help="micro-batch coalescing window")
     srv.add_argument("--log", dest="log_path", default=None,
                      help="JSONL request log path")
     srv.add_argument("--trace", dest="trace_path", default=None,
@@ -891,11 +888,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             seed=args.seed,
             weights=weights,
         )
-        service = ServeService(
-            spec,
-            pool=SessionPool(capacity=args.pool_size),
-            window_s=args.window_ms / 1e3,
-        )
+        service = ServeService(spec, pool=SessionPool(capacity=args.pool_size))
         service.pool.get(spec)  # warm the default baseline before binding
     except (OSError, ValueError) as exc:
         return _usage_error(exc)

@@ -61,17 +61,12 @@ def remove_adjacency(net: Network, u: int, v: int) -> FailureScenario:
     """
     if not (net.has_link(u, v) and net.has_link(v, u)):
         raise ValueError(f"no duplex adjacency between {u} and {v}")
-    degraded = Network(net.num_nodes, name=f"{net.name}-fail-{u}-{v}")
-    surviving = []
-    for link in net.links:
-        if (link.src, link.dst) in ((u, v), (v, u)):
-            continue
-        degraded.add_link(link.src, link.dst, link.capacity_mbps, link.prop_delay_ms)
-        surviving.append(link.index)
+    keep = np.ones(net.num_links, dtype=bool)
+    keep[[net.link_between(u, v).index, net.link_between(v, u).index]] = False
     return FailureScenario(
         failed_pair=(min(u, v), max(u, v)),
-        network=degraded,
-        surviving_links=tuple(surviving),
+        network=net.sub_network(keep, name=f"{net.name}-fail-{u}-{v}"),
+        surviving_links=tuple(np.flatnonzero(keep).tolist()),
     )
 
 

@@ -9,6 +9,24 @@ import numpy as np
 from repro.network.link import DEFAULT_CAPACITY_MBPS, Link
 
 
+class _LinkField:
+    """A link-object field that a sliced network builds on first read.
+
+    A non-data descriptor: a network built link by link has the field as
+    its own attribute, which shadows this one.  On a sliced network the
+    first read of any of the four fields builds all of them.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, net: Optional["Network"], owner=None):
+        if net is None:
+            return self
+        net._build_links()
+        return getattr(net, self.name)
+
+
 class Network:
     """A directed multigraph-free network ``G = (V, E)``.
 
@@ -21,13 +39,26 @@ class Network:
     The class exposes numpy views (capacities, delays, endpoint arrays) that
     the routing and cost engines consume; these views are cached and the
     cache is invalidated whenever a link is added.
+
+    A network is built link by link (:meth:`add_link`) or sliced out of
+    another one (:meth:`sub_network`, how failures and scenario
+    projections build the surviving network).  A sliced network starts
+    from its arrays alone: its :class:`Link` objects, per-node adjacency
+    lists and endpoint dict are built on first use, so the array
+    consumers on the routing path never pay for them.
     """
+
+    _links = _LinkField()
+    _out = _LinkField()
+    _in = _LinkField()
+    _by_endpoints = _LinkField()
 
     def __init__(self, num_nodes: int, name: str = "network") -> None:
         if num_nodes < 2:
             raise ValueError(f"a network needs at least 2 nodes, got {num_nodes}")
         self._num_nodes = int(num_nodes)
         self.name = name
+        self._num_links = 0
         self._links: list[Link] = []
         self._out: list[list[int]] = [[] for _ in range(num_nodes)]
         self._in: list[list[int]] = [[] for _ in range(num_nodes)]
@@ -55,7 +86,7 @@ class Network:
         if (src, dst) in self._by_endpoints:
             raise ValueError(f"link {src}->{dst} already exists")
         link = Link(
-            index=len(self._links),
+            index=self._num_links,
             src=src,
             dst=dst,
             capacity_mbps=capacity_mbps,
@@ -65,6 +96,7 @@ class Network:
         self._out[src].append(link.index)
         self._in[dst].append(link.index)
         self._by_endpoints[(src, dst)] = link.index
+        self._num_links += 1
         self._cache.clear()
         return link
 
@@ -80,6 +112,56 @@ class Network:
         backward = self.add_link(v, u, capacity_mbps, prop_delay_ms)
         return forward, backward
 
+    def sub_network(self, keep: np.ndarray, name: Optional[str] = None) -> "Network":
+        """The network of the links ``keep`` selects, in this network's order.
+
+        Endpoints, capacities and delays are sliced by the mask, and both
+        CSR structures are derived from this network's, so surviving link
+        ``k`` of the result is the ``k``-th kept link here and every
+        per-link computation over the result is bit-identical to one over
+        a network built link by link.  No link is re-validated: any subset
+        of a valid network's links is valid.
+
+        Args:
+            keep: Boolean mask of shape ``(num_links,)``.
+            name: Name of the result (this network's name by default).
+
+        Raises:
+            ValueError: if ``keep`` is not a boolean array of that shape.
+        """
+        if not (
+            isinstance(keep, np.ndarray)
+            and keep.dtype == bool
+            and keep.shape == (self.num_links,)
+        ):
+            raise ValueError(f"keep must be a boolean array of shape ({self.num_links},)")
+        sub = Network.__new__(Network)
+        sub._num_nodes = self._num_nodes
+        sub.name = self.name if name is None else name
+        sub._num_links = int(np.count_nonzero(keep))
+        # The sliced arrays are the sub-network's only record of its links
+        # until _build_links builds the Link objects from them.
+        cache = {
+            "srcs": self.link_sources()[keep],
+            "dsts": self.link_destinations()[keep],
+            "capacities": self.capacities()[keep],
+            "prop_delays": self.prop_delays()[keep],
+        }
+        # Kept links keep their relative order, so each CSR structure is
+        # this one's with the dropped links filtered out and renumbered.
+        renumber = np.cumsum(keep) - 1
+        fwd_indptr, fwd_perm = self.forward_csr_structure()
+        kept = keep[fwd_perm]
+        cache["fwd_perm"] = renumber[fwd_perm[kept]]
+        cache["fwd_indptr"] = np.concatenate(([0], np.cumsum(kept)))[fwd_indptr]
+        rev_indptr, rev_indices, rev_perm = self.reverse_csr_structure()
+        kept = keep[rev_perm]
+        cache["rev_perm"] = renumber[rev_perm[kept]]
+        cache["rev_indices"] = rev_indices[kept]
+        cache["rev_indptr"] = np.concatenate(([0], np.cumsum(kept)))[rev_indptr]
+        sub._cache = cache
+        return sub
+
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
@@ -91,7 +173,7 @@ class Network:
     @property
     def num_links(self) -> int:
         """Number of directed links ``|E|``."""
-        return len(self._links)
+        return self._num_links
 
     @property
     def links(self) -> tuple[Link, ...]:
@@ -163,19 +245,19 @@ class Network:
     # ------------------------------------------------------------------
     def capacities(self) -> np.ndarray:
         """Per-link capacity vector (Mb/s), indexed by link index."""
-        return self._cached("capacities", lambda: np.array([l.capacity_mbps for l in self._links], dtype=float))
+        return self._link_array("capacities", "capacity_mbps", float)
 
     def prop_delays(self) -> np.ndarray:
         """Per-link propagation delay vector (ms), indexed by link index."""
-        return self._cached("prop_delays", lambda: np.array([l.prop_delay_ms for l in self._links], dtype=float))
+        return self._link_array("prop_delays", "prop_delay_ms", float)
 
     def link_sources(self) -> np.ndarray:
         """Per-link source-node vector, indexed by link index."""
-        return self._cached("srcs", lambda: np.array([l.src for l in self._links], dtype=np.int64))
+        return self._link_array("srcs", "src", np.int64)
 
     def link_destinations(self) -> np.ndarray:
         """Per-link destination-node vector, indexed by link index."""
-        return self._cached("dsts", lambda: np.array([l.dst for l in self._links], dtype=np.int64))
+        return self._link_array("dsts", "dst", np.int64)
 
     def reverse_csr_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR structure of the reversed graph, for repeated Dijkstra calls.
@@ -242,14 +324,15 @@ class Network:
         """Whether every node can reach every other node along directed links."""
         if self.num_links == 0:
             return False
-        return self._reaches_all(self._out) and self._reaches_all(self._in)
+        fwd_indptr, fwd_perm = self.forward_csr_structure()
+        rev_indptr, rev_indices, _ = self.reverse_csr_structure()
+        return self._reaches_all(
+            fwd_indptr, self.link_destinations()[fwd_perm]
+        ) and self._reaches_all(rev_indptr, rev_indices)
 
     def copy(self) -> "Network":
         """Deep copy of the network."""
-        dup = Network(self._num_nodes, name=self.name)
-        for link in self._links:
-            dup.add_link(link.src, link.dst, link.capacity_mbps, link.prop_delay_ms)
-        return dup
+        return self.sub_network(np.ones(self.num_links, dtype=bool))
 
     def __repr__(self) -> str:
         return f"Network(name={self.name!r}, nodes={self._num_nodes}, links={self.num_links})"
@@ -259,7 +342,8 @@ class Network:
             return NotImplemented
         return (
             self._num_nodes == other._num_nodes
-            and [l.endpoints for l in self._links] == [l.endpoints for l in other._links]
+            and np.array_equal(self.link_sources(), other.link_sources())
+            and np.array_equal(self.link_destinations(), other.link_destinations())
             and np.allclose(self.capacities(), other.capacities())
             and np.allclose(self.prop_delays(), other.prop_delays())
         )
@@ -271,23 +355,52 @@ class Network:
         if not 0 <= node < self._num_nodes:
             raise ValueError(f"node {node} outside range [0, {self._num_nodes})")
 
-    def _reaches_all(self, adjacency: list[list[int]]) -> bool:
+    def _reaches_all(self, indptr: np.ndarray, heads: np.ndarray) -> bool:
+        """Whether node 0 reaches every node over CSR rows ``heads[indptr[u]:indptr[u+1]]``."""
+        bounds = indptr.tolist()
+        heads = heads.tolist()
         seen = [False] * self._num_nodes
         stack = [0]
         seen[0] = True
         count = 1
-        attr = "dst" if adjacency is self._out else "src"
         while stack:
             node = stack.pop()
-            for link_idx in adjacency[node]:
-                nxt = getattr(self._links[link_idx], attr)
+            for nxt in heads[bounds[node]:bounds[node + 1]]:
                 if not seen[nxt]:
                     seen[nxt] = True
                     count += 1
                     stack.append(nxt)
         return count == self._num_nodes
 
-    def _cached(self, key: str, build) -> np.ndarray:
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+    def _build_links(self) -> None:
+        """Build a sliced network's Link objects, adjacency and endpoint dict.
+
+        They come from the sliced arrays, which stay cached until then:
+        the one method that clears the cache, :meth:`add_link`, reads
+        these fields before it does.
+        """
+        cache = self._cache
+        srcs = cache["srcs"].tolist()
+        dsts = cache["dsts"].tolist()
+        links = [
+            Link(index, src, dst, capacity, delay)
+            for index, (src, dst, capacity, delay) in enumerate(
+                zip(srcs, dsts, cache["capacities"].tolist(), cache["prop_delays"].tolist())
+            )
+        ]
+        out: list[list[int]] = [[] for _ in range(self._num_nodes)]
+        into: list[list[int]] = [[] for _ in range(self._num_nodes)]
+        for index, (src, dst) in enumerate(zip(srcs, dsts)):
+            out[src].append(index)
+            into[dst].append(index)
+        self._links = links
+        self._out = out
+        self._in = into
+        self._by_endpoints = {pair: index for index, pair in enumerate(zip(srcs, dsts))}
+
+    def _link_array(self, key: str, attr: str, dtype) -> np.ndarray:
+        array = self._cache.get(key)
+        if array is None:
+            array = np.array([getattr(l, attr) for l in self._links], dtype=dtype)
+            self._cache[key] = array
+        return array

@@ -35,6 +35,7 @@ from repro.obs.metrics import (
 from repro.obs.prometheus import parse_prometheus_text, render_prometheus
 from repro.obs.trace import (
     Tracer,
+    current_span_id,
     disable_tracing,
     enable_tracing,
     get_tracer,
@@ -53,6 +54,7 @@ __all__ = [
     "MetricsRegistry",
     "Tracer",
     "counter",
+    "current_span_id",
     "disable_tracing",
     "enable_tracing",
     "enabled",

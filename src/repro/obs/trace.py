@@ -173,6 +173,17 @@ def get_tracer() -> Optional[Tracer]:
     return _tracer_state.tracer
 
 
+def current_span_id() -> Optional[int]:
+    """The id of the innermost span open on this thread, or ``None``
+    (tracing off, or no span open).  Work handed to another thread
+    carries it so that thread's spans can name their origin."""
+    tracer = _tracer_state.tracer
+    if tracer is None:
+        return None
+    stack = tracer._stack()
+    return stack[-1] if stack else None
+
+
 def span(name: str, attrs: Optional[dict] = None, **kw_attrs) -> Union[_Span, _NullSpan]:
     """A timed span on the process tracer, or a shared no-op when
     tracing is off.  ``attrs`` and keyword attributes merge."""

@@ -11,11 +11,16 @@ share one projection, which is what lets the batch evaluator
 (:mod:`repro.scenarios.batch`) amortize network construction and
 reachability analysis across a whole :class:`~repro.scenarios.ScenarioSet`.
 
-Surviving links keep the *relative order* of their intact indices — the
-same convention as :func:`repro.network.failures.remove_adjacency` — so
-per-link arrays project between the two spaces with a single fancy
-index, and routing computations over the surviving network are
-bit-identical to those over a degraded network built from scratch.
+The surviving network is sliced out of the intact one's arrays
+(:meth:`~repro.network.graph.Network.sub_network`): endpoints,
+capacities, delays and both CSR structures, with no per-link rebuild;
+its :class:`~repro.network.link.Link` objects are built only if a
+caller asks for them.  Surviving links keep the *relative order* of
+their intact indices — the same convention as
+:func:`repro.network.failures.remove_adjacency` — so per-link arrays
+project between the two spaces with a single fancy index, and routing
+computations over the surviving network are bit-identical to those over
+a degraded network built from scratch.
 """
 
 from __future__ import annotations
@@ -56,27 +61,19 @@ class TopologyProjection:
                 )
         self._intact = net
         self.failed_links: tuple[int, ...] = tuple(failed)
+        self._surviving_array: Optional[np.ndarray] = None
         if not failed:
             self.network = net
             self.surviving_links: tuple[int, ...] = tuple(range(net.num_links))
         else:
-            failed_set = set(failed)
-            degraded = Network(
-                net.num_nodes,
-                name=f"{net.name}-minus-{len(failed)}-links",
+            keep = np.ones(net.num_links, dtype=bool)
+            keep[failed] = False
+            self.network = net.sub_network(
+                keep, name=f"{net.name}-minus-{len(failed)}-links"
             )
-            surviving = []
-            for link in net.links:
-                if link.index in failed_set:
-                    continue
-                degraded.add_link(
-                    link.src, link.dst, link.capacity_mbps, link.prop_delay_ms
-                )
-                surviving.append(link.index)
-            self.network = degraded
-            self.surviving_links = tuple(surviving)
+            self._surviving_array = np.flatnonzero(keep)
+            self.surviving_links = tuple(self._surviving_array.tolist())
         self._link_map: Optional[np.ndarray] = None
-        self._surviving_array: Optional[np.ndarray] = None
         self._reachable: Optional[np.ndarray] = None
         self._strongly_connected: Optional[bool] = None
         self._isolated: Optional[tuple[int, ...]] = None
@@ -157,11 +154,9 @@ class TopologyProjection:
         """
         if self._isolated is None:
             net = self.network
-            self._isolated = tuple(
-                n
-                for n in net.nodes()
-                if not net.out_link_indices(n) and not net.in_link_indices(n)
-            )
+            linked = np.zeros(net.num_nodes, dtype=bool)
+            linked[net.link_sources()] = linked[net.link_destinations()] = True
+            self._isolated = tuple(np.flatnonzero(~linked).tolist())
         return self._isolated
 
     def is_strongly_connected(self) -> bool:

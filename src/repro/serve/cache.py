@@ -57,6 +57,18 @@ class PlanCache:
             "repro_serve_plan_cache_size", "Entries currently cached."
         )
 
+    def lookup(self, session_key: str, canonical: str) -> Optional[dict]:
+        """The cached payload, or ``None``; counts a hit, never a miss.
+
+        The scheduler answers hits with this before queueing a query.  A
+        miss here is not a lookup outcome yet: the query goes on to
+        :meth:`get_or_compute`, which counts it once, as a hit if an
+        earlier query computed the spec meanwhile.  So every query
+        counts exactly one lookup.
+        """
+        with self._lock:
+            return self._hit((session_key, canonical))
+
     def get_or_compute(
         self,
         session_key: str,
@@ -78,10 +90,8 @@ class PlanCache:
         """
         key = (session_key, canonical)
         with self._lock:
-            entry = self._store.get(key)
+            entry = self._hit(key)
             if entry is not None:
-                self._store.move_to_end(key)
-                self._hits.inc()
                 return entry, True
             self._misses.inc()
         payload = compute()
@@ -93,6 +103,15 @@ class PlanCache:
                 self._evictions.inc()
             self._size.set(len(self._store))
         return payload, False
+
+    def _hit(self, key: tuple[str, str]) -> Optional[dict]:
+        """The entry for ``key``, refreshed and counted as a hit (caller
+        holds the lock)."""
+        entry = self._store.get(key)
+        if entry is not None:
+            self._store.move_to_end(key)
+            self._hits.inc()
+        return entry
 
     def __len__(self) -> int:
         with self._lock:

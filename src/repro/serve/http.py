@@ -126,6 +126,10 @@ class WhatIfServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     # Connection reuse keeps the closed-loop benchmark's clients cheap.
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: a response that still leaves
+    # in two segments (one larger than a segment, or the stdlib's own
+    # send_error) must not wait for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Routing — both verbs share one timed/logged respond path
@@ -244,8 +248,17 @@ class _Handler(BaseHTTPRequestHandler):
     # Plumbing
     # ------------------------------------------------------------------
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        # Past either check the body stays unread, so the connection
+        # cannot carry another request.
+        if not header.isdecimal():
+            self.close_connection = True
+            raise _BadRequest(
+                f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+        length = int(header)
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             raise _BadRequest(f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b"{}"
         try:
@@ -268,8 +281,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        if self.request_version == "HTTP/0.9":  # no status line or headers
+            self.wfile.write(body)
+        else:
+            # The blank line and the body join the buffered status line and
+            # headers, so the response leaves in one write.  With two, the
+            # body would wait behind Nagle's algorithm for the client's
+            # delayed ACK (~40 ms).
+            self._headers_buffer.append(b"\r\n" + body)
+            self.flush_headers()
         if log is not None:
             self.server.log_jsonl(log)
 

@@ -5,20 +5,23 @@ work: scenarios failing the same elements share a topology projection,
 degraded routings derive from one intact parent, and unaffected load
 rows are reusable across queries — exactly the structure the
 :class:`~repro.scenarios.batch.SweepEngine` exploits for offline sweeps.
-The scheduler brings that to the online path: requests arriving within a
-small window are drained into one batch, grouped by session, and
-evaluated back to back through the session's (single, shared) sweep
-engine while holding ``session.lock`` once per group instead of once per
-request.
+The scheduler brings that to the online path.  A query whose answer is
+already in the plan cache is answered on the caller's thread at submit
+time; it never queues or takes a lock.  Every other query is queued,
+and the dispatcher drains whatever is queued into one batch at once
+(no timed wait), groups it by session, and evaluates it back to back
+through the session's (single, shared) sweep engine while holding
+``session.lock`` once per group instead of once per request.  Queries
+that arrive while the dispatcher is busy form the next batch.
 
 Two properties make this safe:
 
 * **Determinism** — each query is still answered by exactly
-  ``session.under_scenario(spec)``; batching changes only *when* the
-  evaluation runs and what engine memos it finds warm, never the
-  arithmetic, so a batched answer is bit-identical to a direct call
-  (enforced by ``tests/test_serve_scheduler.py`` and the differential
-  HTTP tests).
+  ``session.under_scenario(spec)`` or its cached encoding; batching
+  changes only *when* the evaluation runs and what engine memos it
+  finds warm, never the arithmetic, so a batched answer is
+  bit-identical to a direct call (enforced by
+  ``tests/test_serve_scheduler.py`` and the differential HTTP tests).
 * **Isolation** — groups touch disjoint sessions, and within a group
   the engine is driven by one thread at a time under the session lock
   (see the thread-safety note on :mod:`repro.api.session`).
@@ -38,17 +41,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.api.session import Session
-from repro.obs import SIZE_BUCKETS, MetricsRegistry
+from repro.obs import SIZE_BUCKETS, MetricsRegistry, current_span_id
 from repro.obs import span as obs_span
 from repro.scenarios.spec import canonical_spec
 from repro.serve.cache import PlanCache
 from repro.serve.encoding import whatif_payload
-
-DEFAULT_WINDOW_S = 0.005
-"""Batching window: how long the oldest request of a batch may wait in
-the queue for companions, counted from its submission.  Small enough to
-be invisible per query, long enough to coalesce genuinely concurrent
-arrivals."""
 
 DEFAULT_MAX_BATCH = 64
 
@@ -58,6 +55,7 @@ class _Job:
     session_key: str
     session: Session
     canonical: str
+    span: Optional[int]  # the submitting thread's open span (None untraced)
     future: Future = field(default_factory=Future)
     submitted: float = field(default_factory=time.perf_counter)
 
@@ -67,7 +65,6 @@ class MicroBatchScheduler:
 
     Args:
         cache: The plan cache answers are stored in (one per service).
-        window_s: Drain window after the first job of a batch.
         max_batch: Upper bound on jobs per batch.
     """
 
@@ -75,14 +72,12 @@ class MicroBatchScheduler:
         self,
         cache: Optional[PlanCache] = None,
         *,
-        window_s: float = DEFAULT_WINDOW_S,
         max_batch: int = DEFAULT_MAX_BATCH,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.cache = cache if cache is not None else PlanCache()
-        self.window_s = float(window_s)
         self.max_batch = int(max_batch)
         self._queue: "queue.Queue[_Job]" = queue.Queue()
         self._stop = threading.Event()
@@ -140,18 +135,28 @@ class MicroBatchScheduler:
     # Submission
     # ------------------------------------------------------------------
     def submit(self, session_key: str, session: Session, scenario: str) -> Future:
-        """Enqueue one scenario query; the future resolves to
+        """Answer one scenario query; the future resolves to
         ``(payload, cache_hit)``.
 
         The spec is parsed and canonicalized *here*, on the caller's
         thread, so malformed specs and unknown kinds raise immediately
         (the HTTP layer maps them to 400) and never occupy the batch
-        pipeline.
+        pipeline.  A plan-cache hit is answered here too: the returned
+        future is already done, and the query never enters the queue or
+        waits for a session lock.
         """
         canonical = canonical_spec(scenario)
-        job = _Job(session_key=session_key, session=session, canonical=canonical)
         if self._thread is None:
             raise RuntimeError("scheduler is not running: call start() first")
+        payload = self.cache.lookup(session_key, canonical)
+        if payload is not None:
+            with self._stats_lock:
+                self._queries.inc()
+                self._cache_hits.inc()
+            future: Future = Future()
+            future.set_result((payload, True))
+            return future
+        job = _Job(session_key, session, canonical, current_span_id())
         self._queue.put(job)
         return job.future
 
@@ -168,41 +173,25 @@ class MicroBatchScheduler:
         self._drain_now()
 
     def _drain_batch(self, first: _Job) -> list[_Job]:
-        """The micro-batch: everything queued, plus arrivals until the
-        window of the oldest job closes.
-
-        The window runs from ``first``'s submission, not from its
-        dispatch: jobs that queued while the dispatcher was busy have
-        already waited, so they are batched with whatever else is queued
-        and dispatched without a further wait.
-        """
+        """The micro-batch: ``first`` plus everything already queued, up
+        to ``max_batch``.  Nothing waits for later arrivals: jobs that
+        queue while this batch runs form the next one."""
         batch = [first]
-        deadline = first.submitted + self.window_s
         while len(batch) < self.max_batch:
             try:
                 batch.append(self._queue.get_nowait())
-                continue
-            except queue.Empty:
-                pass
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
-            try:
-                batch.append(self._queue.get(timeout=remaining))
             except queue.Empty:
                 break
         return batch
 
     def _drain_now(self) -> None:
-        """Process whatever is queued without waiting (shutdown path)."""
-        batch = []
+        """Process whatever is queued (shutdown path)."""
         while True:
             try:
-                batch.append(self._queue.get_nowait())
+                first = self._queue.get_nowait()
             except queue.Empty:
-                break
-        if batch:
-            self._process(batch)
+                return
+            self._process(self._drain_batch(first))
 
     def _process(self, batch: list[_Job]) -> None:
         dispatched = time.perf_counter()
@@ -225,7 +214,12 @@ class MicroBatchScheduler:
     def _process_group(self, jobs: list[_Job]) -> None:
         """One session's slice of a batch, evaluated under its lock."""
         session = jobs[0].session
-        with obs_span("serve.batch_group", size=len(jobs), session=jobs[0].session_key):
+        with obs_span(
+            "serve.batch_group",
+            size=len(jobs),
+            session=jobs[0].session_key,
+            requests=[job.span for job in jobs],
+        ):
             with session.lock:
                 for job in jobs:
                     try:

@@ -45,7 +45,6 @@ class ServeService:
         pool: Warm-session pool (a fresh 4-entry pool by default).
         cache: Plan cache shared by the scheduler and sweeps.
         scheduler: Micro-batch scheduler; started on construction.
-        window_s: Batching window when building the default scheduler.
     """
 
     def __init__(
@@ -55,14 +54,12 @@ class ServeService:
         pool: Optional[SessionPool] = None,
         cache: Optional[PlanCache] = None,
         scheduler: Optional[MicroBatchScheduler] = None,
-        window_s: Optional[float] = None,
     ) -> None:
         self.default_spec = default_spec if default_spec is not None else SessionSpec()
         self.pool = pool if pool is not None else SessionPool()
         if scheduler is None:
             self.cache = cache if cache is not None else PlanCache()
-            kwargs = {} if window_s is None else {"window_s": window_s}
-            scheduler = MicroBatchScheduler(self.cache, **kwargs)
+            scheduler = MicroBatchScheduler(self.cache)
         else:
             if cache is not None and cache is not scheduler.cache:
                 raise ValueError(
@@ -116,7 +113,8 @@ class ServeService:
     def whatif(
         self, scenario: str, session_spec: Optional[dict] = None
     ) -> tuple[dict, bool]:
-        """One scenario query through the micro-batch scheduler.
+        """One scenario query through the micro-batch scheduler (a
+        plan-cache hit is answered without queueing).
 
         Returns:
             ``(payload, cache_hit)``; the payload is bit-identical to
@@ -135,10 +133,10 @@ class ServeService:
         """A batched sweep: explicit specs, whole kinds, or a space.
 
         Runs in one pass over the session's sweep engine (a sweep *is*
-        already a batch, so it bypasses the scheduler's window), under
-        the session lock.  A ``space`` answers from the streaming
-        aggregator — per-scenario outcomes are never materialized — and
-        is exclusive with explicit ``scenarios``/``kinds``.
+        already a batch, so it bypasses the scheduler), under the session
+        lock.  A ``space`` answers from the streaming aggregator —
+        per-scenario outcomes are never materialized — and is exclusive
+        with explicit ``scenarios``/``kinds``.
         """
         key, session = self._resolve(session_spec)
         if space is not None:

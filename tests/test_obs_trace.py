@@ -71,6 +71,22 @@ def test_nesting_records_parent_ids_child_first(tracer):
     assert [r["seq"] for r in (child, sibling, parent)] == [0, 1, 2]
 
 
+def test_current_span_id_is_the_innermost_open_span(tracer):
+    assert obs.current_span_id() is None
+    with obs.span("outer") as outer:
+        assert obs.current_span_id() == outer.span_id
+        with obs.span("inner") as inner:
+            assert obs.current_span_id() == inner.span_id
+        assert obs.current_span_id() == outer.span_id
+    assert obs.current_span_id() is None
+
+
+def test_current_span_id_is_none_when_tracing_is_off():
+    assert not obs.tracing_enabled()
+    with obs.span("ignored"):
+        assert obs.current_span_id() is None
+
+
 def test_late_attributes_land_in_the_record(tracer):
     with obs.span("sized") as span:
         span.set(rows=17)

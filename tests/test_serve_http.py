@@ -10,7 +10,10 @@ also exercises the pool's deterministic-rebuild guarantee.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import socketserver
 import threading
 import urllib.error
 import urllib.request
@@ -18,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import obs
 from repro.scenarios.spec import ScenarioSet, canonical_spec, enumerate_scenarios
 from repro.serve import (
     ServeService,
@@ -343,6 +347,116 @@ def test_malformed_json_is_400(base_url):
         urllib.request.urlopen(request)
     assert excinfo.value.code == 400
     assert "malformed JSON" in json.loads(excinfo.value.read())["error"]
+
+
+def test_negative_content_length_is_400_naming_the_header(server):
+    """``rfile.read(-1)`` would read until the client hangs up."""
+    with socket.create_connection(server.server_address, timeout=3) as sock:
+        sock.sendall(
+            b"POST /whatif HTTP/1.1\r\nHost: test\r\nContent-Length: -1\r\n\r\n"
+        )
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        body = response.read()
+    assert response.status == 400
+    assert "Content-Length" in json.loads(body)["error"]
+    assert response.getheader("Connection") == "close"
+
+
+def test_non_integer_content_length_is_400_naming_the_header(server):
+    with socket.create_connection(server.server_address, timeout=3) as sock:
+        sock.sendall(
+            b"POST /whatif HTTP/1.1\r\nHost: test\r\nContent-Length: abc\r\n\r\n"
+        )
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        body = response.read()
+    assert response.status == 400
+    assert "Content-Length" in json.loads(body)["error"]
+
+
+def test_accepted_sockets_have_nodelay(tmp_path):
+    """Without TCP_NODELAY a second segment waits for the delayed ACK."""
+    seen = []
+
+    class Recording(WhatIfServer):
+        def shutdown_request(self, request):
+            seen.append(request.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            super().shutdown_request(request)
+
+    srv = Recording(("127.0.0.1", 0), ServeService(SPEC))
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        assert _get("http://127.0.0.1:%d" % srv.server_address[1], "/health")[0] == 200
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+    assert seen and all(seen)
+
+
+def test_a_response_leaves_in_one_send(server, monkeypatch):
+    """Status line, headers and body in one write, on a kept-alive
+    connection (a second write would wait ~40 ms for the client's
+    delayed ACK)."""
+    writes = []
+    original = socketserver._SocketWriter.write
+
+    def counting(self, data):
+        writes.append(len(data))
+        return original(self, data)
+
+    monkeypatch.setattr(socketserver._SocketWriter, "write", counting)
+    host, port = server.server_address
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        for method, path, body in (
+            ("GET", "/health", None),
+            ("POST", "/whatif", json.dumps({"scenario": "node:3"})),
+        ):
+            before = len(writes)
+            connection.request(method, path, body=body)
+            response = connection.getresponse()
+            payload = response.read()
+            assert response.status == 200
+            assert len(writes) - before == 1, (path, writes[before:])
+            assert writes[-1] > len(payload)  # headers and body together
+    finally:
+        connection.close()
+
+
+def test_traced_miss_names_its_request_span_in_the_batch_group(tmp_path):
+    """The scheduler hop: ``serve.batch_group`` runs on the dispatcher
+    thread and records the ``http.request`` span ids it answers."""
+    path = tmp_path / "spans.jsonl"
+    obs.enable_tracing(path)
+    try:
+        srv = WhatIfServer(("127.0.0.1", 0), ServeService(SPEC))
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        try:
+            url = "http://127.0.0.1:%d" % srv.server_address[1]
+            assert _post(url, "/whatif", {"scenario": "node:3"})[0] == 200
+            assert _post(url, "/whatif", {"scenario": "node:3"})[0] == 200  # a hit
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=5)
+    finally:
+        obs.disable_tracing()
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    requests = [
+        r for r in records
+        if r["name"] == "http.request" and r["attrs"]["path"] == "/whatif"
+    ]
+    groups = [r for r in records if r["name"] == "serve.batch_group"]
+    assert len(requests) == 2
+    assert len(groups) == 1  # the hit was answered on its request thread
+    (group,) = groups
+    assert group["parent"] is None  # its own thread has no open span
+    assert group["attrs"]["requests"] == [requests[0]["span"]]
+    assert group["thread"] != requests[0]["thread"]
 
 
 def test_unknown_paths_are_404(base_url):

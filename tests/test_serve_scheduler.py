@@ -10,7 +10,6 @@ byte for byte, a serial single-threaded reference.
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -63,7 +62,8 @@ def test_malformed_specs_fail_at_submit_time():
 def test_concurrent_queries_are_bit_identical_to_serial(reference):
     session = SPEC.build()
     key = SPEC.key()
-    with MicroBatchScheduler() as scheduler:
+    cache = PlanCache()
+    with MicroBatchScheduler(cache) as scheduler:
         with ThreadPoolExecutor(max_workers=8) as executor:
             futures = {
                 (i, q): executor.submit(
@@ -82,54 +82,36 @@ def test_concurrent_queries_are_bit_identical_to_serial(reference):
     assert stats["cache_hits"] >= stats["queries"] - len(set(
         canonical_spec(q) for q in QUERIES
     ))
+    # One lookup per query, whether answered at submit or after the queue.
+    lookups = cache.metrics()
+    assert lookups["lookups"] == stats["queries"]
+    assert lookups["hits"] == stats["cache_hits"]
 
 
-def test_window_coalesces_a_burst_into_one_batch(reference):
+def test_every_query_counts_once_and_hits_add_no_batch(reference):
     session = SPEC.build()
     key = SPEC.key()
     cache = PlanCache()
-    scheduler = MicroBatchScheduler(cache, window_s=0.25)
-    # Stall the dispatcher behind one job so the burst queues up, then
-    # assert the whole burst lands in a single batch.
-    release = threading.Event()
-    original = session.under_scenario
-
-    def gated(*args, **kwargs):
-        release.wait(timeout=5)
-        return original(*args, **kwargs)
-
-    session.under_scenario = gated
-    try:
-        scheduler.start()
-        first = scheduler.submit(key, session, QUERIES[0])
-        burst = [scheduler.submit(key, session, q) for q in QUERIES[1:]]
-        release.set()
-        payload, _ = first.result(timeout=10)
-        assert canonical_body(payload) == reference[QUERIES[0]]
-        for q, future in zip(QUERIES[1:], burst):
-            payload, _ = future.result(timeout=10)
+    stream = QUERIES * 2
+    with MicroBatchScheduler(cache) as scheduler:
+        for q in stream:
+            payload, _hit = scheduler.submit(key, session, q).result(timeout=10)
             assert canonical_body(payload) == reference[q]
-    finally:
-        session.under_scenario = original
-        scheduler.stop()
-    stats = scheduler.metrics()
-    assert stats["max_batch_size"] >= 2
-    assert stats["coalesced_queries"] >= 2
-    assert stats["batches"] < stats["queries"]
+    unique = len({canonical_spec(q) for q in QUERIES})
+    stats, lookups = scheduler.metrics(), cache.metrics()
+    assert stats["queries"] == lookups["lookups"] == len(stream)
+    assert lookups["hits"] + lookups["misses"] == lookups["lookups"]
+    assert lookups["misses"] == unique
+    assert stats["cache_hits"] == lookups["hits"] == len(stream) - unique
+    # Queries submitted one at a time: each miss is a batch of its own,
+    # and a hit never reaches the dispatcher.
+    assert stats["batches"] == unique
+    assert stats["max_batch_size"] == 1
 
 
-def test_jobs_that_queued_while_busy_dispatch_without_a_further_wait(reference):
-    """The window runs from the oldest job's submission, not its dispatch.
-
-    A burst that queues up behind a stalled batch has already waited
-    longer than the window by the time the dispatcher frees up, so it is
-    drained as one batch and answered without sitting out the window
-    again.
-    """
-    window_s = 0.5
-    session = SPEC.build()
-    key = SPEC.key()
-    scheduler = MicroBatchScheduler(PlanCache(), window_s=window_s)
+def _gate(session):
+    """Stall ``session.under_scenario`` until released; returns
+    ``(entered, release, restore)``."""
     entered, release = threading.Event(), threading.Event()
     original = session.under_scenario
 
@@ -139,28 +121,71 @@ def test_jobs_that_queued_while_busy_dispatch_without_a_further_wait(reference):
         return original(*args, **kwargs)
 
     session.under_scenario = gated
+
+    def restore():
+        release.set()
+        session.under_scenario = original
+
+    return entered, release, restore
+
+
+def test_a_hit_is_answered_at_submit_while_the_dispatcher_is_stalled(reference):
+    session = SPEC.build()
+    key = SPEC.key()
+    scheduler = MicroBatchScheduler(PlanCache()).start()
     try:
-        scheduler.start()
+        scheduler.submit(key, session, "link:0-4").result(timeout=10)  # cached
+        entered, release, restore = _gate(session)
+        try:
+            stalled = scheduler.submit(key, session, "node:3")
+            assert entered.wait(timeout=5)  # the dispatcher holds the session lock
+            # A spelling variant of the cached query: answered on this
+            # thread, without the queue, the dispatcher or the lock.
+            hit = scheduler.submit(key, session, "link: 0-4")
+            assert hit.done()
+            payload, was_hit = hit.result(timeout=0)
+            assert was_hit
+            assert canonical_body(payload) == reference["link: 0-4"]
+            assert not stalled.done()
+            assert scheduler.metrics()["batches"] == 2
+        finally:
+            restore()
+        payload, was_hit = stalled.result(timeout=10)
+        assert not was_hit
+        assert canonical_body(payload) == reference["node:3"]
+    finally:
+        scheduler.stop()
+    stats = scheduler.metrics()
+    assert stats["queries"] == 3
+    assert stats["batches"] == 2  # the hit added none
+    assert stats["cache_hits"] == 1
+
+
+def test_a_burst_queued_behind_a_stalled_batch_forms_one_batch(reference):
+    """Nothing waits for companions, yet queries that queue while the
+    dispatcher is busy are drained together into the next batch."""
+    session = SPEC.build()
+    key = SPEC.key()
+    scheduler = MicroBatchScheduler(PlanCache()).start()
+    entered, release, restore = _gate(session)
+    try:
         first = scheduler.submit(key, session, QUERIES[0])
         assert entered.wait(timeout=5)  # the first batch is being evaluated
         burst = [scheduler.submit(key, session, q) for q in QUERIES[1:]]
-        time.sleep(window_s * 1.2)  # the burst outlives its window in the queue
-        started = time.perf_counter()
         release.set()
-        first.result(timeout=10)
+        payload, _ = first.result(timeout=10)
+        assert canonical_body(payload) == reference[QUERIES[0]]
         for q, future in zip(QUERIES[1:], burst):
             payload, _ = future.result(timeout=10)
             assert canonical_body(payload) == reference[q]
-        elapsed = time.perf_counter() - started
     finally:
-        session.under_scenario = original
+        restore()
         scheduler.stop()
     stats = scheduler.metrics()
     assert stats["batches"] == 2
     assert stats["max_batch_size"] == len(QUERIES) - 1
-    # Draining from dispatch would have held the burst for the full
-    # window after the first batch finished.
-    assert elapsed < window_s * 0.8
+    assert stats["coalesced_queries"] == len(QUERIES) - 1
+    assert stats["queries"] == len(QUERIES)
 
 
 def test_groups_isolate_sessions():
@@ -170,7 +195,7 @@ def test_groups_isolate_sessions():
     ref_a = canonical_body(whatif_payload(session_a.under_scenario("node:3")))
     ref_b = canonical_body(whatif_payload(session_b.under_scenario("node:3")))
     assert ref_a != ref_b  # different baselines, different answers
-    with MicroBatchScheduler(window_s=0.05) as scheduler:
+    with MicroBatchScheduler() as scheduler:
         fa = scheduler.submit(SPEC.key(), session_a, "node:3")
         fb = scheduler.submit(spec_b.key(), session_b, "node:3")
         assert canonical_body(fa.result(timeout=10)[0]) == ref_a
