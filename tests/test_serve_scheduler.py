@@ -10,6 +10,7 @@ byte for byte, a serial single-threaded reference.
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -161,16 +162,19 @@ def test_a_hit_is_answered_at_submit_while_the_dispatcher_is_stalled(reference):
     assert stats["cache_hits"] == 1
 
 
-def test_a_burst_queued_behind_a_stalled_batch_forms_one_batch(reference):
-    """Nothing waits for companions, yet queries that queue while the
-    dispatcher is busy are drained together into the next batch."""
+def test_window_coalesces_a_burst_into_one_batch(reference):
+    """The window a batch drains is whatever queued while the dispatcher
+    was busy: there is no timed wait, yet a burst still coalesces."""
     session = SPEC.build()
     key = SPEC.key()
-    scheduler = MicroBatchScheduler(PlanCache()).start()
-    entered, release, restore = _gate(session)
+    cache = PlanCache()
+    scheduler = MicroBatchScheduler(cache)
+    # Stall the dispatcher behind one job so the burst queues up, then
+    # assert the whole burst lands in a single batch.
+    _entered, release, restore = _gate(session)
     try:
+        scheduler.start()
         first = scheduler.submit(key, session, QUERIES[0])
-        assert entered.wait(timeout=5)  # the first batch is being evaluated
         burst = [scheduler.submit(key, session, q) for q in QUERIES[1:]]
         release.set()
         payload, _ = first.result(timeout=10)
@@ -182,10 +186,42 @@ def test_a_burst_queued_behind_a_stalled_batch_forms_one_batch(reference):
         restore()
         scheduler.stop()
     stats = scheduler.metrics()
+    assert stats["max_batch_size"] >= 2
+    assert stats["coalesced_queries"] >= 2
+    assert stats["batches"] < stats["queries"]
+
+
+def test_jobs_that_queued_while_busy_dispatch_without_a_further_wait(reference):
+    """Nothing waits for companions: a burst that queued behind a stalled
+    batch is drained as one batch and answered as soon as the dispatcher
+    frees up."""
+    session = SPEC.build()
+    key = SPEC.key()
+    scheduler = MicroBatchScheduler(PlanCache()).start()
+    entered, release, restore = _gate(session)
+    try:
+        first = scheduler.submit(key, session, QUERIES[0])
+        assert entered.wait(timeout=5)  # the first batch is being evaluated
+        burst = [scheduler.submit(key, session, q) for q in QUERIES[1:]]
+        started = time.perf_counter()
+        release.set()
+        payload, _ = first.result(timeout=10)
+        assert canonical_body(payload) == reference[QUERIES[0]]
+        for q, future in zip(QUERIES[1:], burst):
+            payload, _ = future.result(timeout=10)
+            assert canonical_body(payload) == reference[q]
+        elapsed = time.perf_counter() - started
+    finally:
+        restore()
+        scheduler.stop()
+    stats = scheduler.metrics()
     assert stats["batches"] == 2
     assert stats["max_batch_size"] == len(QUERIES) - 1
     assert stats["coalesced_queries"] == len(QUERIES) - 1
     assert stats["queries"] == len(QUERIES)
+    # Evaluating the nine queries takes tens of milliseconds; a timed
+    # wait of 0.4 s or more before a drained batch would show here.
+    assert elapsed < 0.4
 
 
 def test_groups_isolate_sessions():
