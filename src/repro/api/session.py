@@ -23,16 +23,17 @@ bit-identical to a from-scratch evaluation.
 
 Thread safety
 -------------
-A session is **not** thread-safe.  Its evaluator's LRU caches mutate an
-``OrderedDict`` on every lookup (recency reordering and hit/miss
-counters), the sweep engine appends to projection/routing memos and a
-shared ``stats`` dict, and the lazily built baseline/engine slots are
-plain attributes — none of it is synchronized.  Callers that share one
-session across threads (the :mod:`repro.serve` scheduler, notably) must
-hold :attr:`Session.lock` around every evaluator/engine touch; with the
-lock held, queries are serialized and therefore produce exactly the
-bytes a single-threaded caller would see.  Distinct sessions share no
-mutable state and need no coordination.
+A session is **not** thread-safe.  Its evaluator's caches and the sweep
+engine's projection/routing memos are :class:`~repro.lru.LruCache`
+instances, which refresh recency and count hits on every lookup; the
+engine also bumps a shared ``stats`` dict, and the lazily built
+baseline/engine slots are plain attributes — none of it is
+synchronized.  Callers that share one session across threads (the
+:mod:`repro.serve` scheduler, notably) must hold :attr:`Session.lock`
+around every evaluator/engine touch; with the lock held, queries are
+serialized and therefore produce exactly the bytes a single-threaded
+caller would see.  Distinct sessions share no mutable state and need
+no coordination.
 
 References:
     [FT00] B. Fortz and M. Thorup, "Internet traffic engineering by

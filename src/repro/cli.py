@@ -111,7 +111,6 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core.evaluator import LOAD_MODE, SLA_MODE
-from repro.eval import figures
 from repro.eval.campaign import (
     CampaignSpec,
     CampaignStore,
@@ -119,6 +118,7 @@ from repro.eval.campaign import (
     run_campaign,
 )
 from repro.eval.experiment import ExperimentConfig, run_comparison, scaled_config
+from repro.eval.report import RUNNERS
 from repro.eval.results import save_result
 from repro.ioutil import atomic_write_json
 from repro.network.io import save_network
@@ -127,28 +127,6 @@ from repro.network.topology_powerlaw import powerlaw_topology
 from repro.network.topology_random import random_topology
 
 DEFAULT_BASELINE_DIR = "benchmarks/baselines"
-
-_FIGURE_RUNNERS = {
-    "fig2a": lambda scale, seed: figures.fig2("random", LOAD_MODE, scale=scale, seed=seed),
-    "fig2b": lambda scale, seed: figures.fig2("powerlaw", LOAD_MODE, scale=scale, seed=seed),
-    "fig2c": lambda scale, seed: figures.fig2("isp", LOAD_MODE, scale=scale, seed=seed),
-    "fig2d": lambda scale, seed: figures.fig2("random", SLA_MODE, scale=scale, seed=seed),
-    "fig2e": lambda scale, seed: figures.fig2("powerlaw", SLA_MODE, scale=scale, seed=seed),
-    "fig2f": lambda scale, seed: figures.fig2("isp", SLA_MODE, scale=scale, seed=seed),
-    "fig3a": lambda scale, seed: figures.fig3("a", scale=scale, seed=seed),
-    "fig3b": lambda scale, seed: figures.fig3("b", scale=scale, seed=seed),
-    "fig3c": lambda scale, seed: figures.fig3("c", scale=scale, seed=seed),
-    "fig4": lambda scale, seed: figures.fig4(scale=scale, seed=seed),
-    "fig5a": lambda scale, seed: figures.fig5(LOAD_MODE, scale=scale, seed=seed),
-    "fig5b": lambda scale, seed: figures.fig5(SLA_MODE, scale=scale, seed=seed),
-    "fig6": lambda scale, seed: figures.fig6(scale=scale, seed=seed),
-    "fig7": lambda scale, seed: figures.fig7(scale=scale, seed=seed),
-    "fig8a": lambda scale, seed: figures.fig8(LOAD_MODE, scale=scale, seed=seed),
-    "fig8b": lambda scale, seed: figures.fig8(SLA_MODE, scale=scale, seed=seed),
-    "fig9": lambda scale, seed: figures.fig9(scale=scale, seed=seed),
-    "table1": lambda scale, seed: figures.table1(scale=scale, seed=seed),
-    "scenarios": lambda scale, seed: figures.fig_scenarios(scale=scale, seed=seed),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     topo.add_argument("--out", required=True, help="output JSON path")
 
     fig = sub.add_parser("figure", help="reproduce a figure or table from the paper")
-    fig.add_argument("--id", dest="figure_id", choices=sorted(_FIGURE_RUNNERS), required=True)
+    fig.add_argument("--id", dest="figure_id", choices=sorted(RUNNERS), required=True)
     fig.add_argument("--scale", type=float, default=1.0, help="search budget scale")
     fig.add_argument("--seed", type=int, default=1)
     fig.add_argument("--json", dest="json_out", default=None, help="also save JSON here")
@@ -493,7 +471,7 @@ def _run_topology(args: argparse.Namespace) -> int:
 
 
 def _run_figure(args: argparse.Namespace) -> int:
-    result = _FIGURE_RUNNERS[args.figure_id](args.scale, args.seed)
+    result = RUNNERS[args.figure_id](args.scale, args.seed)
     print(result.format())
     if args.json_out:
         save_result(result, args.json_out)

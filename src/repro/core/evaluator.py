@@ -39,7 +39,6 @@ full rebuild (the verification fallback used by the property tests).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional, Union
@@ -56,6 +55,7 @@ from repro.costs.sla import (
     link_delays_ms,
     pair_delay_penalty,
 )
+from repro.lru import LruCache
 from repro.network.graph import Network
 from repro.routing.incremental import (
     WeightDelta,
@@ -94,47 +94,6 @@ class _LowLayer:
     routing: Routing
     dest_rows: np.ndarray
     loads: np.ndarray
-
-
-class _LruCache:
-    """A small bytes-keyed LRU cache."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("cache capacity must be >= 1")
-        self._capacity = capacity
-        self._store: OrderedDict[bytes, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: bytes):
-        entry = self._store.get(key)
-        if entry is not None:
-            self._store.move_to_end(key)
-            self.hits += 1
-        else:
-            self.misses += 1
-        return entry
-
-    def peek(self, key: Optional[bytes]):
-        """Look up without touching the hit/miss counters.
-
-        Recency *is* refreshed: a peeked entry is a search's current base
-        layer, which must not be evicted while candidate layers stream in
-        around it (e.g. a long rejection streak in annealing).
-        """
-        if key is None:
-            return None
-        entry = self._store.get(key)
-        if entry is not None:
-            self._store.move_to_end(key)
-        return entry
-
-    def put(self, key: bytes, value: object) -> None:
-        self._store[key] = value
-        self._store.move_to_end(key)
-        while len(self._store) > self._capacity:
-            self._store.popitem(last=False)
 
 
 def _ordered_row_sum(rows: np.ndarray, num_links: int) -> np.ndarray:
@@ -196,12 +155,12 @@ class DualTopologyEvaluator:
         self.sla_params = sla_params or SlaParams()
         self.incremental = bool(incremental)
         self.verify_incremental = bool(verify_incremental)
-        self._high_cache = _LruCache(cache_size)
-        self._low_cache = _LruCache(cache_size)
-        self._full_cache = _LruCache(cache_size * 2)
+        self._high_cache = LruCache(cache_size)
+        self._low_cache = LruCache(cache_size)
+        self._full_cache = LruCache(cache_size * 2)
         # Routings depend only on the weight vector, so high and low layers
         # share them: entries are (routing, parent_key, affected_set).
-        self._routing_memo = _LruCache(cache_size * 2)
+        self._routing_memo = LruCache(cache_size * 2)
         self._high_demands = high_traffic.demands
         self._low_demands = low_traffic.demands
         self._high_active = np.flatnonzero(self._high_demands.sum(axis=0) > 0)

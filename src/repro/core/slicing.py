@@ -26,6 +26,7 @@ from repro.core.search_params import SearchParams
 from repro.costs.fortz import fortz_cost_vector
 from repro.costs.residual import residual_capacities
 from repro.determinism import default_rng
+from repro.lru import LruCache
 from repro.routing.state import Routing
 from repro.routing.weights import weights_key
 from repro.traffic.matrix import TrafficMatrix
@@ -87,25 +88,6 @@ class SlicedResult:
         return 1 + len(self.slice_weights)
 
 
-class _SliceLoadCache:
-    """Caches per-slice link loads keyed by (slice index, weight bytes)."""
-
-    def __init__(self, net, slices: Sequence[TrafficMatrix]) -> None:
-        self._net = net
-        self._slices = slices
-        self._cache: dict[tuple[int, bytes], np.ndarray] = {}
-
-    def loads(self, index: int, weights: np.ndarray) -> np.ndarray:
-        key = (index, weights_key(np.asarray(weights, dtype=np.int64)))
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = Routing(self._net, weights).link_loads(self._slices[index])
-            if len(self._cache) > 512:
-                self._cache.clear()
-            self._cache[key] = cached
-        return cached
-
-
 def optimize_sliced_low(
     evaluator: DualTopologyEvaluator,
     high_weights: Sequence[int],
@@ -148,14 +130,22 @@ def optimize_sliced_low(
     phi_high = float(fortz_cost_vector(high_loads, net.capacities()).sum())
 
     slices = slice_traffic_matrix(evaluator.low_traffic, num_slices, rng)
-    cache = _SliceLoadCache(net, slices)
+    load_cache: LruCache[tuple[int, bytes], np.ndarray] = LruCache(512)
     slice_weights = [high_weights.copy() for _ in range(num_slices)]
     sampler = NeighborhoodSampler(params, rng)
+
+    def slice_loads(index: int, weights: np.ndarray) -> np.ndarray:
+        key = (index, weights_key(np.asarray(weights, dtype=np.int64)))
+        loads = load_cache.get(key)
+        if loads is None:
+            loads = Routing(net, weights).link_loads(slices[index])
+            load_cache.put(key, loads)
+        return loads
 
     def total_low_loads() -> np.ndarray:
         loads = np.zeros(net.num_links)
         for idx, weights in enumerate(slice_weights):
-            loads += cache.loads(idx, weights)
+            loads += slice_loads(idx, weights)
         return loads
 
     def phi_low_of(loads: np.ndarray) -> float:
@@ -170,14 +160,14 @@ def optimize_sliced_low(
     stale = 0
     for round_idx in range(1, rounds + 1):
         for idx in range(num_slices):
-            others = total_low_loads() - cache.loads(idx, slice_weights[idx])
-            current_loads = cache.loads(idx, slice_weights[idx])
+            others = total_low_loads() - slice_loads(idx, slice_weights[idx])
+            current_loads = slice_loads(idx, slice_weights[idx])
             per_link = fortz_cost_vector(others + current_loads, residual)
             order = list(np.argsort(-per_link, kind="stable"))
             best_neighbor = None
             best_value = phi_low_of(others + current_loads)
             for neighbor in sampler.neighbors(slice_weights[idx], order):
-                candidate = phi_low_of(others + cache.loads(idx, neighbor))
+                candidate = phi_low_of(others + slice_loads(idx, neighbor))
                 if candidate < best_value:
                     best_value = candidate
                     best_neighbor = neighbor

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
+from repro.lru import LruCache
 from repro.network.graph import Network
 from repro.routing.soa import (
     DestinationDag,
@@ -29,16 +29,16 @@ from repro.traffic.matrix import TrafficMatrix
 DemandsLike = Union[TrafficMatrix, np.ndarray]
 
 _DEST_SCHEDULE_CAP = 2
-"""Multi-row destination schedules kept per routing (FIFO), keyed by the
+"""Multi-row destination schedules kept per routing (LRU), keyed by the
 requested destination list.  A from-scratch high layer's SLA delay pass
 (:meth:`Routing.path_delays` over every high-priority destination)
 reuses the schedule its load rows just compiled for the same list; when
-an STR move shares the routing, the low layer's list is the second
+an STR move shares the routing, the low layer's list is the other
 entry, so a later query on either list (e.g. the delay pass of
 ``Session.scaled_traffic``) still hits.  The extra key a derived layer's
-delay pass adds only evicts its affected-row list, which nothing
-requests again.  The worst case (two full-network schedules) stays
-small next to the DAG cache itself."""
+delay pass adds only evicts its affected-row list, the least recently
+used entry, which nothing requests again.  The worst case (two
+full-network schedules) stays small next to the DAG cache itself."""
 
 
 class Routing:
@@ -66,7 +66,7 @@ class Routing:
         self._dag_out: dict[int, list[list[int]]] = {}
         self._dags: dict[int, DestinationDag] = {}
         self._pending_dags: Optional[tuple[list[int], tuple]] = None
-        self._dest_schedules: OrderedDict[bytes, Schedule] = OrderedDict()
+        self._dest_schedules: LruCache[bytes, Schedule] = LruCache(_DEST_SCHEDULE_CAP)
         self._all_finite: Optional[bool] = None
 
     @classmethod
@@ -98,7 +98,7 @@ class Routing:
         routing._dag_out = dict(dag_out) if dag_out else {}
         routing._dags = dict(dags) if dags else {}
         routing._pending_dags = None
-        routing._dest_schedules = OrderedDict()
+        routing._dest_schedules = LruCache(_DEST_SCHEDULE_CAP)
         routing._all_finite = None
         return routing
 
@@ -403,9 +403,7 @@ class Routing:
             schedule = build_schedule(
                 self.ensure_dags(dests), net.link_destinations(), net.num_nodes, net.num_links
             )
-        while len(self._dest_schedules) >= _DEST_SCHEDULE_CAP:
-            self._dest_schedules.popitem(last=False)
-        self._dest_schedules[key] = schedule
+        self._dest_schedules.put(key, schedule)
         return schedule
 
     def _demand_array(self, traffic: DemandsLike) -> np.ndarray:

@@ -29,10 +29,11 @@ from __future__ import annotations
 import abc
 import re
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
+from repro.lru import LruCache
 from repro.network.graph import Network
 from repro.scenarios.projection import TopologyProjection
 from repro.traffic.matrix import TrafficMatrix
@@ -215,7 +216,7 @@ class Scenario(abc.ABC):
         high: TrafficMatrix,
         low: TrafficMatrix,
         *,
-        projections: Optional[dict[tuple[int, ...], TopologyProjection]] = None,
+        projections: Optional[Union[dict, LruCache]] = None,
     ) -> LoweredScenario:
         """Lower to the normalized ``(network, weights-map, traffic)`` form.
 
@@ -223,10 +224,10 @@ class Scenario(abc.ABC):
             net: The intact network.
             high: Intact high-priority traffic.
             low: Intact low-priority traffic.
-            projections: Optional shared projection cache keyed by the
-                failed-link tuple; scenarios failing the same elements
-                then share one surviving network (the batch evaluator
-                passes its cache here).
+            projections: Optional shared projection cache (a dict or an
+                LRU) keyed by the failed-link tuple; scenarios failing the
+                same elements then share one surviving network (the batch
+                evaluator passes its memo here).
         """
         failed = self.failed_link_indices(net)
         projection = projections.get(failed) if projections is not None else None

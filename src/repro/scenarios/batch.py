@@ -50,6 +50,7 @@ from repro.core.evaluator import LOAD_MODE, SLA_MODE, Evaluation, _ordered_row_s
 from repro.core.lexicographic import LexCost
 from repro.costs.load_cost import load_cost_from_loads
 from repro.costs.sla import SlaParams, sla_cost_from_loads
+from repro.lru import LruCache
 from repro.network.graph import Network
 from repro.routing.incremental import (
     derive_children,
@@ -81,12 +82,12 @@ _OBS_SWEEP_BATCH = obs.histogram(
     buckets=obs.SIZE_BUCKETS,
 )
 
-ROUTING_MEMO_CAP = 256
-"""Degraded routings kept per engine.  Each entry holds an ``n x n``
-distance matrix plus lazy DAG state, and a Session caches its engine for
-the lifetime of a baseline — an unbounded memo would grow with every
-distinct failure ever queried.  FIFO eviction keeps repeated interactive
-queries fast without letting long-lived sessions accumulate memory."""
+MEMO_CAP = 256
+"""Entries kept in each of an engine's two memos, projections and
+degraded routings.  A routing holds an ``n x n`` distance matrix, and a
+Session caches its engine for the lifetime of a baseline — an unbounded
+memo would grow with every distinct failure ever queried.  LRU eviction
+keeps repeated queries fast without letting sessions accumulate memory."""
 
 
 class _ClassState:
@@ -165,7 +166,7 @@ class ScenarioClassSummary:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Outcome of one batched scenario sweep."""
+    """Outcome of one batched scenario sweep; ``stats`` counts its work only."""
 
     baseline: Evaluation
     outcomes: tuple[ScenarioOutcome, ...]
@@ -252,9 +253,8 @@ class SweepEngine:
         low_routing = high_routing if np.array_equal(wh, wl) else Routing(net, wl)
         self._high = _ClassState(net, high_routing, high_traffic)
         self._low = _ClassState(net, low_routing, low_traffic)
-        self._projections: dict[tuple[int, ...], TopologyProjection] = {}
-        # (failed-links, weights-key) -> the derived/rebuilt degraded routing
-        self._routings: dict[tuple[tuple[int, ...], bytes], Routing] = {}
+        self._projections: LruCache[tuple[int, ...], TopologyProjection] = LruCache(MEMO_CAP)
+        self._routings: LruCache[tuple[tuple[int, ...], bytes], Routing] = LruCache(MEMO_CAP)
         self.stats = {
             "scenarios": 0,
             "shared_projections": 0,
@@ -286,18 +286,20 @@ class SweepEngine:
         """The intact low-priority traffic."""
         return self._low_tm
 
-    def _mirror_stats(self, before: dict) -> None:
-        """Mirror the stat deltas since ``before`` into obs counters."""
-        for key, value in self.stats.items():
-            delta = value - before[key]
-            if delta:
-                _OBS_SWEEP_EVENTS[key].inc(delta)
+    def publish_stats(self, before: dict[str, int]) -> dict[str, int]:
+        """The counts :attr:`stats` gained since the copy ``before``, also
+        added to the process-wide obs counters (so once per snapshot)."""
+        delta = {key: value - before[key] for key, value in self.stats.items()}
+        for key, value in delta.items():
+            if value:
+                _OBS_SWEEP_EVENTS[key].inc(value)
+        return delta
 
     def evaluate(self, scenario: Scenario) -> ScenarioOutcome:
         """Evaluate one scenario (reusing whatever earlier queries built)."""
         before = dict(self.stats)
         outcome = self._evaluate_lowered(scenario, self._lower(scenario))
-        self._mirror_stats(before)
+        self.publish_stats(before)
         return outcome
 
     def evaluate_streaming(self, scenario: Scenario) -> ScenarioOutcome:
@@ -325,8 +327,9 @@ class SweepEngine:
         degraded routings the batch will need, so their
         restricted Dijkstras run blocked
         (:func:`repro.routing.spf.distances_to_subsets_batched`) instead
-        of one scipy call per scenario.  Outcomes and stats are
-        bit-identical to evaluating the scenarios one by one.
+        of one scipy call per scenario.  Outcomes are bit-identical to
+        evaluating the scenarios one by one, and so are the stats of this
+        call unless prefetching evicts (:meth:`_prefetch_routings`).
         """
         before = dict(self.stats)
         pairs = [(scenario, self._lower(scenario)) for scenario in scenarios]
@@ -336,9 +339,8 @@ class SweepEngine:
             outcomes = tuple(
                 self._evaluate_lowered(scenario, lowered) for scenario, lowered in pairs
             )
-        self._mirror_stats(before)
         return SweepResult(
-            baseline=self.baseline, outcomes=outcomes, stats=dict(self.stats)
+            baseline=self.baseline, outcomes=outcomes, stats=self.publish_stats(before)
         )
 
     def sweep_space(self, space, **kwargs):
@@ -359,12 +361,11 @@ class SweepEngine:
     # ------------------------------------------------------------------
     def _lower(self, scenario: Scenario) -> LoweredScenario:
         """Lower one scenario, sharing projections and counting the hit."""
-        before = len(self._projections)
+        hits = self._projections.hits
         lowered = scenario.lower(
             self._net, self._high_tm, self._low_tm, projections=self._projections
         )
-        if len(self._projections) == before:
-            self.stats["shared_projections"] += 1
+        self.stats["shared_projections"] += self._projections.hits - hits
         return lowered
 
     _PREFETCH_CHUNK = 32
@@ -376,15 +377,15 @@ class SweepEngine:
         """Build the degraded routings a sweep needs with blocked Dijkstra.
 
         Collects the distinct ``(failed_links, weights_key)`` routing-memo
-        misses the batch will incur — in first-need order, so the FIFO
-        memo evolves exactly as under sequential evaluation — and derives
+        misses the batch will incur, in first-need order, and derives
         them chunk-wise, one :func:`derive_children` call per class and
         chunk, so their restricted Dijkstras share one blocked solve.  The
-        resulting routings and the ``derived_routings``/``full_routings``
-        stats are identical to what :meth:`_class_routing` would have
-        produced on demand; at most :data:`ROUTING_MEMO_CAP` keys are
-        prefetched (more would only evict each other) — any overflow
-        falls back to on-demand builds.
+        routings are the ones :meth:`_class_routing` would build on
+        demand, and so are the ``derived_routings``/``full_routings``
+        counts whenever prefetching evicts nothing; an eviction can drop
+        an entry the batch still needs, which is then derived again.  At
+        most the memo's capacity of keys is prefetched (more would only
+        evict each other) — any overflow falls back to on-demand builds.
         """
         classes = [self._high]
         if self._low.key != self._high.key:
@@ -398,9 +399,9 @@ class SweepEngine:
                 key = (projection.failed_links, cls.key)
                 if key not in self._routings and key not in pending:
                     pending[key] = projection
-            if len(pending) >= ROUTING_MEMO_CAP:
+            if len(pending) >= self._routings.capacity:
                 break
-        keys = list(pending)[:ROUTING_MEMO_CAP]
+        keys = list(pending)[: self._routings.capacity]
         for start in range(0, len(keys), self._PREFETCH_CHUNK):
             chunk = keys[start : start + self._PREFETCH_CHUNK]
             built = {}
@@ -410,7 +411,7 @@ class SweepEngine:
                     routings = self._derive(cls, [pending[key] for key in mine])
                     built.update(zip(mine, routings))
             for key in chunk:
-                self._remember(key, built[key])
+                self._routings.put(key, built[key])
 
     def _evaluate_lowered(
         self,
@@ -474,14 +475,8 @@ class SweepEngine:
             return hit
         (routing,) = self._derive(cls, [projection])
         if memoize:
-            self._remember(key, routing)
+            self._routings.put(key, routing)
         return routing
-
-    def _remember(self, key: tuple[tuple[int, ...], bytes], routing: Routing) -> None:
-        """Insert into the FIFO routing memo, evicting past the cap."""
-        while len(self._routings) >= ROUTING_MEMO_CAP:
-            self._routings.pop(next(iter(self._routings)))
-        self._routings[key] = routing
 
     def _derive(
         self, cls: _ClassState, projections: list[TopologyProjection]

@@ -361,6 +361,7 @@ class SpaceSweepResult:
     that the space was never materialized.  ``scenarios`` counts the
     space, ``evaluated + pruned == scenarios``, and ``disconnected``
     includes both evaluated-disconnected and pruned scenarios.
+    ``stats`` counts the engine work of this sweep only.
     """
 
     space: str
@@ -427,6 +428,7 @@ def sweep_scenario_space(
     aggregate = StreamingAggregate(
         percentiles=percentiles, cvar_alpha=cvar_alpha
     )
+    before = dict(engine.stats)
     total = evaluated = pruned = disconnected = 0
     iterator = space.scenarios(net)
     with obs.span("scenarios.space", space=space.spec()):
@@ -479,7 +481,7 @@ def sweep_scenario_space(
         aggregate=aggregate.finalize(
             baseline_primary, baseline_secondary, baseline_max_utilization
         ),
-        stats=dict(engine.stats),
+        stats=engine.publish_stats(before),
     )
 
 

@@ -19,9 +19,9 @@ counters feed ``/metrics``.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Callable, Optional
 
+from repro.lru import LruCache
 from repro.obs import MetricsRegistry
 
 
@@ -42,11 +42,9 @@ class PlanCache:
     """
 
     def __init__(self, capacity: int = 1024, registry: Optional[MetricsRegistry] = None) -> None:
-        if capacity < 1:
-            raise ValueError("plan cache capacity must be >= 1")
-        self.capacity = int(capacity)
+        self._store: LruCache[tuple[str, str], dict] = LruCache(capacity)
+        self.capacity = self._store.capacity
         self._lock = threading.Lock()
-        self._store: OrderedDict[tuple[str, str], dict] = OrderedDict()
         self.registry = registry if registry is not None else MetricsRegistry()
         _events = "repro_serve_plan_cache_events_total"
         _help = "Plan-cache lookup outcomes and evictions."
@@ -96,20 +94,15 @@ class PlanCache:
             self._misses.inc()
         payload = compute()
         with self._lock:
-            self._store[key] = payload
-            self._store.move_to_end(key)
-            while len(self._store) > self.capacity:
-                self._store.popitem(last=False)
-                self._evictions.inc()
+            self._evictions.inc(self._store.put(key, payload))
             self._size.set(len(self._store))
         return payload, False
 
     def _hit(self, key: tuple[str, str]) -> Optional[dict]:
         """The entry for ``key``, refreshed and counted as a hit (caller
         holds the lock)."""
-        entry = self._store.get(key)
+        entry = self._store.peek(key)
         if entry is not None:
-            self._store.move_to_end(key)
             self._hits.inc()
         return entry
 

@@ -28,12 +28,12 @@ import hashlib
 import json
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.api.session import Session
 from repro.eval.experiment import ExperimentConfig
+from repro.lru import LruCache
 from repro.obs import MetricsRegistry
 from repro.routing.weights import as_weight_array, unit_weights
 
@@ -188,11 +188,9 @@ class SessionPool:
     """
 
     def __init__(self, capacity: int = 4, registry: Optional["MetricsRegistry"] = None) -> None:
-        if capacity < 1:
-            raise ValueError("pool capacity must be >= 1")
-        self.capacity = int(capacity)
+        self._sessions: LruCache[str, tuple[Optional[SessionSpec], Session]] = LruCache(capacity)
+        self.capacity = self._sessions.capacity
         self._lock = threading.Lock()
-        self._sessions: OrderedDict[str, tuple[SessionSpec, Session]] = OrderedDict()
         self.registry = registry if registry is not None else MetricsRegistry()
         _events = "repro_serve_pool_events_total"
         _help = "Session-pool lookup outcomes, builds, and evictions."
@@ -217,9 +215,8 @@ class SessionPool:
         """
         key = spec.key()
         with self._lock:
-            entry = self._sessions.get(key)
+            entry = self._sessions.peek(key)
             if entry is not None:
-                self._sessions.move_to_end(key)
                 self._hits.inc()
                 return key, entry[1]
             self._misses.inc()
@@ -227,22 +224,18 @@ class SessionPool:
             session = spec.build()
             self._build_seconds.observe(time.perf_counter() - started)
             self._builds.inc()
-            self._sessions[key] = (spec, session)
-            while len(self._sessions) > self.capacity:
-                self._sessions.popitem(last=False)
-                self._evictions.inc()
-            self._size.set(len(self._sessions))
+            self._put(key, spec, session)
             return key, session
 
     def add(self, key: str, spec: Optional[SessionSpec], session: Session) -> None:
         """Pin a prebuilt session under an explicit key (facade entry)."""
         with self._lock:
-            self._sessions[key] = (spec, session)
-            self._sessions.move_to_end(key)
-            while len(self._sessions) > self.capacity:
-                self._sessions.popitem(last=False)
-                self._evictions.inc()
-            self._size.set(len(self._sessions))
+            self._put(key, spec, session)
+
+    def _put(self, key: str, spec: Optional[SessionSpec], session: Session) -> None:
+        """Insert, counting evictions (caller holds the lock)."""
+        self._evictions.inc(self._sessions.put(key, (spec, session)))
+        self._size.set(len(self._sessions))
 
     def __len__(self) -> int:
         with self._lock:

@@ -38,11 +38,23 @@ def test_subpackage_all_exports_resolve(module):
 
 
 def test_cli_figure_ids_cover_report_runners():
-    """The CLI and the report generator expose the same experiment set."""
-    from repro.cli import _FIGURE_RUNNERS
+    """``figure --id`` offers exactly the report generator's experiment set."""
+    import argparse
+
+    from repro.cli import build_parser
     from repro.eval.report import RUNNERS
 
-    assert set(_FIGURE_RUNNERS) == set(RUNNERS)
+    (commands,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    (figure_id,) = [
+        action
+        for action in commands.choices["figure"]._actions
+        if action.dest == "figure_id"
+    ]
+    assert figure_id.choices == sorted(RUNNERS)
 
 
 def test_public_docstrings_present():

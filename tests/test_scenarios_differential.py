@@ -29,6 +29,7 @@ from repro.routing import incremental
 from repro.routing.spf import distances_to_all
 from repro.routing.state import Routing
 from repro.routing.weights import random_weights
+from repro.scenarios import batch
 from repro.scenarios import (
     HotSpotSurge,
     LinkFailure,
@@ -225,6 +226,64 @@ def test_node_failure_routings_equal_from_scratch_distances(topology):
                 derived.distance_matrix,
                 distances_to_all(projection.network, projection.project_weights(wh)),
             )
+
+
+def _assert_same_outcomes(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.lowered.description == e.lowered.description
+        assert g.disconnected == e.disconnected
+        assert g.lost_demand == e.lost_demand
+        _assert_same_load_evaluation(g.evaluation, e.evaluation)
+
+
+def test_engine_memos_stay_within_their_cap(monkeypatch):
+    """Both memos hold at most the cap; answers and hit counts stay exact.
+
+    Ten distinct failures through a cap of 4 keep the last four; the two
+    repeats that follow are the only projection hits.  Counting every
+    insert that left the memo's length unchanged would also count the
+    six inserts made while it was full.
+    """
+    monkeypatch.setattr(batch, "MEMO_CAP", 4)
+    net, high, low, wh, wl = _setup("isp", seed=3)
+    failures = [LinkFailure.single(*pair) for pair in net.duplex_pairs()[:10]]
+    queries = failures + failures[-2:]
+    engine = SweepEngine(net, wh, wl, high, low)
+    naive = NaiveSweepEngine(net, wh, wl, high, low)
+    outcomes = []
+    for scenario in queries:
+        outcomes.append(engine.evaluate(scenario))
+        assert len(engine._projections) <= 4
+        assert len(engine._routings) <= 4
+    _assert_same_outcomes(outcomes, [naive.evaluate(s) for s in queries])
+    assert engine.stats["shared_projections"] == 2
+    # A sweep prefetches at most the cap and builds the rest on demand.
+    swept = SweepEngine(net, wh, wl, high, low).sweep(queries)
+    _assert_same_outcomes(swept.outcomes, outcomes)
+    assert swept.stats["shared_projections"] == 2
+
+
+def test_sweep_stats_are_per_call_and_sum_over_evaluations():
+    """A sweep reports its own counts: equal to evaluating one by one on
+    a fresh engine, and independent of what the engine did before."""
+    net, high, low, wh, wl = _setup("isp", seed=3)
+    pairs = net.duplex_pairs()
+    scenarios = _mixed_scenarios(net) + [
+        LinkFailure.single(*pairs[0]),
+        compose(LinkFailure.single(*pairs[0]), TrafficScale(1.5)),
+    ]
+    one_by_one = SweepEngine(net, wh, wl, high, low)
+    for scenario in scenarios:
+        one_by_one.evaluate(scenario)
+    engine = SweepEngine(net, wh, wl, high, low)
+    first = engine.sweep(scenarios)
+    assert first.stats == one_by_one.stats
+    assert first.stats["shared_projections"] >= 2
+    second = engine.sweep(scenarios)
+    assert second.stats["scenarios"] == len(scenarios)
+    assert second.stats["shared_projections"] == len(scenarios)
+    assert engine.stats["scenarios"] == 2 * len(scenarios)
 
 
 def test_engine_rejects_fractional_weights():

@@ -196,3 +196,35 @@ def test_chunk_size_does_not_change_the_answer():
         other = sweep_scenario_space(engine, space, chunk_size=chunk_size)
         _assert_same_aggregate(other.aggregate, reference.aggregate)
         assert other.pruned == reference.pruned
+
+
+def test_identical_space_sweeps_on_one_session_report_equal_stats():
+    """A space sweep's ``stats`` are its own, not the engine's lifetime."""
+    from repro.api import Session
+
+    engine = _build_engine("bridged")
+    session = Session(
+        engine.network, engine.high_traffic, engine.low_traffic, cost_model="load"
+    )
+    session.set_weights(engine._high.weights, engine._low.weights)
+    first = session.sweep_space("space:all-link-1")
+    second = session.sweep_space("space:all-link-1")
+    assert first.stats == second.stats
+    assert first.stats["scenarios"] == first.evaluated
+
+
+def test_space_sweep_reaches_the_engine_event_counters():
+    """Streaming sweeps add exactly their ``stats`` to the obs counters."""
+    from repro import obs
+
+    engine = _build_engine("bridged")
+    counters = {
+        key: obs.counter("repro_scenarios_engine_events_total", labels={"event": key})
+        for key in engine.stats
+    }
+    before = {key: counter.value for key, counter in counters.items()}
+    result = sweep_scenario_space(engine, AllLinkFailures(k=2))
+    assert result.stats["scenarios"] == result.evaluated > 0
+    assert {
+        key: counter.value - before[key] for key, counter in counters.items()
+    } == result.stats
