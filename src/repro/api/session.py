@@ -59,13 +59,9 @@ from repro.api.queries import (
     WhatIfResult,
     utilization_deltas,
 )
-from repro.core.evaluator import (
-    LOAD_MODE,
-    DualTopologyEvaluator,
-    Evaluation,
-)
-from repro.costs.load_cost import load_cost_from_loads
-from repro.costs.sla import SlaParams, sla_cost_from_loads
+from repro.core.evaluator import DualTopologyEvaluator
+from repro.costs.pricing import Evaluation, price_high
+from repro.costs.sla import SlaParams
 from repro.network.graph import Network
 from repro.routing.incremental import WeightDelta
 from repro.routing.weights import as_weight_array, weights_key
@@ -95,8 +91,6 @@ class Session:
         sla_params: SLA bound/penalty parameters (SLA-mode models only).
         seed: Base seed of the session's named RNG streams.
         cache_size: Evaluator cache entries per layer.
-        incremental: Evaluate weight deltas via incremental SPF.
-        verify_incremental: Cross-check every derived layer (tests only).
 
     Scenario queries share state through the sweep engine; the naive
     per-scenario rebuild the serve benchmark and differential tests
@@ -113,8 +107,6 @@ class Session:
         sla_params: Optional[SlaParams] = None,
         seed: int = 1,
         cache_size: int = 128,
-        incremental: bool = True,
-        verify_incremental: bool = False,
         _evaluator: Optional[DualTopologyEvaluator] = None,
     ) -> None:
         self.cost_model: CostModel = get_cost_model(cost_model)
@@ -135,8 +127,6 @@ class Session:
                 mode=self.cost_model.evaluator_mode,
                 sla_params=sla_params,
                 cache_size=cache_size,
-                incremental=incremental,
-                verify_incremental=verify_incremental,
             )
         self._baseline: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._sweep_engine_cache: Optional[tuple[bytes, "SweepEngine"]] = None
@@ -551,19 +541,14 @@ class Session:
         net = self.network
         high_loads = baseline.high_loads * factor
         low_loads = baseline.low_loads * factor
-
-        if self.evaluator.mode == LOAD_MODE:
-            variant: Evaluation = load_cost_from_loads(net, high_loads, low_loads)
-        else:
-            variant = sla_cost_from_loads(
-                net,
-                high_loads,
-                low_loads,
-                self.high_traffic,
-                self.evaluator.high_routing(wh),
-                params=self.sla_params,
-            )
-
+        variant = price_high(
+            net,
+            high_loads,
+            self.evaluator.mode,
+            params=self.sla_params,
+            routing=lambda: self.evaluator.high_routing(wh),
+            traffic=self.high_traffic,
+        ).evaluation(net, low_loads)
         high_d, low_d, total_d = utilization_deltas(
             net.capacities(), baseline, high_loads, low_loads
         )

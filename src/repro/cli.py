@@ -565,9 +565,29 @@ def _run_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _set_baseline(session, path: Optional[str]) -> None:
+    """Pin ``--weights`` (a JSON list, or ``{"high": ..., "low": ...}``),
+    or hop-count weights without it.
+
+    Raises:
+        OSError, ValueError, KeyError: an unreadable file, bad JSON or
+            weights, or a mapping without ``"high"``.
+    """
+    from repro.routing.weights import unit_weights
+
+    if not path:
+        session.set_weights(unit_weights(session.network.num_links))
+        return
+    with open(path) as handle:
+        data = json.load(handle)
+    if isinstance(data, dict):
+        session.set_weights(data["high"], data.get("low"))
+    else:
+        session.set_weights(data)
+
+
 def _run_whatif(args: argparse.Namespace) -> int:
     from repro.api.queries import KIND_FAILURE
-    from repro.routing.weights import unit_weights
     from repro.scenarios.algebra import LinkFailure
 
     if args.link is None and (args.new_weight is not None or args.apply_to is not None):
@@ -577,15 +597,7 @@ def _run_whatif(args: argparse.Namespace) -> int:
 
     try:
         session, _config = _session_from_args(args)
-        if args.weights:
-            with open(args.weights) as handle:
-                data = json.load(handle)
-            if isinstance(data, dict):
-                session.set_weights(data["high"], data.get("low"))
-            else:
-                session.set_weights(data)
-        else:
-            session.set_weights(unit_weights(session.network.num_links))
+        _set_baseline(session, args.weights)
 
         if args.link is not None:
             result = session.what_if(
@@ -610,7 +622,6 @@ def _run_whatif(args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     from repro.eval.robustness import space_sweep_session
-    from repro.routing.weights import unit_weights
     from repro.scenarios.spec import parse_space
 
     try:
@@ -620,15 +631,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         return _usage_error(exc)
     try:
         session, _config = _session_from_args(args)
-        if args.weights:
-            with open(args.weights) as handle:
-                data = json.load(handle)
-            if isinstance(data, dict):
-                session.set_weights(data["high"], data.get("low"))
-            else:
-                session.set_weights(data)
-        else:
-            session.set_weights(unit_weights(session.network.num_links))
+        _set_baseline(session, args.weights)
         report = space_sweep_session(session, space, prune=args.prune)
     except (KeyError, OSError, ValueError) as exc:
         return _usage_error(exc)

@@ -6,16 +6,18 @@ FindL only the low-priority weights).  The evaluator therefore caches two
 independent layers keyed by weight vector:
 
 * the *high layer* — high-priority routing, per-destination and total
-  loads, residual capacities, per-link high cost, and (in SLA mode) link
+  loads, and their price (:func:`repro.costs.pricing.price_high`):
+  residual capacities, per-link high cost, and (in SLA mode) link
   delays, per-pair delays and the folded penalty.  The pair delays come
   from one reverse pass over the routing's DAGs
   (:func:`repro.costs.sla.pair_delay_penalty`); no per-pair link
   fractions are stored;
 * the *low layer* — low-priority routing and loads.
 
-A full evaluation combines one entry of each layer with a cheap O(|E|)
-costing pass, so FindL iterations reuse the entire high layer and FindH
-iterations reuse the low-priority loads.
+A full evaluation combines one entry of each layer with the cheap O(|E|)
+combine step (:meth:`repro.costs.pricing.HighPrice.evaluation`), so
+FindL iterations reuse the entire high layer and FindH iterations reuse
+the low-priority loads.
 
 On top of that sits the incremental-SPF delta path: neighbors in the
 search differ from their parent in one or two link weights, so when a
@@ -26,9 +28,9 @@ cache-missed layer is *derived* from the parent's layer instead of
 rebuilt: only the destinations whose SP structure can change (the slack
 test of :func:`repro.routing.incremental.affected_destinations`) get
 their Dijkstra row, SP DAG and load row recomputed; everything else is
-reused verbatim.  Both paths assemble total loads by summing the
-per-destination rows in the same order, so a derived layer is
-bit-identical to a rebuilt one.  In SLA mode the link delays move with
+reused verbatim.  Both paths sum a layer's rows through
+:meth:`repro.routing.incremental.ClassLoads.refresh`, in one fixed
+order, so a derived layer is bit-identical to a rebuilt one.  In SLA mode the link delays move with
 the loads, so every pair delay is recomputed; the reverse pass reads the
 same DAGs and delays either way and its per-node sums do not depend on
 batching, so the pair delays are bit-identical too.
@@ -41,23 +43,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro import obs
-from repro.costs.fortz import fortz_cost_vector
-from repro.costs.load_cost import LoadCostEvaluation
-from repro.costs.residual import residual_capacities
-from repro.costs.sla import (
-    SlaCostEvaluation,
-    SlaParams,
-    link_delays_ms,
-    pair_delay_penalty,
-)
+from repro.costs.pricing import HighPrice, check_mode, price_high
+from repro.costs.pricing import LOAD_MODE, SLA_MODE, Evaluation  # noqa: F401  (re-export)
+from repro.costs.sla import SlaParams
 from repro.lru import LruCache
 from repro.network.graph import Network
 from repro.routing.incremental import (
+    ClassLoads,
     WeightDelta,
     affected_destinations,
     derive_routing,
@@ -66,46 +63,20 @@ from repro.routing.state import Routing
 from repro.routing.weights import as_weight_array, weights_key
 from repro.traffic.matrix import TrafficMatrix
 
-LOAD_MODE = "load"
-SLA_MODE = "sla"
-
-Evaluation = Union[LoadCostEvaluation, SlaCostEvaluation]
-
 
 class IncrementalMismatchError(RuntimeError):
     """An incrementally derived layer disagreed with a full rebuild."""
 
 
 @dataclass
-class _HighLayer:
-    routing: Routing
-    dest_rows: np.ndarray
-    loads: np.ndarray
-    residual: np.ndarray
-    per_link_cost: np.ndarray
-    link_delays: Optional[np.ndarray] = None
-    pair_delays: Optional[dict[tuple[int, int], float]] = None
-    penalty: float = 0.0
-    violations: int = 0
+class _Layer(ClassLoads):
+    """One class's cached state for one weight vector.
 
-
-@dataclass
-class _LowLayer:
-    routing: Routing
-    dest_rows: np.ndarray
-    loads: np.ndarray
-
-
-def _ordered_row_sum(rows: np.ndarray, num_links: int) -> np.ndarray:
-    """Sum per-destination load rows left to right.
-
-    A fixed summation order keeps full and incrementally derived layers
-    bit-identical (numpy reductions may regroup additions).
+    A high layer also holds its :class:`~repro.costs.pricing.HighPrice`,
+    the half of the costing pass that depends on the high loads alone.
     """
-    loads = np.zeros(num_links)
-    for row in rows:
-        loads += row
-    return loads
+
+    price: Optional[HighPrice] = None
 
 
 class DualTopologyEvaluator:
@@ -144,8 +115,7 @@ class DualTopologyEvaluator:
         incremental: bool = True,
         verify_incremental: bool = False,
     ) -> None:
-        if mode not in (LOAD_MODE, SLA_MODE):
-            raise ValueError(f"mode must be '{LOAD_MODE}' or '{SLA_MODE}', got {mode!r}")
+        check_mode(mode)
         if high_traffic.num_nodes != net.num_nodes or low_traffic.num_nodes != net.num_nodes:
             raise ValueError("traffic matrix size does not match the network")
         self._net = net
@@ -159,12 +129,16 @@ class DualTopologyEvaluator:
         self._low_cache = LruCache(cache_size)
         self._full_cache = LruCache(cache_size * 2)
         # Routings depend only on the weight vector, so high and low layers
-        # share them: entries are (routing, parent_key, affected_set).
+        # share them: entries are (routing, parent_key, affected array).
         self._routing_memo = LruCache(cache_size * 2)
-        self._high_demands = high_traffic.demands
-        self._low_demands = low_traffic.demands
-        self._high_active = np.flatnonzero(self._high_demands.sum(axis=0) > 0)
-        self._low_active = np.flatnonzero(self._low_demands.sum(axis=0) > 0)
+        # Per class: its layer cache, demand matrix and active destinations.
+        self._classes = {
+            which: (cache, tm.demands, np.flatnonzero(tm.demands.sum(axis=0) > 0))
+            for which, cache, tm in (
+                ("high", self._high_cache, high_traffic),
+                ("low", self._low_cache, low_traffic),
+            )
+        }
         self.evaluations = 0
         self._incremental_stats = {
             "high_incremental": 0,
@@ -272,36 +246,9 @@ class DualTopologyEvaluator:
                 if low_base is not None
                 else None
             )
-            high = self._high_layer(hk, hw, base_key=hbk, delta=high_delta)
-            low = self._low_layer(lk, lw, base_key=lbk, delta=low_delta)
-            per_link_low = fortz_cost_vector(low.loads, high.residual)
-            utilization = (high.loads + low.loads) / self._net.capacities()
-
-            if self.mode == LOAD_MODE:
-                result: Evaluation = LoadCostEvaluation(
-                    phi_high=float(high.per_link_cost.sum()),
-                    phi_low=float(per_link_low.sum()),
-                    per_link_high=high.per_link_cost,
-                    per_link_low=per_link_low,
-                    high_loads=high.loads,
-                    low_loads=low.loads,
-                    residual=high.residual,
-                    utilization=utilization,
-                )
-            else:
-                result = SlaCostEvaluation(
-                    penalty=high.penalty,
-                    phi_low=float(per_link_low.sum()),
-                    violations=high.violations,
-                    pair_delays_ms=high.pair_delays,
-                    link_delays=high.link_delays,
-                    per_link_low=per_link_low,
-                    high_loads=high.loads,
-                    low_loads=low.loads,
-                    residual=high.residual,
-                    utilization=utilization,
-                    params=self.sla_params,
-                )
+            high = self._layer("high", hk, hw, base_key=hbk, delta=high_delta)
+            low = self._layer("low", lk, lw, base_key=lbk, delta=low_delta)
+            result = high.price.evaluation(self._net, low.loads)
             self._full_cache.put(full_key, result)
         self._obs_eval_seconds.observe(perf_counter() - started)
         return result
@@ -352,12 +299,12 @@ class DualTopologyEvaluator:
     def high_routing(self, high_weights: np.ndarray) -> Routing:
         """The (cached) high-priority routing for ``high_weights``."""
         hw = as_weight_array(high_weights, self._net.num_links)
-        return self._high_layer(weights_key(hw), hw).routing
+        return self._layer("high", weights_key(hw), hw).routing
 
     def low_routing(self, low_weights: np.ndarray) -> Routing:
         """The (cached) low-priority routing for ``low_weights``."""
         lw = as_weight_array(low_weights, self._net.num_links)
-        return self._low_layer(weights_key(lw), lw).routing
+        return self._layer("low", weights_key(lw), lw).routing
 
     def cache_stats(self) -> dict[str, int]:
         """Hit/miss counters of the cache layers plus incremental-SPF counters.
@@ -379,64 +326,31 @@ class DualTopologyEvaluator:
     # ------------------------------------------------------------------
     # Layers
     # ------------------------------------------------------------------
-    def _high_layer(
+    def _layer(
         self,
+        which: str,
         key: bytes,
         weights: np.ndarray,
         base_key: Optional[bytes] = None,
         delta: Optional[WeightDelta] = None,
-    ) -> _HighLayer:
-        layer = self._high_cache.get(key)
+    ) -> _Layer:
+        """The cached ``"high"`` or ``"low"`` layer of ``weights``, built on a miss."""
+        cache = self._classes[which][0]
+        layer = cache.get(key)
         if layer is not None:
             return layer
         parent = None
         if self.incremental and delta is not None and delta.num_changes:
-            parent = self._high_cache.peek(base_key)
+            parent = cache.peek(base_key)
         started = perf_counter()
-        if parent is not None:
-            layer = self._build_high_layer(
-                weights, parent=parent, delta=delta, child_key=key, parent_key=base_key
-            )
-            self._incremental_stats["high_incremental"] += 1
-            self._obs_builds[("high", "incremental")].inc()
-            if self.verify_incremental:
-                self._verify_layer(layer, self._build_high_layer(weights), "high")
-        else:
-            layer = self._build_high_layer(weights, child_key=key)
-            self._incremental_stats["high_full"] += 1
-            self._obs_builds[("high", "full")].inc()
-        self._obs_layer_seconds["high"].observe(perf_counter() - started)
-        self._high_cache.put(key, layer)
-        return layer
-
-    def _low_layer(
-        self,
-        key: bytes,
-        weights: np.ndarray,
-        base_key: Optional[bytes] = None,
-        delta: Optional[WeightDelta] = None,
-    ) -> _LowLayer:
-        layer = self._low_cache.get(key)
-        if layer is not None:
-            return layer
-        parent = None
-        if self.incremental and delta is not None and delta.num_changes:
-            parent = self._low_cache.peek(base_key)
-        started = perf_counter()
-        if parent is not None:
-            layer = self._build_low_layer(
-                weights, parent=parent, delta=delta, child_key=key, parent_key=base_key
-            )
-            self._incremental_stats["low_incremental"] += 1
-            self._obs_builds[("low", "incremental")].inc()
-            if self.verify_incremental:
-                self._verify_layer(layer, self._build_low_layer(weights), "low")
-        else:
-            layer = self._build_low_layer(weights, child_key=key)
-            self._incremental_stats["low_full"] += 1
-            self._obs_builds[("low", "full")].inc()
-        self._obs_layer_seconds["low"].observe(perf_counter() - started)
-        self._low_cache.put(key, layer)
+        layer = self._build_layer(which, weights, parent, delta, key, base_key)
+        path = "full" if parent is None else "incremental"
+        self._incremental_stats[f"{which}_{path}"] += 1
+        self._obs_builds[(which, path)].inc()
+        if parent is not None and self.verify_incremental:
+            self._verify_layer(layer, self._build_layer(which, weights), which)
+        self._obs_layer_seconds[which].observe(perf_counter() - started)
+        cache.put(key, layer)
         return layer
 
     def _derive_or_build(
@@ -446,8 +360,8 @@ class DualTopologyEvaluator:
         delta: Optional[WeightDelta],
         child_key: Optional[bytes] = None,
         parent_key: Optional[bytes] = None,
-    ) -> tuple[Routing, Optional[set[int]]]:
-        """Child routing plus its affected-destination set (``None`` = all).
+    ) -> tuple[Routing, Optional[np.ndarray]]:
+        """Child routing plus its affected destinations (``None`` = all).
 
         Routings are memoized by weight key and shared across the high and
         low layers (an STR move builds the routing once, not twice).
@@ -462,118 +376,60 @@ class DualTopologyEvaluator:
                 return routing, None
             if memo_parent_key == parent_key and affected is not None:
                 return routing, affected
-            return routing, set(
-                int(t)
-                for t in affected_destinations(
-                    self._net, parent_routing.distance_matrix, delta
-                )
+            return routing, affected_destinations(
+                self._net, parent_routing.distance_matrix, delta
             )
         self._obs_memo_miss.inc()
         if parent_routing is None or delta is None:
             routing, affected = self._routing_class(self._net, weights), None
         else:
-            derived, affected_array = derive_routing(parent_routing, delta)
-            if not np.array_equal(derived.weights, np.asarray(weights, dtype=np.int64)):
+            routing, affected = derive_routing(parent_routing, delta)
+            if not np.array_equal(routing.weights, np.asarray(weights, dtype=np.int64)):
                 raise ValueError(
                     "incremental hint mismatch: delta applied to base does not "
                     "produce the requested weight vector"
                 )
-            routing = derived
-            affected = set(int(t) for t in affected_array)
         if child_key is not None:
             self._routing_memo.put(child_key, (routing, parent_key, affected))
         return routing, affected
 
-    def _dest_rows(
+    def _build_layer(
         self,
-        routing: Routing,
-        active: np.ndarray,
-        demands: np.ndarray,
-        parent_rows: Optional[np.ndarray],
-        affected: Optional[set[int]],
-    ) -> np.ndarray:
-        """Per-destination load rows, reusing parent rows where possible.
-
-        Rows are computed through :meth:`Routing.destination_rows` — one
-        batched kernel pass over every destination that needs rebuilding
-        instead of a per-destination Python loop.
-        """
-        if affected is None:
-            if active.size == 0:
-                return np.empty((0, self._net.num_links))
-            if active.size == demands.shape[1]:
-                # Every destination active: the transpose view skips a
-                # full-matrix column gather (the kernel copies anyway).
-                return routing.destination_rows(active, demands.T)
-            return routing.destination_rows(active, demands[:, active].T)
-        rows = parent_rows.copy()
-        idx = [i for i, t in enumerate(active) if int(t) in affected]
-        if idx:
-            ts = active[idx]
-            rows[idx] = routing.destination_rows(ts, demands[:, ts].T)
-        return rows
-
-    def _build_high_layer(
-        self,
+        which: str,
         weights: np.ndarray,
-        parent: Optional[_HighLayer] = None,
+        parent: Optional[_Layer] = None,
         delta: Optional[WeightDelta] = None,
         child_key: Optional[bytes] = None,
         parent_key: Optional[bytes] = None,
-    ) -> _HighLayer:
+    ) -> _Layer:
+        """Build a layer, from scratch or derived from ``parent``.
+
+        A derived layer copies its parent's row matrix whole and marks
+        stale only the rows of affected destinations; a high layer is
+        then priced (:func:`~repro.costs.pricing.price_high`).
+        """
+        _cache, demands, active = self._classes[which]
         routing, affected = self._derive_or_build(
             weights, parent.routing if parent else None, delta, child_key, parent_key
         )
-        rows = self._dest_rows(
-            routing,
-            self._high_active,
-            self._high_demands,
-            parent.dest_rows if parent else None,
-            affected,
-        )
-        loads = _ordered_row_sum(rows, self._net.num_links)
-        capacities = self._net.capacities()
-        residual = residual_capacities(capacities, loads)
-        per_link_cost = fortz_cost_vector(loads, capacities)
-        layer = _HighLayer(
-            routing=routing,
-            dest_rows=rows,
-            loads=loads,
-            residual=residual,
-            per_link_cost=per_link_cost,
-        )
-        if self.mode == SLA_MODE:
-            layer.link_delays = link_delays_ms(
-                self._net, loads, per_link_cost, self.sla_params.packet_size_bits
+        if affected is None:
+            layer = _Layer.refresh(routing, active, demands)
+        else:
+            stale = np.zeros(self._net.num_nodes, dtype=bool)
+            stale[affected] = True
+            layer = _Layer.refresh(
+                routing, active, demands, parent.dest_rows.copy(), stale[active]
             )
-            layer.pair_delays, layer.penalty, layer.violations = pair_delay_penalty(
-                routing, self._high_traffic, layer.link_delays, self.sla_params
+        if which == "high":
+            layer.price = price_high(
+                self._net,
+                layer.loads,
+                self.mode,
+                params=self.sla_params,
+                routing=lambda: routing,
+                traffic=self._high_traffic,
             )
         return layer
-
-    def _build_low_layer(
-        self,
-        weights: np.ndarray,
-        parent: Optional[_LowLayer] = None,
-        delta: Optional[WeightDelta] = None,
-        child_key: Optional[bytes] = None,
-        parent_key: Optional[bytes] = None,
-    ) -> _LowLayer:
-        routing, affected = self._derive_or_build(
-            weights, parent.routing if parent else None, delta, child_key, parent_key
-        )
-        rows = self._dest_rows(
-            routing,
-            self._low_active,
-            self._low_demands,
-            parent.dest_rows if parent else None,
-            affected,
-        )
-        return _LowLayer(
-            routing=routing,
-            dest_rows=rows,
-            loads=_ordered_row_sum(rows, self._net.num_links),
-        )
 
     def _verify_layer(self, derived, rebuilt, which: str) -> None:
         """Cross-check a derived layer against a full rebuild.
@@ -597,17 +453,11 @@ class DualTopologyEvaluator:
             )
         if not np.allclose(derived.loads, rebuilt.loads, rtol=1e-12, atol=1e-9):
             raise IncrementalMismatchError(f"{which} layer: link loads differ")
-        if which == "high":
-            if not np.array_equal(derived.residual, rebuilt.residual):
-                raise IncrementalMismatchError("high layer: residuals differ")
-            if not np.array_equal(derived.per_link_cost, rebuilt.per_link_cost):
-                raise IncrementalMismatchError("high layer: per-link costs differ")
-        if which == "high" and self.mode == SLA_MODE:
-            if not np.array_equal(derived.link_delays, rebuilt.link_delays):
-                raise IncrementalMismatchError("high layer: link delays differ")
-            if derived.pair_delays != rebuilt.pair_delays:
-                raise IncrementalMismatchError("high layer: pair delays differ")
-            if derived.violations != rebuilt.violations:
-                raise IncrementalMismatchError("high layer: violation counts differ")
-            if derived.penalty != rebuilt.penalty:
-                raise IncrementalMismatchError("high layer: SLA penalties differ")
+        if which == "low":
+            return
+        for name in ("residual", "per_link", "link_delays"):
+            if not np.array_equal(getattr(derived.price, name), getattr(rebuilt.price, name)):
+                raise IncrementalMismatchError(f"high layer: {name} differs")
+        for name in ("pair_delays", "violations", "penalty"):
+            if getattr(derived.price, name) != getattr(rebuilt.price, name):
+                raise IncrementalMismatchError(f"high layer: {name} differs")

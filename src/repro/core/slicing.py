@@ -24,11 +24,11 @@ from repro.core.neighborhood import NeighborhoodSampler
 from repro.core.perturbation import perturb_weights
 from repro.core.search_params import SearchParams
 from repro.costs.fortz import fortz_cost_vector
-from repro.costs.residual import residual_capacities
+from repro.costs.pricing import price_high
 from repro.determinism import default_rng
 from repro.lru import LruCache
 from repro.routing.state import Routing
-from repro.routing.weights import weights_key
+from repro.routing.weights import as_weight_array, weights_key
 from repro.traffic.matrix import TrafficMatrix
 
 
@@ -116,18 +116,22 @@ def optimize_sliced_low(
         A :class:`SlicedResult`.
 
     Raises:
-        ValueError: if the evaluator is not in load mode.
+        ValueError: if the evaluator is not in load mode, or
+            ``high_weights`` is not a valid integer weight setting (see
+            :func:`~repro.routing.weights.as_weight_array`).
     """
     if evaluator.mode != LOAD_MODE:
         raise ValueError("sliced optimization requires a load-mode evaluator")
     params = params or SearchParams()
     rng = rng or default_rng("core/slicing")
     net = evaluator.network
-    high_weights = np.array(high_weights, dtype=np.int64)
+    # Validate, never truncate: an int64 cast would run 2.5 as 2.
+    high_weights = as_weight_array(high_weights, net.num_links)
 
     high_loads = evaluator.high_routing(high_weights).link_loads(evaluator.high_traffic)
-    residual = residual_capacities(net.capacities(), high_loads)
-    phi_high = float(fortz_cost_vector(high_loads, net.capacities()).sum())
+    high = price_high(net, high_loads, LOAD_MODE)
+    residual = high.residual
+    phi_high = float(high.per_link.sum())
 
     slices = slice_traffic_matrix(evaluator.low_traffic, num_slices, rng)
     load_cache: LruCache[tuple[int, bytes], np.ndarray] = LruCache(512)

@@ -1,4 +1,10 @@
-"""Load-based lexicographic objective ``A = <Phi_H, Phi_L>`` (paper Section 3.1)."""
+"""Load-based lexicographic objective ``A = <Phi_H, Phi_L>`` (paper Section 3.1).
+
+Holds the evaluation type and :func:`evaluate_load_cost`, the
+evaluation of two routings.  The costing pass itself — high loads priced
+against full capacity, low loads against the residual — is
+:mod:`repro.costs.pricing`, shared by every evaluation path.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.lexicographic import LexCost
-from repro.costs.fortz import fortz_cost_vector
-from repro.costs.residual import residual_capacities
 from repro.network.graph import Network
 from repro.routing.state import DemandsLike, Routing
 
@@ -61,34 +65,6 @@ class LoadCostEvaluation:
         return self.per_link_low
 
 
-def load_cost_from_loads(
-    net: Network, high_loads: np.ndarray, low_loads: np.ndarray
-) -> LoadCostEvaluation:
-    """The load-based cost of already-computed per-link class loads.
-
-    The single source of the Eq. 2 costing pass: high-priority loads are
-    priced against full link capacity, low-priority loads against the
-    residual capacity the priority queue leaves them.  Shared by
-    :func:`evaluate_load_cost` (routed loads) and
-    ``Session.scaled_traffic`` (rescaled loads), so the formula cannot
-    diverge between evaluation paths.
-    """
-    capacities = net.capacities()
-    residual = residual_capacities(capacities, high_loads)
-    per_link_high = fortz_cost_vector(high_loads, capacities)
-    per_link_low = fortz_cost_vector(low_loads, residual)
-    return LoadCostEvaluation(
-        phi_high=float(per_link_high.sum()),
-        phi_low=float(per_link_low.sum()),
-        per_link_high=per_link_high,
-        per_link_low=per_link_low,
-        high_loads=high_loads,
-        low_loads=low_loads,
-        residual=residual,
-        utilization=(high_loads + low_loads) / capacities,
-    )
-
-
 def evaluate_load_cost(
     net: Network,
     high_routing: Routing,
@@ -108,8 +84,9 @@ def evaluate_load_cost(
     Returns:
         A :class:`LoadCostEvaluation`.
     """
-    return load_cost_from_loads(
-        net,
-        high_routing.link_loads(high_traffic),
-        low_routing.link_loads(low_traffic),
+    # Imported here: the pricing module builds this module's evaluation type.
+    from repro.costs.pricing import LOAD_MODE, price_high
+
+    return price_high(net, high_routing.link_loads(high_traffic), LOAD_MODE).evaluation(
+        net, low_routing.link_loads(low_traffic)
     )

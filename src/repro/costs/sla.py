@@ -18,8 +18,8 @@ reverse-level pass per evaluation (:meth:`Routing.path_delays
 <repro.routing.state.Routing.path_delays>`) therefore yields ``xi`` for
 every high-priority pair at once, with no per-pair link-fraction
 vectors.  :func:`pair_delay_penalty` is the one fold of those delays
-into violations and penalty, shared by the evaluator's high layer and
-:func:`sla_cost_from_loads`.
+into violations and penalty; :func:`repro.costs.pricing.price_high`, the
+high half of every evaluation path's costing pass, calls it.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.lexicographic import LexCost
-from repro.costs.fortz import fortz_cost_vector
-from repro.costs.residual import residual_capacities
 from repro.network.graph import Network
 from repro.routing.spf import RoutingError
 from repro.routing.state import Routing
@@ -204,55 +202,6 @@ class SlaCostEvaluation:
         return self.per_link_low
 
 
-def sla_cost_from_loads(
-    net: Network,
-    high_loads: np.ndarray,
-    low_loads: np.ndarray,
-    high_traffic: TrafficMatrix,
-    high_routing: Routing,
-    params: SlaParams = SlaParams(),
-) -> SlaCostEvaluation:
-    """The SLA-based cost of already-computed per-link class loads.
-
-    The single source of the Eq. 3-5 costing pass, shared by
-    :func:`evaluate_sla_cost` (routed loads), ``SweepEngine`` (degraded
-    loads) and ``Session.scaled_traffic`` (rescaled loads), so the
-    delay/penalty formula cannot diverge between evaluation paths.
-
-    Args:
-        net: The network.
-        high_loads: Per-link high-priority loads.
-        low_loads: Per-link low-priority loads.
-        high_traffic: High-priority traffic matrix (its pairs incur the
-            per-pair penalties).
-        high_routing: The high-priority routing whose ECMP paths the
-            pairs' delays average over.
-        params: SLA bound and penalty parameters.
-    """
-    capacities = net.capacities()
-    residual = residual_capacities(capacities, high_loads)
-    per_link_high = fortz_cost_vector(high_loads, capacities)
-    per_link_low = fortz_cost_vector(low_loads, residual)
-    delays = link_delays_ms(net, high_loads, per_link_high, params.packet_size_bits)
-    pair_delays, penalty, violations = pair_delay_penalty(
-        high_routing, high_traffic, delays, params
-    )
-
-    return SlaCostEvaluation(
-        penalty=penalty,
-        phi_low=float(per_link_low.sum()),
-        violations=violations,
-        pair_delays_ms=pair_delays,
-        link_delays=delays,
-        per_link_low=per_link_low,
-        high_loads=high_loads,
-        low_loads=low_loads,
-        residual=residual,
-        utilization=(high_loads + low_loads) / capacities,
-        params=params,
-    )
-
-
 def evaluate_sla_cost(
     net: Network,
     high_routing: Routing,
@@ -277,11 +226,15 @@ def evaluate_sla_cost(
     Returns:
         A :class:`SlaCostEvaluation`.
     """
-    return sla_cost_from_loads(
+    # Imported here: the pricing module builds this module's evaluation type.
+    from repro.costs.pricing import SLA_MODE, price_high
+
+    high = price_high(
         net,
         high_routing.link_loads(high_traffic),
-        low_routing.link_loads(low_traffic),
-        high_traffic,
-        high_routing,
+        SLA_MODE,
         params=params,
+        routing=lambda: high_routing,
+        traffic=high_traffic,
     )
+    return high.evaluation(net, low_routing.link_loads(low_traffic))

@@ -266,19 +266,11 @@ def build_record(
 
 def _failure_robustness(config: ExperimentConfig, result: ComparisonResult) -> dict:
     """Single-adjacency failure degradation of the STR and DTR settings."""
-    from repro.api.session import Session
-    from repro.eval.robustness import failure_sweep_session
+    from repro.eval.robustness import deployment_sessions, failure_sweep_session
 
     net = build_network(config.topology, config.seed)
     summaries = {}
-    for label, high_w, low_w in (
-        ("str", result.str_result.weights, result.str_result.weights),
-        ("dtr", result.dtr_result.high_weights, result.dtr_result.low_weights),
-    ):
-        session = Session(
-            net, result.high_traffic, result.low_traffic, cost_model="load"
-        )
-        session.set_weights(high_w, low_w)
+    for label, session in deployment_sessions(net, result):
         report = failure_sweep_session(session)
         summaries[label] = {
             "scenarios": len(report.outcomes),
@@ -297,21 +289,13 @@ def _scenario_robustness(
     scenario_kinds: Sequence[str],
 ) -> dict:
     """Per-scenario-class degradation of the STR and DTR settings."""
-    from repro.api.session import Session
-    from repro.eval.robustness import scenario_sweep_session
+    from repro.eval.robustness import deployment_sessions, scenario_sweep_session
     from repro.scenarios.spec import ScenarioSet
 
     net = build_network(config.topology, config.seed)
     grid = ScenarioSet.from_kinds(net, scenario_kinds)
     summaries: dict[str, Any] = {"kinds": sorted(scenario_kinds)}
-    for label, high_w, low_w in (
-        ("str", result.str_result.weights, result.str_result.weights),
-        ("dtr", result.dtr_result.high_weights, result.dtr_result.low_weights),
-    ):
-        session = Session(
-            net, result.high_traffic, result.low_traffic, cost_model="load"
-        )
-        session.set_weights(high_w, low_w)
+    for label, session in deployment_sessions(net, result):
         report = scenario_sweep_session(session, grid)
         degradation = report.degradation_by_class()
         summaries[label] = {
@@ -345,19 +329,11 @@ def _space_robustness(
     streaming aggregate lands in the record, so record size is
     independent of how many scenarios each space enumerates.
     """
-    from repro.api.session import Session
-    from repro.eval.robustness import space_sweep_session
+    from repro.eval.robustness import deployment_sessions, space_sweep_session
 
     net = build_network(config.topology, config.seed)
     summaries: dict[str, Any] = {"spaces": sorted(scenario_spaces)}
-    for label, high_w, low_w in (
-        ("str", result.str_result.weights, result.str_result.weights),
-        ("dtr", result.dtr_result.high_weights, result.dtr_result.low_weights),
-    ):
-        session = Session(
-            net, result.high_traffic, result.low_traffic, cost_model="load"
-        )
-        session.set_weights(high_w, low_w)
+    for label, session in deployment_sessions(net, result):
         by_space = {}
         for spec in sorted(scenario_spaces):
             report = space_sweep_session(session, spec)

@@ -761,9 +761,8 @@ def fig_scenarios(
     as deployed OSPF/MT-OSPF would — across the concatenated scenario
     grids of ``kinds`` via the batched scenario engine.
     """
-    from repro.api.session import Session
     from repro.eval.experiment import build_network
-    from repro.eval.robustness import scenario_sweep_session
+    from repro.eval.robustness import deployment_sessions, scenario_sweep_session
     from repro.scenarios.spec import ScenarioSet
 
     config = _base_config(
@@ -777,14 +776,7 @@ def fig_scenarios(
     net = build_network(topology, seed)
     grid = ScenarioSet.from_kinds(net, kinds)
     reports = {}
-    for label, high_w, low_w in (
-        ("str", result.str_result.weights, result.str_result.weights),
-        ("dtr", result.dtr_result.high_weights, result.dtr_result.low_weights),
-    ):
-        session = Session(
-            net, result.high_traffic, result.low_traffic, cost_model="load"
-        )
-        session.set_weights(high_w, low_w)
+    for label, session in deployment_sessions(net, result):
         reports[label] = scenario_sweep_session(session, grid)
 
     str_by_class = reports["str"].by_class()

@@ -17,12 +17,15 @@ Two sweep shapes are provided:
 * :func:`scenario_sweep_session` — the general form: any mix of
   scenario classes (link, node, SRLG, traffic surge, ...) with
   worst/mean degradation reported *per scenario class*.
+
+:func:`deployment_sessions` pins one comparison's STR and DTR settings,
+the two deployments every campaign and figure sweep compares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -30,6 +33,8 @@ from repro.core.lexicographic import LexCost
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.session import Session
+    from repro.eval.experiment import ComparisonResult
+    from repro.network.graph import Network
     from repro.scenarios.algebra import Scenario
     from repro.scenarios.batch import SweepResult
     from repro.scenarios.spaces import SpaceSweepResult
@@ -118,6 +123,26 @@ class RobustnessReport:
         if self.baseline.phi_low <= 0:
             return 1.0
         return self.worst_phi_low / self.baseline.phi_low
+
+
+def deployment_sessions(
+    net: "Network", result: "ComparisonResult"
+) -> Iterator[tuple[str, "Session"]]:
+    """Load-mode sessions pinned to one comparison's two weight settings.
+
+    Yields ``("str", session)`` and then ``("dtr", session)``, each over
+    ``net`` and the comparison's traffic: the STR and DTR deployments a
+    robustness sweep compares, their weights kept as deployed.
+    """
+    from repro.api.session import Session
+
+    for label, high_w, low_w in (
+        ("str", result.str_result.weights, result.str_result.weights),
+        ("dtr", result.dtr_result.high_weights, result.dtr_result.low_weights),
+    ):
+        session = Session(net, result.high_traffic, result.low_traffic, cost_model="load")
+        session.set_weights(high_w, low_w)
+        yield label, session
 
 
 def failure_sweep_session(session: "Session") -> RobustnessReport:

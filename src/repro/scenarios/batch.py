@@ -26,13 +26,13 @@ at all.  The :class:`SweepEngine` exploits exactly that structure:
   the destination is unaffected *and* its demand column is unchanged by
   the scenario's traffic transform.
 
-The reuse is exact, not approximate: load rows are summed with
-:class:`~repro.core.evaluator.DualTopologyEvaluator`'s own fixed-order
-``_ordered_row_sum`` and priced through the shared
-:func:`~repro.costs.load_cost.load_cost_from_loads` /
-:func:`~repro.costs.sla.sla_cost_from_loads` costing passes, so a
-batched sweep is **bit-identical** to building every degraded network
-from scratch and running the full evaluator on it — the contract
+The reuse is exact, not approximate: a class's loads are built through
+:meth:`~repro.routing.incremental.ClassLoads.refresh`, the row helper
+:class:`~repro.core.evaluator.DualTopologyEvaluator` builds its layers
+with (one fixed summation order), and priced through the shared costing
+pass of :mod:`repro.costs.pricing`, so a batched sweep is
+**bit-identical** to building every degraded network from scratch and
+running the full evaluator on it — the contract
 enforced by ``tests/test_scenarios_differential.py`` against the naive
 per-scenario rebuild of :class:`repro._reference.NaiveSweepEngine`, and
 timed by the ``benchmarks/test_bench_scenarios.py`` speedup benchmark.
@@ -46,13 +46,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro import obs
-from repro.core.evaluator import LOAD_MODE, SLA_MODE, Evaluation, _ordered_row_sum
 from repro.core.lexicographic import LexCost
-from repro.costs.load_cost import load_cost_from_loads
-from repro.costs.sla import SlaParams, sla_cost_from_loads
+from repro.costs.pricing import LOAD_MODE, Evaluation, check_mode, price_high
+from repro.costs.sla import SlaParams
 from repro.lru import LruCache
 from repro.network.graph import Network
 from repro.routing.incremental import (
+    ClassLoads,
     derive_children,
     destinations_using_links,
     uses_full_spf,
@@ -96,20 +96,13 @@ class _ClassState:
     def __init__(self, net: Network, routing: Routing, traffic: TrafficMatrix) -> None:
         self.weights = routing.weights
         self.key = weights_key(self.weights)
-        self.routing = routing
         self.demands = traffic.demands
-        self.active = np.flatnonzero(self.demands.sum(axis=0) > 0)
-        # Row of ``rows`` holding each destination's intact load row
-        # (-1: none to reuse).
+        active = np.flatnonzero(self.demands.sum(axis=0) > 0)
+        self.intact = ClassLoads.refresh(routing, active, self.demands)
+        # Row of ``intact.dest_rows`` holding each destination's intact
+        # load row (-1: none to reuse).
         self.row_of = np.full(net.num_nodes, -1, dtype=np.int64)
-        self.row_of[self.active] = np.arange(self.active.size)
-        if self.active.size:
-            self.rows = routing.destination_rows(
-                self.active, self.demands[:, self.active].T
-            )
-        else:
-            self.rows = np.empty((0, net.num_links))
-        self.loads = _ordered_row_sum(self.rows, net.num_links)
+        self.row_of[active] = np.arange(active.size)
 
 
 @dataclass(frozen=True)
@@ -240,8 +233,7 @@ class SweepEngine:
         mode: str = LOAD_MODE,
         sla_params: Optional[SlaParams] = None,
     ) -> None:
-        if mode not in (LOAD_MODE, SLA_MODE):
-            raise ValueError(f"mode must be '{LOAD_MODE}' or '{SLA_MODE}', got {mode!r}")
+        check_mode(mode)
         self._net = net
         self._high_tm = high_traffic
         self._low_tm = low_traffic
@@ -265,7 +257,7 @@ class SweepEngine:
             "recomputed_rows": 0,
         }
         self.baseline: Evaluation = self._cost(
-            net, self._high.loads, self._low.loads, high_traffic, high_routing
+            net, self._high.intact.loads, self._low.intact.loads, high_traffic, high_routing
         )
 
     # ------------------------------------------------------------------
@@ -448,16 +440,15 @@ class SweepEngine:
         high_traffic: TrafficMatrix,
         high_routing: Routing,
     ) -> Evaluation:
-        if self.mode == LOAD_MODE:
-            return load_cost_from_loads(net, high_loads, low_loads)
-        return sla_cost_from_loads(
+        high = price_high(
             net,
             high_loads,
-            low_loads,
-            high_traffic,
-            high_routing,
+            self.mode,
             params=self.sla_params,
+            routing=lambda: high_routing,
+            traffic=high_traffic,
         )
+        return high.evaluation(net, low_loads)
 
     def _class_routing(
         self,
@@ -468,7 +459,7 @@ class SweepEngine:
         """The degraded routing of one class: shared, memoized, or derived."""
         if projection.is_identity:
             self.stats["shared_routings"] += 1
-            return cls.routing
+            return cls.intact.routing
         key = (projection.failed_links, cls.key)
         hit = self._routings.get(key)
         if hit is not None:
@@ -492,16 +483,16 @@ class SweepEngine:
         for projection in projections:
             affected = destinations_using_links(
                 self._net,
-                cls.routing.distance_matrix,
+                cls.intact.routing.distance_matrix,
                 cls.weights,
                 self._flow_relevant_links(projection),
             )
-            full = uses_full_spf(cls.routing, projection.network, affected)
+            full = uses_full_spf(cls.intact.routing, projection.network, affected)
             self.stats["full_routings" if full else "derived_routings"] += 1
             children.append(
                 (projection.network, projection.project_weights(cls.weights), affected)
             )
-        return derive_children(cls.routing, children)
+        return derive_children(cls.intact.routing, children)
 
     def _flow_relevant_links(self, projection: TopologyProjection) -> tuple[int, ...]:
         """Failed links whose removal can change some survivor's load row.
@@ -545,41 +536,34 @@ class SweepEngine:
         DAG out-sets, and the degraded row equals the intact one on the
         survivors bit for bit.  (This is strictly sharper than the SP-DAG
         slack test for sparse traffic: a failed link on some *unloaded*
-        shortest path disturbs nothing.)  Rows are summed in
-        active-destination order, matching both
-        :meth:`Routing.link_loads` and the evaluator.
+        shortest path disturbs nothing.)  The rows the test rejects are
+        recomputed and every row summed by :meth:`ClassLoads.refresh`,
+        the evaluator's own row helper.
         """
         demands = traffic.demands
         active = np.flatnonzero(demands.sum(axis=0) > 0)
-        num_links = routing.network.num_links
-        rows = np.empty((active.size, num_links))
+        rows = np.empty((active.size, routing.network.num_links))
+        intact = cls.intact.dest_rows
         # The reuse test for every active destination at once.
         parent_rows = cls.row_of[active]
         reuse = parent_rows >= 0
         if projection.failed_links:
             failed = np.asarray(projection.failed_links, dtype=np.int64)
-            reuse[reuse] = ~cls.rows[np.ix_(parent_rows[reuse], failed)].any(axis=1)
+            reuse[reuse] = ~intact[np.ix_(parent_rows[reuse], failed)].any(axis=1)
         if demands is not cls.demands:  # a traffic transform or a disconnection
             ts = active[reuse]
             reuse[reuse] = (demands[:, ts] == cls.demands[:, ts]).all(axis=0)
         kept = np.flatnonzero(reuse)
         if kept.size:
             if projection.is_identity:
-                rows[kept] = cls.rows[parent_rows[kept]]
+                rows[kept] = intact[parent_rows[kept]]
             else:
-                rows[kept] = cls.rows[
+                rows[kept] = intact[
                     np.ix_(parent_rows[kept], projection.surviving_index_array())
                 ]
-            self.stats["reused_rows"] += int(kept.size)
-        recompute = np.flatnonzero(~reuse)
-        if recompute.size:
-            # One batched kernel call covers every row the reuse test
-            # rejected; rows land in active-destination order, so the
-            # fixed summation below is unchanged.
-            ts = active[recompute]
-            rows[recompute] = routing.destination_rows(ts, demands[:, ts].T)
-            self.stats["recomputed_rows"] += int(recompute.size)
-        return _ordered_row_sum(rows, num_links)
+        self.stats["reused_rows"] += int(kept.size)
+        self.stats["recomputed_rows"] += int(active.size - kept.size)
+        return ClassLoads.refresh(routing, active, demands, rows, ~reuse).loads
 
 
 def sweep_scenarios(

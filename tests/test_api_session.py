@@ -254,6 +254,16 @@ class TestScaledTraffic:
         for counter in ("high_full", "low_full", "high_incremental", "low_incremental"):
             assert after[counter] == before[counter]
 
+    def test_load_mode_counts_only_the_baseline_lookup(self, baseline_session):
+        """Load-mode pricing needs no routing: of every cache counter, only
+        the baseline evaluation's own full-cache hit moves."""
+        session = baseline_session
+        session.evaluate()
+        before = session.evaluator.cache_stats()
+        session.scaled_traffic(2.0)
+        expected = dict(before, full_hits=before["full_hits"] + 1)
+        assert session.evaluator.cache_stats() == expected
+
     def test_identity_factor_is_neutral(self, baseline_session):
         result = baseline_session.scaled_traffic(1.0)
         assert result.primary_delta == pytest.approx(0.0)

@@ -118,6 +118,15 @@ class TestOptimizeSlicedLow:
         phi_low = float(fortz_cost_vector(low_loads, residual).sum())
         assert phi_low == pytest.approx(result.objective.secondary)
 
+    def test_fractional_high_weights_rejected(self, evaluator):
+        """``[2.5] * n`` raises instead of running (and reporting) ``[2] * n``."""
+        n = evaluator.network.num_links
+        with pytest.raises(ValueError, match="integer"):
+            optimize_sliced_low(
+                evaluator, [2.5] * n, 2, params=FAST, rng=random.Random(6)
+            )
+        assert evaluator.cache_stats()["high_misses"] == 0  # never keyed as [2] * n
+
     def test_deterministic(self, evaluator):
         wh = unit_weights(evaluator.network.num_links)
         a = optimize_sliced_low(evaluator, wh, 2, params=FAST, rng=random.Random(42))
