@@ -4,8 +4,9 @@ bit and the benchmarks time against them:
 
 * :class:`ScalarRouting` / :class:`ScalarEvaluator` — the scalar Python
   loops the struct-of-arrays kernels of :mod:`repro.routing.soa` replay
-  (DAG masks, per-destination accumulation, pair fractions, mean path
-  delays);
+  (list-form DAGs from the slack mask, per-destination accumulation,
+  the interleaved all-destination :meth:`ScalarRouting.link_loads`, pair
+  fractions, mean path delays);
 * :class:`NaiveSweepEngine` / :class:`ReferenceSession` — the naive
   per-scenario rebuild: a fresh degraded routing and a full load pass per
   scenario, with no shared projections, derived routings or reused rows.
@@ -16,6 +17,8 @@ are the production code itself.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.api.session import Session
@@ -25,12 +28,20 @@ from repro.routing.spf import (
     descending_distance_order,
     shortest_path_dag_mask,
 )
-from repro.routing.state import Routing
+from repro.routing.state import Routing, active_destinations
 from repro.scenarios.batch import SweepEngine
 
 
 class ScalarRouting(Routing):
-    """A routing whose per-destination work runs the scalar loops."""
+    """A routing whose per-destination work runs the scalar loops.
+
+    Its DAGs are per-node lists of out-links built from the slack mask
+    and cached per instance; derived children share only the CSR DAGs.
+    """
+
+    @cached_property
+    def _dag_out(self) -> dict[int, list[list[int]]]:
+        return {}
 
     def dag_out_links(self, dst: int) -> list[list[int]]:
         cached = self._dag_out.get(dst)
@@ -43,6 +54,16 @@ class ScalarRouting(Routing):
             out[sources[link_idx]].append(int(link_idx))
         self._dag_out[dst] = out
         return out
+
+    def link_loads(self, traffic) -> np.ndarray:
+        """Every active destination's shares added into one accumulator,
+        interleaved, in ascending destination order."""
+        demands = self._demand_array(traffic)
+        loads = np.zeros(self._net.num_links)
+        link_dst = self._net.link_destinations()
+        for t in active_destinations(demands):
+            self._accumulate_destination(int(t), demands[:, t], loads, link_dst)
+        return loads
 
     def destination_rows(self, dests, injections: np.ndarray) -> np.ndarray:
         dests = [int(t) for t in dests]
@@ -57,6 +78,32 @@ class ScalarRouting(Routing):
         for i, t in enumerate(dests):
             self._accumulate_destination(t, inj[i], rows[i], link_dst)
         return rows
+
+    def _accumulate_destination(
+        self,
+        t: int,
+        injections: np.ndarray,
+        loads: np.ndarray,
+        link_dst: np.ndarray,
+    ) -> None:
+        """Add destination ``t``'s ECMP shares into ``loads``: nodes
+        farthest first, each node's flow split evenly over its out-links."""
+        dist = self._dist[t]
+        unreachable = ~np.isfinite(dist) & (injections > 0)
+        if np.any(unreachable):
+            bad = int(np.flatnonzero(unreachable)[0])
+            raise RoutingError(f"node {t} unreachable from node {bad}")
+        dag_out = self.dag_out_links(t)
+        flow = injections.astype(float).copy()
+        for u in descending_distance_order(dist):
+            u = int(u)
+            if u == t or flow[u] <= 0.0:
+                continue
+            out = dag_out[u]
+            share = flow[u] / len(out)
+            for link_idx in out:
+                loads[link_idx] += share
+                flow[link_dst[link_idx]] += share
 
     def pair_link_fractions(self, src: int, dst: int) -> np.ndarray:
         if src == dst:

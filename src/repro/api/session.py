@@ -65,7 +65,7 @@ from repro.costs.sla import SlaParams
 from repro.network.graph import Network
 from repro.routing.incremental import WeightDelta
 from repro.routing.weights import as_weight_array, weights_key
-from repro.traffic.matrix import TrafficMatrix
+from repro.traffic.matrix import TrafficMatrix, check_factor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.result import OptimizationResult
@@ -529,13 +529,12 @@ class Session:
         cached routing) is recomputed.
 
         Args:
-            factor: Non-negative multiplier on both matrices.
+            factor: Finite, non-negative multiplier on both matrices.
 
         Returns:
             A :class:`WhatIfResult` with ``kind="traffic"``.
         """
-        if factor < 0:
-            raise ValueError(f"traffic scale factor must be non-negative, got {factor}")
+        check_factor(factor, "traffic scale factor")
         wh, _wl = self._require_baseline()
         baseline = self.evaluate()
         net = self.network

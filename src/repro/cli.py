@@ -137,6 +137,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The experiment flags every session-building subcommand shares.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--topology", choices=["random", "powerlaw", "isp"], default="random")
+    config.add_argument("--mode", choices=[LOAD_MODE, SLA_MODE], default=LOAD_MODE)
+    config.add_argument("--utilization", type=float, default=0.6)
+    config.add_argument("--fraction", type=float, default=0.30,
+                        help="high-priority volume fraction f")
+    config.add_argument("--density", type=float, default=0.10,
+                        help="high-priority SD-pair density k")
+    config.add_argument("--seed", type=int, default=1)
+    baseline = argparse.ArgumentParser(add_help=False)
+    baseline.add_argument(
+        "--weights", default=None,
+        help="baseline weights JSON: a list (both classes) or "
+             '{"high": [...], "low": [...]}; hop-count weights if omitted',
+    )
+
     topo = sub.add_parser("topology", help="generate a topology and save it as JSON")
     topo.add_argument("--family", choices=["random", "powerlaw", "isp"], default="isp")
     topo.add_argument("--seed", type=int, default=1)
@@ -148,14 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--seed", type=int, default=1)
     fig.add_argument("--json", dest="json_out", default=None, help="also save JSON here")
 
-    cmp_ = sub.add_parser("compare", help="run one STR vs DTR comparison")
-    cmp_.add_argument("--topology", choices=["random", "powerlaw", "isp"], default="random")
-    cmp_.add_argument("--mode", choices=[LOAD_MODE, SLA_MODE], default=LOAD_MODE)
-    cmp_.add_argument("--utilization", type=float, default=0.6)
-    cmp_.add_argument("--fraction", type=float, default=0.30, help="high-priority volume fraction f")
-    cmp_.add_argument("--density", type=float, default=0.10, help="high-priority SD-pair density k")
+    cmp_ = sub.add_parser("compare", parents=[config], help="run one STR vs DTR comparison")
     cmp_.add_argument("--scale", type=float, default=1.0)
-    cmp_.add_argument("--seed", type=int, default=1)
     spf = cmp_.add_mutually_exclusive_group()
     spf.add_argument(
         "--incremental",
@@ -172,37 +183,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     opt = sub.add_parser(
-        "optimize", help="run one registered strategy via the repro.api facade"
+        "optimize", parents=[config],
+        help="run one registered strategy via the repro.api facade",
     )
     opt.add_argument(
         "--strategy",
         default="dtr",
         help="registered strategy name (str, dtr, joint, anneal, or a plugin)",
     )
-    opt.add_argument("--topology", choices=["random", "powerlaw", "isp"], default="random")
-    opt.add_argument("--mode", choices=[LOAD_MODE, SLA_MODE], default=LOAD_MODE)
-    opt.add_argument("--utilization", type=float, default=0.6)
-    opt.add_argument("--fraction", type=float, default=0.30, help="high-priority volume fraction f")
-    opt.add_argument("--density", type=float, default=0.10, help="high-priority SD-pair density k")
     opt.add_argument("--scale", type=float, default=1.0, help="search budget scale")
-    opt.add_argument("--seed", type=int, default=1)
     opt.add_argument("--alpha", type=float, default=None,
                      help="joint-cost trade-off (joint strategy only)")
     opt.add_argument("--json", dest="json_out", default=None, help="also save JSON here")
 
     wif = sub.add_parser(
-        "whatif", help="incremental what-if query against a baseline weight setting"
-    )
-    wif.add_argument("--topology", choices=["random", "powerlaw", "isp"], default="random")
-    wif.add_argument("--mode", choices=[LOAD_MODE, SLA_MODE], default=LOAD_MODE)
-    wif.add_argument("--utilization", type=float, default=0.6)
-    wif.add_argument("--fraction", type=float, default=0.30)
-    wif.add_argument("--density", type=float, default=0.10)
-    wif.add_argument("--seed", type=int, default=1)
-    wif.add_argument(
-        "--weights", default=None,
-        help="baseline weights JSON: a list (both classes) or "
-             '{"high": [...], "low": [...]}; hop-count weights if omitted',
+        "whatif", parents=[config, baseline],
+        help="incremental what-if query against a baseline weight setting",
     )
     query = wif.add_mutually_exclusive_group(required=True)
     query.add_argument("--link", type=int, default=None, help="link index of a weight move")
@@ -221,20 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: both)")
 
     swp = sub.add_parser(
-        "sweep",
+        "sweep", parents=[config, baseline],
         help="stream a combinatorial scenario space and print its "
              "robustness aggregate",
-    )
-    swp.add_argument("--topology", choices=["random", "powerlaw", "isp"], default="random")
-    swp.add_argument("--mode", choices=[LOAD_MODE, SLA_MODE], default=LOAD_MODE)
-    swp.add_argument("--utilization", type=float, default=0.6)
-    swp.add_argument("--fraction", type=float, default=0.30)
-    swp.add_argument("--density", type=float, default=0.10)
-    swp.add_argument("--seed", type=int, default=1)
-    swp.add_argument(
-        "--weights", default=None,
-        help="baseline weights JSON: a list (both classes) or "
-             '{"high": [...], "low": [...]}; hop-count weights if omitted',
     )
     swp.add_argument(
         "--space", required=True, metavar="SPEC",
@@ -288,21 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     agg_p.add_argument("--json", dest="json_out", default=None, help="also save JSON here")
 
     srv = sub.add_parser(
-        "serve", help="run the online what-if query service (HTTP, stdlib only)"
+        "serve", parents=[config, baseline],
+        help="run the online what-if query service (HTTP, stdlib only)",
     )
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8093)
-    srv.add_argument("--topology", choices=["random", "powerlaw", "isp"], default="random")
-    srv.add_argument("--mode", choices=[LOAD_MODE, SLA_MODE], default=LOAD_MODE)
-    srv.add_argument("--utilization", type=float, default=0.6)
-    srv.add_argument("--fraction", type=float, default=0.30)
-    srv.add_argument("--density", type=float, default=0.10)
-    srv.add_argument("--seed", type=int, default=1)
-    srv.add_argument(
-        "--weights", default=None,
-        help="baseline weights JSON file (list or {'high': [...], 'low': [...]});"
-             " hop-count weights if omitted",
-    )
     srv.add_argument("--pool-size", type=int, default=4,
                      help="warm sessions kept (LRU)")
     srv.add_argument("--log", dest="log_path", default=None,
@@ -479,8 +454,11 @@ def _run_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_compare(args: argparse.Namespace) -> int:
-    config = scaled_config(
+def _config_from_args(
+    args: argparse.Namespace, scale: float = 1.0, incremental: bool = True
+) -> ExperimentConfig:
+    """The experiment config of the shared config flags, budgets scaled by ``scale``."""
+    return scaled_config(
         ExperimentConfig(
             topology=args.topology,
             mode=args.mode,
@@ -488,11 +466,14 @@ def _run_compare(args: argparse.Namespace) -> int:
             high_fraction=args.fraction,
             high_density=args.density,
             seed=args.seed,
-            incremental=args.incremental,
+            incremental=incremental,
         ),
-        args.scale,
+        scale,
     )
-    result = run_comparison(config)
+
+
+def _run_compare(args: argparse.Namespace) -> int:
+    result = run_comparison(_config_from_args(args, args.scale, args.incremental))
     print(f"topology={args.topology} mode={args.mode} AD={result.average_utilization:.3f}")
     print(f"STR objective: {result.str_result.evaluation.objective}")
     print(f"DTR objective: {result.dtr_result.evaluation.objective}")
@@ -504,17 +485,7 @@ def _session_from_args(args: argparse.Namespace, scale: float = 1.0):
     """Build a ``repro.api`` session from the shared experiment flags."""
     from repro.api import Session
 
-    config = scaled_config(
-        ExperimentConfig(
-            topology=args.topology,
-            mode=args.mode,
-            target_utilization=args.utilization,
-            high_fraction=args.fraction,
-            high_density=args.density,
-            seed=args.seed,
-        ),
-        scale,
-    )
+    config = _config_from_args(args, scale)
     return Session.from_config(config), config
 
 

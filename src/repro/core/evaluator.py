@@ -29,7 +29,7 @@ rebuilt: only the destinations whose SP structure can change (the slack
 test of :func:`repro.routing.incremental.affected_destinations`) get
 their Dijkstra row, SP DAG and load row recomputed; everything else is
 reused verbatim.  Both paths sum a layer's rows through
-:meth:`repro.routing.incremental.ClassLoads.refresh`, in one fixed
+:meth:`repro.routing.state.ClassLoads.refresh`, in one fixed
 order, so a derived layer is bit-identical to a rebuilt one.  In SLA mode the link delays move with
 the loads, so every pair delay is recomputed; the reverse pass reads the
 same DAGs and delays either way and its per-node sums do not depend on
@@ -54,12 +54,11 @@ from repro.costs.sla import SlaParams
 from repro.lru import LruCache
 from repro.network.graph import Network
 from repro.routing.incremental import (
-    ClassLoads,
     WeightDelta,
     affected_destinations,
     derive_routing,
 )
-from repro.routing.state import Routing
+from repro.routing.state import ClassLoads, Routing, active_destinations
 from repro.routing.weights import as_weight_array, weights_key
 from repro.traffic.matrix import TrafficMatrix
 
@@ -133,7 +132,7 @@ class DualTopologyEvaluator:
         self._routing_memo = LruCache(cache_size * 2)
         # Per class: its layer cache, demand matrix and active destinations.
         self._classes = {
-            which: (cache, tm.demands, np.flatnonzero(tm.demands.sum(axis=0) > 0))
+            which: (cache, tm.demands, active_destinations(tm.demands))
             for which, cache, tm in (
                 ("high", self._high_cache, high_traffic),
                 ("low", self._low_cache, low_traffic),

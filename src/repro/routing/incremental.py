@@ -27,17 +27,16 @@ destinations and copies all other rows from the parent.  For multi-link
 deltas the affected set is the union of the per-link tests, each
 evaluated against the parent's distances — increases cannot shorten any
 path, and a decrease failing its test cannot undercut any distance even
-combined with the others.  The callers (:mod:`repro.core.evaluator`,
-:mod:`repro.scenarios.batch`) reuse per-destination load rows on top,
-each by its own rule, and build a class's loads through one helper,
-:meth:`ClassLoads.refresh`.
+combined with the others.  This module only derives routings; the
+callers (:mod:`repro.core.evaluator`, :mod:`repro.scenarios.batch`)
+reuse per-destination load rows on top, each by its own rule, and build
+a class's loads through :meth:`repro.routing.state.ClassLoads.refresh`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Optional
 
 import numpy as np
 
@@ -249,9 +248,8 @@ def derive_children(parent: Routing, children) -> list[Routing]:
     the diagonal), which an affected set may not cover.
 
     A child that keeps the parent's link space also shares the parent's
-    cached SP DAGs (list and CSR form) of unaffected destinations; a
-    topology delta renumbers links, so its DAGs build lazily.  Children
-    are of the parent's class.
+    cached SP DAGs of unaffected destinations; a topology delta renumbers
+    links, so its DAGs build lazily.  Children are of the parent's class.
     """
     children = [
         (net, weights, affected, uses_full_spf(parent, net, affected))
@@ -275,13 +273,10 @@ def derive_children(parent: Routing, children) -> list[Routing]:
         else:
             dist = parent.distance_matrix.copy()
             dist[affected] = rows
-        dag_out = dags = None
+        dags = None
         if net is parent.network:
             stale = set(affected.tolist())
-            dag_out, dags = (
-                {t: dag for t, dag in cache.items() if t not in stale}
-                for cache in (parent.dag_cache(), parent.soa_dag_cache())
-            )
+            dags = {t: dag for t, dag in parent.soa_dag_cache().items() if t not in stale}
         elif not full:
             linked = np.zeros(net.num_nodes, dtype=bool)
             linked[net.link_sources()] = linked[net.link_destinations()] = True
@@ -289,11 +284,7 @@ def derive_children(parent: Routing, children) -> list[Routing]:
             if isolated.size:
                 dist[:, isolated] = dist[isolated, :] = np.inf
                 dist[isolated, isolated] = 0.0
-        out.append(
-            type(parent).from_precomputed(
-                net, weights, dist, dag_out=dag_out, dags=dags
-            )
-        )
+        out.append(type(parent).from_precomputed(net, weights, dist, dags=dags))
     return out
 
 
@@ -320,70 +311,3 @@ def derive_routing(
     _OBS_DERIVE_SECONDS.observe(perf_counter() - started)
     _OBS_AFFECTED.observe(affected.size)
     return child, affected
-
-
-@dataclass
-class ClassLoads:
-    """One traffic class's loads under one routing.
-
-    Attributes:
-        routing: The routing the class follows.
-        dest_rows: One per-link load row per active destination (the
-            columns of the class's demand matrix with positive demand),
-            ascending.
-        loads: The rows' sum, added left to right from zero.
-    """
-
-    routing: Routing
-    dest_rows: np.ndarray
-    loads: np.ndarray
-
-    @classmethod
-    def refresh(
-        cls,
-        routing: Routing,
-        active: np.ndarray,
-        demands: np.ndarray,
-        rows: Optional[np.ndarray] = None,
-        stale: Optional[np.ndarray] = None,
-    ) -> "ClassLoads":
-        """Recompute the rows marked ``stale``, then sum every row.
-
-        Both incremental engines build a class's loads here; each decides
-        which rows it may reuse — the evaluator those outside a move's
-        affected set, the sweep engine those with zero flow on every
-        failed link and an unchanged demand column — and fills ``rows``
-        with them before the call.  The stale rows are recomputed in one
-        :meth:`Routing.destination_rows` call, and the sum runs over all
-        rows in a fixed left-to-right order (a numpy reduction may regroup
-        the additions), so a derived class's loads are bit-identical to a
-        rebuilt one's whichever rows were reused.
-
-        Args:
-            routing: The class's routing.
-            active: The class's active destinations, ascending.
-            demands: The class's ``(n, n)`` demand matrix.
-            rows: ``(len(active), num_links)`` rows with the reused ones
-                filled in; stale ones are overwritten in place.  Omitted,
-                every row is computed.
-            stale: Boolean mask over ``rows`` of the rows to recompute.
-        """
-        if rows is None:
-            rows = np.empty((active.size, routing.network.num_links))
-            stale = np.ones(active.size, dtype=bool)
-        redo = np.flatnonzero(stale)
-        if redo.size:
-            ts = active[redo]
-            # With every node a stale destination, the transpose view skips
-            # a full-matrix column gather (the kernel copies anyway).
-            fresh = routing.destination_rows(
-                ts, demands.T if ts.size == demands.shape[1] else demands[:, ts].T
-            )
-            if redo.size == len(rows):
-                rows = fresh
-            else:
-                rows[redo] = fresh
-        loads = np.zeros(rows.shape[1])
-        for row in rows:
-            loads += row
-        return cls(routing, rows, loads)

@@ -1,12 +1,13 @@
 """Struct-of-arrays kernels for batched ECMP load accumulation.
 
-The scalar reference path (``Routing._accumulate_destination``) walks one
-destination's shortest-path DAG in pure Python: nodes in decreasing
+The scalar reference loop (:class:`repro._reference.ScalarRouting`) walks
+one destination's shortest-path DAG in pure Python: nodes in decreasing
 distance order, each node's accumulated flow split evenly over its DAG
 out-links.  This module replays exactly that computation as numpy
 gather/scatter kernels over *many* rows at once, where a row is one
-``(destination, injection-vector)`` pair — per-destination load rows for
-the evaluator, and single-pair fraction rows for what-if queries.
+``(destination, injection-vector)`` pair — the per-destination load rows
+every load pass sums (:meth:`repro.routing.state.ClassLoads.refresh`),
+and single-pair fraction rows for what-if queries.
 :func:`mean_path_delays` runs the same schedule backwards for the SLA
 costing: the mean ECMP path delay from every node to each row's
 destination (see "The reverse pass" below).

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -18,11 +19,7 @@ from repro.routing.soa import (
     mean_path_delays,
     slice_destination_dags,
 )
-from repro.routing.spf import (
-    RoutingError,
-    descending_distance_order,
-    distances_to_all,
-)
+from repro.routing.spf import RoutingError, distances_to_all
 from repro.routing.weights import as_weight_array
 from repro.traffic.matrix import TrafficMatrix
 
@@ -49,12 +46,13 @@ class Routing:
     matrix, mean ECMP path delays, and per-pair link flow fractions — the
     primitives every cost function in the paper needs.
 
-    Per-destination work (:meth:`destination_rows`,
-    :meth:`destination_link_loads`, :meth:`path_delays`,
-    :meth:`pair_link_fractions`) runs on the struct-of-arrays kernels of
-    :mod:`repro.routing.soa`, which are bit-identical to the scalar
-    Python reference loops kept in
-    :class:`repro._reference.ScalarRouting` (the cross-check the
+    All of it runs on the CSR DAGs (:class:`~repro.routing.soa.DestinationDag`)
+    and struct-of-arrays kernels of :mod:`repro.routing.soa`:
+    :meth:`link_loads` sums the per-destination rows of
+    :meth:`destination_rows` through :meth:`ClassLoads.refresh`, the
+    one accumulation path the evaluator and the sweep engine use too.
+    The kernels are bit-identical to the scalar Python reference loops
+    kept in :class:`repro._reference.ScalarRouting` (the cross-check the
     differential suites pin down).
     """
 
@@ -63,7 +61,6 @@ class Routing:
         self._weights = as_weight_array(weights, net.num_links)
         self._dist = distances_to_all(net, self._weights)
         self._dist.setflags(write=False)
-        self._dag_out: dict[int, list[list[int]]] = {}
         self._dags: dict[int, DestinationDag] = {}
         self._pending_dags: Optional[tuple[list[int], tuple]] = None
         self._dest_schedules: LruCache[bytes, Schedule] = LruCache(_DEST_SCHEDULE_CAP)
@@ -75,27 +72,24 @@ class Routing:
         net: Network,
         weights: Iterable[float],
         dist: np.ndarray,
-        dag_out: Optional[dict[int, list[list[int]]]] = None,
         dags: Optional[dict[int, DestinationDag]] = None,
     ) -> "Routing":
         """Build a routing from an externally computed distance matrix.
 
         This is the constructor the incremental-SPF path uses
         (:func:`repro.routing.incremental.derive_children`): ``dist`` must
-        equal ``distances_to_all(net, weights)`` and ``dag_out`` /
-        ``dags`` may seed the per-destination DAG caches with entries
-        that are known to be valid under ``weights`` (e.g. reused from a
-        parent routing whose distance rows are unchanged).  No
-        recomputation or validation is performed, so callers are
-        responsible for consistency.  ``dist`` is marked read-only: it is
-        shared state from this point on.
+        equal ``distances_to_all(net, weights)`` and ``dags`` may seed the
+        per-destination DAG cache with entries that are known to be valid
+        under ``weights`` (e.g. reused from a parent routing whose distance
+        rows are unchanged).  No recomputation or validation is performed,
+        so callers are responsible for consistency.  ``dist`` is marked
+        read-only: it is shared state from this point on.
         """
         routing = cls.__new__(cls)
         routing._net = net
         routing._weights = as_weight_array(weights, net.num_links)
         dist.setflags(write=False)
         routing._dist = dist
-        routing._dag_out = dict(dag_out) if dag_out else {}
         routing._dags = dict(dags) if dags else {}
         routing._pending_dags = None
         routing._dest_schedules = LruCache(_DEST_SCHEDULE_CAP)
@@ -133,20 +127,13 @@ class Routing:
         """
         return self._dist
 
-    def dag_cache(self) -> dict[int, list[list[int]]]:
-        """The per-destination SP DAG cache built so far (``dst -> out-links``).
-
-        Exposed so the incremental-SPF path can reuse DAGs of destinations
-        whose distance rows are unchanged; treat entries as read-only.
-        """
-        return self._dag_out
-
     def soa_dag_cache(self) -> dict[int, DestinationDag]:
-        """The CSR-form per-destination DAG cache (``dst -> DestinationDag``).
+        """The per-destination SP DAG cache built so far (``dst -> DestinationDag``).
 
-        The struct-of-arrays counterpart of :meth:`dag_cache`, shared the
-        same way by :func:`repro.routing.incremental.derive_children`;
-        treat entries as read-only.
+        Exposed so the incremental-SPF path
+        (:func:`repro.routing.incremental.derive_children`) can reuse DAGs
+        of destinations whose distance rows are unchanged; treat entries
+        as read-only.
         """
         self._materialize_pending_dags()
         return self._dags
@@ -163,23 +150,19 @@ class Routing:
         return [self._dags[int(t)] for t in dests]
 
     def dag_out_links(self, dst: int) -> list[list[int]]:
-        """Per-node outgoing link indices on the shortest-path DAG toward ``dst``."""
-        cached = self._dag_out.get(dst)
-        if cached is not None:
-            return cached
+        """Per-node outgoing link indices on the shortest-path DAG toward ``dst``.
+
+        A list view of the CSR DAG, built on every call.
+        """
         dag = self.ensure_dags([dst])[0]
-        out = [
-            dag.links[dag.indptr[u] : dag.indptr[u + 1]].tolist()
-            for u in range(self._net.num_nodes)
-        ]
-        self._dag_out[dst] = out
-        return out
+        return [self._out_links(dag, u) for u in range(self._net.num_nodes)]
 
     def next_hops(self, src: int, dst: int) -> list[int]:
         """ECMP next hops from ``src`` toward ``dst`` (empty if unreachable or src==dst)."""
         if src == dst:
             return []
-        return [self._net.link(l).dst for l in self.dag_out_links(dst)[src]]
+        link_dst = self._net.link_destinations()
+        return [int(link_dst[l]) for l in self._out_links(self.ensure_dags([dst])[0], src)]
 
     # ------------------------------------------------------------------
     # Load model
@@ -192,10 +175,13 @@ class Routing:
         ``t`` (locally originated plus transit) splits evenly over its
         shortest-path DAG out-links.
 
-        This entry point deliberately keeps the scalar reference loop: it
-        interleaves per-destination additions into one
-        shared accumulator, an addition grouping the row-based kernels
-        cannot reproduce bitwise, and its exact bits feed
+        One :meth:`destination_rows` pass computes the row of every
+        active destination, and :meth:`ClassLoads.refresh` adds the rows
+        left to right from zero.  That equals the scalar loop of
+        :class:`repro._reference.ScalarRouting`, which adds every
+        destination's shares into one accumulator in ascending
+        destination order, bit for bit: a link has one source node, so it
+        takes at most one share per destination.  The exact bits feed
         :func:`repro.traffic.scaling.scale_to_utilization` (and through
         it every search trajectory).
 
@@ -206,15 +192,13 @@ class Routing:
             Vector of link loads (Mb/s), indexed by link index.
 
         Raises:
+            ValueError: if a raw demand array is not a valid
+                :class:`~repro.traffic.matrix.TrafficMatrix` of this size.
             RoutingError: if any positive demand has no path to its
-                destination.
+                destination (lowest destination first, then lowest node).
         """
         demands = self._demand_array(traffic)
-        loads = np.zeros(self._net.num_links)
-        link_dst = self._net.link_destinations()
-        for t in np.flatnonzero(demands.sum(axis=0) > 0):
-            self._accumulate_destination(int(t), demands[:, t], loads, link_dst)
-        return loads
+        return ClassLoads.refresh(self, active_destinations(demands), demands).loads
 
     def destination_rows(self, dests, injections: np.ndarray) -> np.ndarray:
         """Per-link load rows for many ``(destination, injection)`` pairs.
@@ -338,7 +322,8 @@ class Routing:
             return [[src]]
         if not np.isfinite(self._dist[dst, src]):
             raise RoutingError(f"node {dst} unreachable from node {src}")
-        dag_out = self.dag_out_links(dst)
+        dag = self.ensure_dags([dst])[0]
+        link_dst = self._net.link_destinations()
         paths: list[list[int]] = []
         stack: list[list[int]] = [[src]]
         while stack:
@@ -349,13 +334,18 @@ class Routing:
                 if len(paths) > limit:
                     raise RoutingError(f"more than {limit} shortest paths for ({src}, {dst})")
                 continue
-            for link_idx in dag_out[node]:
-                stack.append(path + [self._net.link(link_idx).dst])
+            for link_idx in self._out_links(dag, node):
+                stack.append(path + [int(link_dst[link_idx])])
         return sorted(paths)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    @staticmethod
+    def _out_links(dag: DestinationDag, node: int) -> list[int]:
+        """``node``'s DAG out-links, ascending: its slice of the CSR DAG."""
+        return dag.links[dag.indptr[node] : dag.indptr[node + 1]].tolist()
+
     def _materialize_pending_dags(self) -> None:
         """Slice deferred fused-pass DAG arrays into the ``_dags`` cache.
 
@@ -407,36 +397,88 @@ class Routing:
         return schedule
 
     def _demand_array(self, traffic: DemandsLike) -> np.ndarray:
-        demands = traffic.demands if isinstance(traffic, TrafficMatrix) else np.asarray(traffic, dtype=float)
+        if not isinstance(traffic, TrafficMatrix):
+            traffic = TrafficMatrix(traffic)  # a raw array passes the same checks
         n = self._net.num_nodes
-        if demands.shape != (n, n):
-            raise ValueError(f"expected demands of shape ({n}, {n}), got {demands.shape}")
-        return demands
-
-    def _accumulate_destination(
-        self,
-        t: int,
-        injections: np.ndarray,
-        loads: np.ndarray,
-        link_dst: np.ndarray,
-    ) -> None:
-        """The scalar reference loop the SoA kernels are checked against."""
-        dist = self._dist[t]
-        unreachable = ~np.isfinite(dist) & (injections > 0)
-        if np.any(unreachable):
-            bad = int(np.flatnonzero(unreachable)[0])
-            raise RoutingError(f"node {t} unreachable from node {bad}")
-        dag_out = self.dag_out_links(t)
-        flow = injections.astype(float).copy()
-        for u in descending_distance_order(dist):
-            u = int(u)
-            if u == t or flow[u] <= 0.0:
-                continue
-            out = dag_out[u]
-            share = flow[u] / len(out)
-            for link_idx in out:
-                loads[link_idx] += share
-                flow[link_dst[link_idx]] += share
+        if traffic.demands.shape != (n, n):
+            raise ValueError(f"expected demands of shape ({n}, {n}), got {traffic.demands.shape}")
+        return traffic.demands
 
     def __repr__(self) -> str:
         return f"Routing(net={self._net.name!r}, links={self._net.num_links})"
+
+
+def active_destinations(demands: np.ndarray) -> np.ndarray:
+    """The destinations of ``demands`` with positive demand, ascending.
+
+    The one rule every load pass uses to pick its per-destination rows.
+    """
+    return np.flatnonzero(demands.sum(axis=0) > 0)
+
+
+@dataclass
+class ClassLoads:
+    """One traffic class's loads under one routing.
+
+    Attributes:
+        routing: The routing the class follows.
+        dest_rows: One per-link load row per active destination
+            (:func:`active_destinations` of the class's demand matrix),
+            ascending.
+        loads: The rows' sum, added left to right from zero.
+    """
+
+    routing: Routing
+    dest_rows: np.ndarray
+    loads: np.ndarray
+
+    @classmethod
+    def refresh(
+        cls,
+        routing: Routing,
+        active: np.ndarray,
+        demands: np.ndarray,
+        rows: Optional[np.ndarray] = None,
+        stale: Optional[np.ndarray] = None,
+    ) -> "ClassLoads":
+        """Recompute the rows marked ``stale``, then sum every row.
+
+        Every load pass builds a class's loads here: :meth:`Routing.link_loads`
+        and both incremental engines.  Each engine decides which rows it
+        may reuse — the evaluator those outside a move's affected set, the
+        sweep engine those with zero flow on every failed link and an
+        unchanged demand column — and fills ``rows`` with them before the
+        call.  The stale rows are recomputed in one
+        :meth:`Routing.destination_rows` call, and the sum runs over all
+        rows in a fixed left-to-right order (a numpy reduction may regroup
+        the additions), so a derived class's loads are bit-identical to a
+        rebuilt one's whichever rows were reused.
+
+        Args:
+            routing: The class's routing.
+            active: The class's active destinations, ascending.
+            demands: The class's ``(n, n)`` demand matrix.
+            rows: ``(len(active), num_links)`` rows with the reused ones
+                filled in; stale ones are overwritten in place.  Omitted,
+                every row is computed.
+            stale: Boolean mask over ``rows`` of the rows to recompute.
+        """
+        if rows is None:
+            rows = np.empty((active.size, routing.network.num_links))
+            stale = np.ones(active.size, dtype=bool)
+        redo = np.flatnonzero(stale)
+        if redo.size:
+            ts = active[redo]
+            # With every node a stale destination, the transpose view skips
+            # a full-matrix column gather (the kernel copies anyway).
+            fresh = routing.destination_rows(
+                ts, demands.T if ts.size == demands.shape[1] else demands[:, ts].T
+            )
+            if redo.size == len(rows):
+                rows = fresh
+            else:
+                rows[redo] = fresh
+        loads = np.zeros(rows.shape[1])
+        for row in rows:
+            loads += row
+        return cls(routing, rows, loads)

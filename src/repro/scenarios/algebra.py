@@ -36,7 +36,7 @@ import numpy as np
 from repro.lru import LruCache
 from repro.network.graph import Network
 from repro.scenarios.projection import TopologyProjection
-from repro.traffic.matrix import TrafficMatrix
+from repro.traffic.matrix import TrafficMatrix, check_factor
 
 ElementKey = tuple
 """An element a scenario touches: ``("adj", u, v)`` for a duplex
@@ -414,8 +414,7 @@ class TrafficScale(Scenario):
     factor: float
 
     def __post_init__(self) -> None:
-        if self.factor < 0:
-            raise ValueError(f"scale factor must be non-negative, got {self.factor}")
+        check_factor(self.factor)
 
     def transform_traffic(self, high, low):
         return high.scaled(self.factor), low.scaled(self.factor)
@@ -439,8 +438,7 @@ class HotSpotSurge(Scenario):
     factor: float
 
     def __post_init__(self) -> None:
-        if self.factor < 0:
-            raise ValueError(f"surge factor must be non-negative, got {self.factor}")
+        check_factor(self.factor, "surge factor")
 
     def transform_traffic(self, high, low):
         def surge(tm: TrafficMatrix) -> TrafficMatrix:

@@ -27,7 +27,7 @@ at all.  The :class:`SweepEngine` exploits exactly that structure:
   the scenario's traffic transform.
 
 The reuse is exact, not approximate: a class's loads are built through
-:meth:`~repro.routing.incremental.ClassLoads.refresh`, the row helper
+:meth:`~repro.routing.state.ClassLoads.refresh`, the row helper
 :class:`~repro.core.evaluator.DualTopologyEvaluator` builds its layers
 with (one fixed summation order), and priced through the shared costing
 pass of :mod:`repro.costs.pricing`, so a batched sweep is
@@ -52,12 +52,11 @@ from repro.costs.sla import SlaParams
 from repro.lru import LruCache
 from repro.network.graph import Network
 from repro.routing.incremental import (
-    ClassLoads,
     derive_children,
     destinations_using_links,
     uses_full_spf,
 )
-from repro.routing.state import Routing
+from repro.routing.state import ClassLoads, Routing, active_destinations
 from repro.routing.weights import as_weight_array, weights_key
 from repro.scenarios.algebra import LoweredScenario, Scenario
 from repro.scenarios.projection import TopologyProjection
@@ -97,7 +96,7 @@ class _ClassState:
         self.weights = routing.weights
         self.key = weights_key(self.weights)
         self.demands = traffic.demands
-        active = np.flatnonzero(self.demands.sum(axis=0) > 0)
+        active = active_destinations(self.demands)
         self.intact = ClassLoads.refresh(routing, active, self.demands)
         # Row of ``intact.dest_rows`` holding each destination's intact
         # load row (-1: none to reuse).
@@ -541,7 +540,7 @@ class SweepEngine:
         the evaluator's own row helper.
         """
         demands = traffic.demands
-        active = np.flatnonzero(demands.sum(axis=0) > 0)
+        active = active_destinations(demands)
         rows = np.empty((active.size, routing.network.num_links))
         intact = cls.intact.dest_rows
         # The reuse test for every active destination at once.

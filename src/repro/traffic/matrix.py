@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 import numpy as np
+
+
+def check_factor(factor: float, name: str = "scale factor") -> float:
+    """``factor``, if it is a finite, non-negative multiplier on demand;
+    else a ValueError that names it."""
+    if not (math.isfinite(factor) and factor >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {factor}")
+    return factor
 
 
 class TrafficMatrix:
@@ -19,6 +28,8 @@ class TrafficMatrix:
         demands = np.asarray(demands, dtype=float)
         if demands.ndim != 2 or demands.shape[0] != demands.shape[1]:
             raise ValueError(f"demands must be square, got shape {demands.shape}")
+        if not np.isfinite(demands).all():
+            raise ValueError("demands must be finite")
         if np.any(demands < 0):
             raise ValueError("demands must be non-negative")
         if np.any(np.diag(demands) != 0):
@@ -86,10 +97,8 @@ class TrafficMatrix:
     # Algebra
     # ------------------------------------------------------------------
     def scaled(self, factor: float) -> "TrafficMatrix":
-        """A copy with every demand multiplied by ``factor`` (>= 0)."""
-        if factor < 0:
-            raise ValueError(f"scale factor must be non-negative, got {factor}")
-        return TrafficMatrix(self._demands * factor)
+        """A copy with every demand multiplied by ``factor`` (finite, >= 0)."""
+        return TrafficMatrix(self._demands * check_factor(factor))
 
     def __add__(self, other: "TrafficMatrix") -> "TrafficMatrix":
         if not isinstance(other, TrafficMatrix):

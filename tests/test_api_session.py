@@ -273,6 +273,11 @@ class TestScaledTraffic:
         with pytest.raises(ValueError, match="non-negative"):
             baseline_session.scaled_traffic(-0.5)
 
+    @pytest.mark.parametrize("factor", (float("nan"), float("inf")))
+    def test_rejects_non_finite_factor(self, baseline_session, factor):
+        with pytest.raises(ValueError, match="^traffic scale factor must be finite"):
+            baseline_session.scaled_traffic(factor)
+
     def test_sla_mode_penalty_scaling(self, isp_net, small_traffic):
         high, low = small_traffic
         session = Session(isp_net, high, low, cost_model="sla")

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import warnings
 
 import pytest
 
@@ -163,6 +164,22 @@ class TestWhatifCommand:
         code = main(["whatif", *self.ARGS, "--traffic-scale", "-1"])
         assert code == 2
         assert "non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "query, message",
+        (
+            (["--traffic-scale", "nan"], "traffic scale factor must be finite"),
+            (["--traffic-scale", "inf"], "traffic scale factor must be finite"),
+            (["--scenario", "scale:nan"], "scale factor must be finite"),
+            (["--scenario", "surge:3xinf"], "surge factor must be finite"),
+        ),
+    )
+    def test_non_finite_factors_exit_2_naming_the_factor(self, capsys, query, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["whatif", *self.ARGS, *query])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_malformed_weights_file_exits_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "w.json"

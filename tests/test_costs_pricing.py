@@ -1,9 +1,11 @@
 """The one costing pass (``repro.costs.pricing``) behind every evaluation path.
 
-The evaluator, the sweep engine and ``Session.scaled_traffic`` all price
-through :func:`price_high` and :meth:`HighPrice.evaluation`, so on the
-intact network at scale 1.0 they must agree bit for bit in *every*
-field, the per-link arrays and the SLA link delays included.
+The evaluator, the sweep engine, ``Session.scaled_traffic`` and
+``evaluate_load_cost``/``evaluate_sla_cost`` on fresh routings all price
+through :func:`price_high` and :meth:`HighPrice.evaluation`, and all sum
+their loads through ``ClassLoads.refresh``, so on the intact network at
+scale 1.0 they must agree bit for bit in *every* field, the per-link
+arrays and the SLA link delays included.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import pytest
 
 from repro.api.session import Session
 from repro.costs import LOAD_MODE, SLA_MODE, price_high
-from repro.costs.load_cost import LoadCostEvaluation
-from repro.costs.sla import SlaCostEvaluation
+from repro.costs.load_cost import LoadCostEvaluation, evaluate_load_cost
+from repro.costs.sla import SlaCostEvaluation, evaluate_sla_cost
 from repro.eval.experiment import ExperimentConfig
 from repro.routing.state import Routing
 from repro.routing.weights import random_weights
@@ -58,11 +60,20 @@ def test_evaluator_engine_and_scaled_traffic_agree_bitwise(topology, mode, dual)
         sla_params=session.sla_params,
     )
     scaled = session.scaled_traffic(1.0).variant
+    net = session.network
+    high_routing = Routing(net, wh)
+    low_routing = Routing(net, wl) if dual else high_routing
+    traffic = (session.high_traffic, session.low_traffic)
+    if mode == LOAD_MODE:
+        direct = evaluate_load_cost(net, high_routing, low_routing, *traffic)
+    else:
+        direct = evaluate_sla_cost(net, high_routing, low_routing, *traffic, session.sla_params)
 
     expected_type = LoadCostEvaluation if mode == LOAD_MODE else SlaCostEvaluation
     assert type(evaluated) is expected_type
     _assert_fields_identical(evaluated, engine.baseline)
     _assert_fields_identical(evaluated, scaled)
+    _assert_fields_identical(evaluated, direct)
 
 
 def test_load_price_looks_up_no_routing(isp_net, small_traffic):

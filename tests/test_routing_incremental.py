@@ -216,8 +216,7 @@ class TestDeriveRouting:
     def test_unaffected_state_is_shared(self, isp_net):
         weights = unit_weights(isp_net.num_links)
         parent = Routing(isp_net, weights)
-        for t in range(isp_net.num_nodes):
-            parent.dag_out_links(t)
+        parent.ensure_dags(range(isp_net.num_nodes))
         delta = WeightDelta.single(0, 1, 2)
         child, affected = derive_routing(parent, delta)
         affected_set = set(int(t) for t in affected)
@@ -225,7 +224,7 @@ class TestDeriveRouting:
             t
             for t in range(isp_net.num_nodes)
             if t not in affected_set
-            and child.dag_cache().get(t) is parent.dag_cache()[t]
+            and child.soa_dag_cache().get(t) is parent.soa_dag_cache()[t]
         ]
         assert shared, "expected at least one reused DAG"
 

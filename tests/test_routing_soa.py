@@ -14,6 +14,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro._reference import ScalarRouting
 from repro.network.graph import Network
@@ -36,9 +38,12 @@ from repro.routing.spf import (
     shortest_path_dag_mask,
     shortest_path_dag_masks,
 )
-from repro.routing.state import Routing
+from repro.routing.state import Routing, active_destinations
 from repro.routing.weights import random_weights, unit_weights
 from repro.scenarios.projection import TopologyProjection
+from repro.traffic.gravity import gravity_traffic_matrix
+from repro.traffic.highpriority import random_high_priority
+from repro.traffic.matrix import TrafficMatrix
 
 
 def _instances():
@@ -108,21 +113,109 @@ def test_destination_rows_empty_batch():
     assert out.shape == (0, net.num_links)
 
 
-def test_destination_link_loads_matches_link_loads_sum():
-    """Summing vectorized per-destination rows reproduces link_loads."""
-    for net, weights in _instances()[:2]:
-        routing = Routing(net, weights)
-        rng = random.Random(1)
-        demands = np.zeros((net.num_nodes, net.num_nodes))
-        for _ in range(25):
-            s, t = rng.sample(range(net.num_nodes), 2)
-            demands[s, t] = rng.random() * 8
-        active = np.flatnonzero(demands.sum(axis=0) > 0)
-        rows = routing.destination_rows(active, demands[:, active].T)
-        total = np.zeros(net.num_links)
-        for row in rows:
-            total += row
-        np.testing.assert_allclose(total, routing.link_loads(demands))
+def _random_family(rng):
+    n = rng.randint(4, 30)
+    edges = rng.randint(n - 1, min(n * (n - 1) // 2, 3 * n))
+    return random_topology(num_nodes=n, num_directed_links=2 * edges, rng=rng)
+
+
+FAMILIES = {
+    "isp": lambda rng: isp_topology(),
+    "random": _random_family,
+    "powerlaw": lambda rng: powerlaw_topology(num_nodes=rng.randint(5, 40), rng=rng),
+}
+
+
+def _demands(net, rng, kind):
+    """A demand matrix of one of four kinds: a gravity matrix, its sparse
+    high-priority share, or random entries of random density (zero
+    columns included) as a raw array or a matrix."""
+    n = net.num_nodes
+    if kind in ("total", "high"):
+        low = gravity_traffic_matrix(n, rng)
+        high = random_high_priority(low, 0.1, 0.3, rng).matrix
+        return low + high if kind == "total" else high
+    density = rng.choice((0.05, 0.3, 1.0))
+    raw = np.array([[rng.random() * 10 if s != t and rng.random() < density else 0.0
+                     for t in range(n)] for s in range(n)])
+    return raw if kind == "raw" else TrafficMatrix(raw)
+
+
+def _loads_or_error(routing, demands):
+    try:
+        return routing.link_loads(demands)
+    except RoutingError as exc:
+        return str(exc)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    family=st.sampled_from(sorted(FAMILIES)),
+    unit=st.booleans(),
+    kind=st.sampled_from(("total", "high", "raw", "matrix")),
+)
+def test_destination_link_loads_matches_link_loads_sum(seed, family, unit, kind):
+    """``link_loads`` is the active rows summed left to right from zero,
+    and the interleaved scalar loop, bit for bit."""
+    rng = random.Random(seed)
+    net = FAMILIES[family](rng)
+    weights = unit_weights(net.num_links) if unit else random_weights(net.num_links, rng)
+    demands = _demands(net, rng, kind)
+    routing = Routing(net, weights)
+    loads = routing.link_loads(demands)
+    array = demands.demands if isinstance(demands, TrafficMatrix) else demands
+    active = active_destinations(array)
+    total = np.zeros(net.num_links)
+    for row in routing.destination_rows(active, array[:, active].T):
+        total += row
+    np.testing.assert_array_equal(loads, total)
+    np.testing.assert_array_equal(loads, ScalarRouting(net, weights).link_loads(demands))
+
+
+@given(seed=st.integers(0, 10_000), unit=st.booleans())
+def test_link_loads_unreachable_error_matches_scalar(seed, unit):
+    """On directed networks that need not be strongly connected, both paths
+    return the same loads or raise the same ``RoutingError``."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 12)
+    net = Network(n)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    for u, v in sorted(rng.sample(pairs, rng.randint(n, 2 * n))):
+        net.add_link(u, v)
+    weights = unit_weights(net.num_links) if unit else random_weights(net.num_links, rng)
+    demands = _demands(net, rng, rng.choice(("raw", "matrix")))
+    got, want = (_loads_or_error(cls(net, weights), demands) for cls in (Routing, ScalarRouting))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def test_link_loads_reports_lowest_destination_then_lowest_node():
+    """No node reaches 3 or 4; both paths name the lowest unreachable
+    destination first, then its lowest offending source."""
+    net = Network(5)
+    for u, v in ((0, 1), (1, 0), (1, 2), (2, 1), (3, 0), (4, 0)):
+        net.add_link(u, v)
+    demands = np.zeros((5, 5))
+    demands[4, 2] = demands[3, 2] = demands[0, 4] = demands[2, 3] = demands[1, 3] = 1.0
+    for routing_class in (Routing, ScalarRouting):
+        with pytest.raises(RoutingError, match="^node 3 unreachable from node 1$"):
+            routing_class(net, unit_weights(net.num_links)).link_loads(demands)
+
+
+@pytest.mark.parametrize("bad", (-1.0, np.nan, np.inf))
+def test_link_loads_rejects_negative_and_non_finite_raw_demands(bad):
+    """A raw array is checked like a ``TrafficMatrix``: on a 3-node line the
+    scalar loop skipped a negative source and the kernels did not."""
+    net = Network(3)
+    net.add_duplex_link(0, 1)
+    net.add_duplex_link(1, 2)
+    demands = np.zeros((3, 3))
+    demands[0, 2], demands[1, 2] = bad, 4.0
+    for routing_class in (Routing, ScalarRouting):
+        with pytest.raises(ValueError, match="non-negative|finite"):
+            routing_class(net, unit_weights(net.num_links)).link_loads(demands)
 
 
 def test_pair_fractions_bitwise_equal_scalar():
@@ -266,21 +359,16 @@ def test_derive_children_batch_equals_single_calls():
 def test_derive_children_shares_dags_exactly_when_link_space_kept():
     net, weights = _instances()[1]
     parent = ScalarRouting(net, weights)
-    for t in range(net.num_nodes):
-        parent.dag_out_links(t)
     parent.ensure_dags(range(net.num_nodes))
     children = _mixed_children(net, weights, parent)
     for child, routing in zip(children, derive_children(parent, children)):
         assert type(routing) is ScalarRouting  # children keep the parent's class
         unaffected = set(range(net.num_nodes)) - set(child[2].tolist())
         if child[0] is net:
-            assert set(routing.dag_cache()) == unaffected
             assert set(routing.soa_dag_cache()) == unaffected
             for t in unaffected:
-                assert routing.dag_cache()[t] is parent.dag_cache()[t]
                 assert routing.soa_dag_cache()[t] is parent.soa_dag_cache()[t]
         else:
-            assert routing.dag_cache() == {}
             assert routing.soa_dag_cache() == {}
 
 

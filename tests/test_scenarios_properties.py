@@ -204,6 +204,16 @@ def test_scale_lowering_scales_totals_exactly(factor):
     assert lowered.low_traffic.total() == LOW.total() * factor
 
 
+@pytest.mark.parametrize("factor", (float("nan"), float("inf"), -1.0))
+def test_traffic_factors_must_be_finite_and_non_negative(factor):
+    """Both factor scenarios reject a bad factor by name when built, before
+    ``0 * nan`` could land on a diagonal."""
+    with pytest.raises(ValueError, match="^scale factor must be finite"):
+        TrafficScale(factor=factor)
+    with pytest.raises(ValueError, match="^surge factor must be finite"):
+        HotSpotSurge(node=3, factor=factor)
+
+
 @given(s=shifts)
 @settings(max_examples=40, deadline=None)
 def test_shift_conserves_volume_and_keeps_self_demand_rule(s):

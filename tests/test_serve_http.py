@@ -318,6 +318,16 @@ def test_malformed_scenario_is_400_with_syntax(base_url):
     assert "syntax" in json.loads(body)["error"]
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    (("scale:nan", "scale factor must be finite"), ("surge:3xinf", "surge factor must be finite")),
+)
+def test_non_finite_traffic_factor_is_400_naming_the_factor(base_url, spec, message):
+    status, body = _post(base_url, "/whatif", {"scenario": spec})
+    assert status == 400
+    assert message in json.loads(body)["error"]
+
+
 def test_missing_scenario_is_400(base_url):
     status, body = _post(base_url, "/whatif", {})
     assert status == 400

@@ -42,6 +42,19 @@ def test_negative_rejected():
         TrafficMatrix(demands)
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_non_finite_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        TrafficMatrix([[0.0, bad], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("factor", (np.nan, np.inf, -1.0))
+def test_scaled_rejects_negative_and_non_finite_factors(factor):
+    tm = TrafficMatrix.from_pairs(2, [(0, 1, 2.0)])
+    with pytest.raises(ValueError, match="^scale factor must be finite and non-negative"):
+        tm.scaled(factor)
+
+
 def test_non_square_rejected():
     with pytest.raises(ValueError, match="square"):
         TrafficMatrix(np.zeros((2, 3)))
