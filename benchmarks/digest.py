@@ -2,21 +2,26 @@
 
 Run from the repository root::
 
-    python -m benchmarks.digest [--src DIR] [--only PREFIX ...] > digests.txt
-    python -m benchmarks.digest compare BASE.txt HEAD.txt [--moved FILE]
+    python -m benchmarks.digest [--src DIR] > digests.txt
+    python -m benchmarks.digest compare BASE.txt HEAD.txt --moved FILE
 
 The first form prints one ``surface digest`` line per surface: a seeded
 search, a CLI command's output and exit code, a library call.  A digest is
 the first 16 hex digits of the SHA-256 of the surface's answer, written
 with every float as ``float.hex``, so a last-bit change shows and gets
-named.  Wall-clock times are left out.  ``--src`` picks the ``repro``
-package to digest (default: this checkout's ``src/``), so this script can
-digest an older checkout that predates it.  The whole run is in-process.
+named.  Wall-clock times are left out.  A surface that raises is digested
+as its exception's type and message (and named on stderr), so a surface
+that one checkout cannot answer shows as moved.  ``--src`` picks the
+``repro`` package to digest (default: this checkout's ``src/``), so this
+script can digest an older checkout that predates it.  The whole run is
+in-process.
 
 ``compare`` prints the surfaces whose digests differ, or that only one
-file has, and exits 1 unless ``--moved`` lists each of them with a
-reason: one ``surface reason...`` line per moved surface (blank lines and
-``#`` comments are ignored).
+file has.  It exits 1 unless ``--moved`` lists each of them with a
+reason, one ``surface reason...`` line per moved surface (blank lines and
+``#`` comments are ignored), and also exits 1 on a listed surface that
+did not move, so a listing lasts for one change only.  It exits 2 when a
+digest file lists no surfaces.
 
 Not covered here: the e2e benchmark's serve-mixed workload, whose server
 process imports its own checkout's ``src/`` whatever ``--src`` says.  The
@@ -335,11 +340,16 @@ def surfaces() -> Iterator[tuple[str, Callable[[], object]]]:
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
-def run(src: Path, only: list[str]) -> int:
+def run(src: Path) -> int:
     sys.path.insert(0, str(src))
     for name, answer in surfaces():
-        if not only or any(name.startswith(prefix) for prefix in only):
-            print(f"{name} {digest(answer())}", flush=True)
+        try:
+            value = answer()
+        except Exception as exc:
+            message = str(exc).replace(str(src), "src")
+            print(f"{name} raised {type(exc).__name__}: {message}", file=sys.stderr)
+            value = ["error", type(exc).__name__, message]
+        print(f"{name} {digest(value)}", flush=True)
     return 0
 
 
@@ -348,25 +358,30 @@ def _read_digests(path: str) -> dict[str, str]:
         return dict(line.split() for line in handle if line.strip())
 
 
-def compare(base: str, head: str, moved_path: str | None) -> int:
+def compare(base: str, head: str, moved_path: str) -> int:
     before, after = _read_digests(base), _read_digests(head)
     if not before or not after:
         print("error: a digest file lists no surfaces", file=sys.stderr)
         return 2
     moved = {}
-    if moved_path:
-        with open(moved_path) as handle:
-            for line in handle:
-                name, _, reason = line.strip().partition(" ")
-                if name and not name.startswith("#"):
-                    moved[name] = reason.strip()
+    with open(moved_path) as handle:
+        for line in handle:
+            name, _, reason = line.strip().partition(" ")
+            if name and not name.startswith("#"):
+                moved[name] = reason.strip()
     differ = sorted(n for n in before.keys() | after.keys() if before.get(n) != after.get(n))
     unlisted = [n for n in differ if not moved.get(n)]
+    stale = sorted(moved.keys() - set(differ))
     for name in differ:
         note = f"listed: {moved[name]}" if moved.get(name) else "NOT LISTED"
         print(f"moved {name} {before.get(name, '-')} -> {after.get(name, '-')} ({note})")
-    print(f"{len(after)} surfaces, {len(differ)} moved, {len(unlisted)} not listed with a reason")
-    return 1 if unlisted else 0
+    for name in stale:
+        print(f"stale {name}: listed in {moved_path} but did not move")
+    print(
+        f"{len(after)} surfaces, {len(differ)} moved, {len(unlisted)} not listed with a "
+        f"reason, {len(stale)} listed but not moved"
+    )
+    return 1 if unlisted or stale else 0
 
 
 def main(argv=None) -> int:
@@ -377,14 +392,12 @@ def main(argv=None) -> int:
     cmp_ = sub.add_parser("compare", help="list the surfaces two digest files disagree on")
     cmp_.add_argument("base")
     cmp_.add_argument("head")
-    cmp_.add_argument("--moved", default=None, help="surfaces allowed to move, with reasons")
+    cmp_.add_argument("--moved", required=True, help="surfaces allowed to move, with reasons")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the src/ to digest")
-    parser.add_argument("--only", nargs="+", default=[], metavar="PREFIX",
-                        help="digest only surfaces whose names start with a prefix")
     args = parser.parse_args(argv)
     if args.command == "compare":
         return compare(args.base, args.head, args.moved)
-    return run(args.src.resolve(), args.only)
+    return run(args.src.resolve())
 
 
 if __name__ == "__main__":

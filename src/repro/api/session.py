@@ -65,7 +65,7 @@ from repro.costs.sla import SlaParams
 from repro.network.graph import Network
 from repro.routing.incremental import WeightDelta
 from repro.routing.weights import as_weight_array, weights_key
-from repro.traffic.matrix import TrafficMatrix, check_factor
+from repro.traffic.matrix import TrafficMatrix, scale_by
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.result import OptimizationResult
@@ -533,13 +533,16 @@ class Session:
 
         Returns:
             A :class:`WhatIfResult` with ``kind="traffic"``.
+
+        Raises:
+            ValueError: naming the factor, if it is negative or not finite,
+                or if a scaled load overflows.
         """
-        check_factor(factor, "traffic scale factor")
         wh, _wl = self._require_baseline()
         baseline = self.evaluate()
         net = self.network
-        high_loads = baseline.high_loads * factor
-        low_loads = baseline.low_loads * factor
+        high_loads = scale_by(baseline.high_loads, factor, "traffic scale factor")
+        low_loads = scale_by(baseline.low_loads, factor, "traffic scale factor")
         variant = price_high(
             net,
             high_loads,

@@ -36,7 +36,7 @@ import numpy as np
 from repro.lru import LruCache
 from repro.network.graph import Network
 from repro.scenarios.projection import TopologyProjection
-from repro.traffic.matrix import TrafficMatrix, check_factor
+from repro.traffic.matrix import TrafficMatrix, check_factor, scale_by
 
 ElementKey = tuple
 """An element a scenario touches: ``("adj", u, v)`` for a duplex
@@ -443,8 +443,8 @@ class HotSpotSurge(Scenario):
     def transform_traffic(self, high, low):
         def surge(tm: TrafficMatrix) -> TrafficMatrix:
             d = tm.demands.copy()
-            d[self.node, :] *= self.factor
-            d[:, self.node] *= self.factor
+            d[self.node, :] = scale_by(d[self.node, :], self.factor, "surge factor")
+            d[:, self.node] = scale_by(d[:, self.node], self.factor, "surge factor")
             return TrafficMatrix(d)
 
         return surge(high), surge(low)

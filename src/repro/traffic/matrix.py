@@ -8,12 +8,22 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
-def check_factor(factor: float, name: str = "scale factor") -> float:
-    """``factor``, if it is a finite, non-negative multiplier on demand;
-    else a ValueError that names it."""
+def check_factor(factor: float, name: str = "scale factor") -> None:
+    """A ValueError that names ``factor`` unless it is a finite,
+    non-negative multiplier on demand."""
     if not (math.isfinite(factor) and factor >= 0):
         raise ValueError(f"{name} must be finite and non-negative, got {factor}")
-    return factor
+
+
+def scale_by(values: np.ndarray, factor: float, name: str = "scale factor") -> np.ndarray:
+    """``values * factor``, if ``factor`` passes :func:`check_factor` and no
+    product overflows; else a ValueError that names the factor."""
+    check_factor(factor, name)
+    with np.errstate(over="ignore"):
+        product = values * factor
+    if not np.isfinite(product).all():
+        raise ValueError(f"{name} must keep traffic finite, got {factor}")
+    return product
 
 
 class TrafficMatrix:
@@ -98,7 +108,7 @@ class TrafficMatrix:
     # ------------------------------------------------------------------
     def scaled(self, factor: float) -> "TrafficMatrix":
         """A copy with every demand multiplied by ``factor`` (finite, >= 0)."""
-        return TrafficMatrix(self._demands * check_factor(factor))
+        return TrafficMatrix(scale_by(self._demands, factor))
 
     def __add__(self, other: "TrafficMatrix") -> "TrafficMatrix":
         if not isinstance(other, TrafficMatrix):

@@ -1,6 +1,7 @@
 """Tests for the ``repro.api`` Session and its what-if queries."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -273,10 +274,19 @@ class TestScaledTraffic:
         with pytest.raises(ValueError, match="non-negative"):
             baseline_session.scaled_traffic(-0.5)
 
-    @pytest.mark.parametrize("factor", (float("nan"), float("inf")))
-    def test_rejects_non_finite_factor(self, baseline_session, factor):
-        with pytest.raises(ValueError, match="^traffic scale factor must be finite"):
-            baseline_session.scaled_traffic(factor)
+    @pytest.mark.parametrize(
+        "factor, message",
+        (
+            (float("nan"), "must be finite"),
+            (float("inf"), "must be finite"),
+            (1e308, "must keep traffic finite"),  # a scaled load overflows
+        ),
+    )
+    def test_rejects_non_finite_factor(self, baseline_session, factor, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=f"^traffic scale factor {message}"):
+                baseline_session.scaled_traffic(factor)
 
     def test_sla_mode_penalty_scaling(self, isp_net, small_traffic):
         high, low = small_traffic

@@ -172,6 +172,9 @@ class TestWhatifCommand:
             (["--traffic-scale", "inf"], "traffic scale factor must be finite"),
             (["--scenario", "scale:nan"], "scale factor must be finite"),
             (["--scenario", "surge:3xinf"], "surge factor must be finite"),
+            (["--traffic-scale", "1e308"], "traffic scale factor must keep traffic finite"),
+            (["--scenario", "scale:1e308"], "scale factor must keep traffic finite"),
+            (["--scenario", "surge:3x1e308"], "surge factor must keep traffic finite"),
         ),
     )
     def test_non_finite_factors_exit_2_naming_the_factor(self, capsys, query, message):

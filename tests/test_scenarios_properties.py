@@ -16,6 +16,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,17 @@ def test_traffic_factors_must_be_finite_and_non_negative(factor):
         TrafficScale(factor=factor)
     with pytest.raises(ValueError, match="^surge factor must be finite"):
         HotSpotSurge(node=3, factor=factor)
+
+
+def test_traffic_factors_must_keep_demands_finite():
+    """A finite factor whose product overflows is rejected by name too, with
+    no overflow warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^scale factor must keep traffic finite"):
+            TrafficScale(factor=1e308).transform_traffic(HIGH, LOW)
+        with pytest.raises(ValueError, match="^surge factor must keep traffic finite"):
+            HotSpotSurge(node=3, factor=1e308).transform_traffic(HIGH, LOW)
 
 
 @given(s=shifts)

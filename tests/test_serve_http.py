@@ -320,7 +320,11 @@ def test_malformed_scenario_is_400_with_syntax(base_url):
 
 @pytest.mark.parametrize(
     "spec, message",
-    (("scale:nan", "scale factor must be finite"), ("surge:3xinf", "surge factor must be finite")),
+    (
+        ("scale:nan", "scale factor must be finite"),
+        ("surge:3xinf", "surge factor must be finite"),
+        ("scale:1e308", "scale factor must keep traffic finite"),
+    ),
 )
 def test_non_finite_traffic_factor_is_400_naming_the_factor(base_url, spec, message):
     status, body = _post(base_url, "/whatif", {"scenario": spec})

@@ -1,5 +1,7 @@
 """Tests for the TrafficMatrix container."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,11 +50,21 @@ def test_non_finite_rejected(bad):
         TrafficMatrix([[0.0, bad], [1.0, 0.0]])
 
 
-@pytest.mark.parametrize("factor", (np.nan, np.inf, -1.0))
-def test_scaled_rejects_negative_and_non_finite_factors(factor):
+@pytest.mark.parametrize(
+    "factor, message",
+    (
+        (np.nan, "must be finite and non-negative"),
+        (np.inf, "must be finite and non-negative"),
+        (-1.0, "must be finite and non-negative"),
+        (1e308, "must keep traffic finite, got 1e"),  # the product overflows
+    ),
+)
+def test_scaled_rejects_negative_and_non_finite_factors(factor, message):
     tm = TrafficMatrix.from_pairs(2, [(0, 1, 2.0)])
-    with pytest.raises(ValueError, match="^scale factor must be finite and non-negative"):
-        tm.scaled(factor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^scale factor {message}"):
+            tm.scaled(factor)
 
 
 def test_non_square_rejected():
