@@ -529,14 +529,11 @@ class Session:
         cached routing) is recomputed.
 
         Args:
-            factor: Finite, non-negative multiplier on both matrices.
+            factor: Finite, non-negative multiplier on both matrices; a
+                ValueError names any other factor, or one that overflows a load.
 
         Returns:
             A :class:`WhatIfResult` with ``kind="traffic"``.
-
-        Raises:
-            ValueError: naming the factor, if it is negative or not finite,
-                or if a scaled load overflows.
         """
         wh, _wl = self._require_baseline()
         baseline = self.evaluate()

@@ -9,8 +9,7 @@ import numpy as np
 
 
 def check_factor(factor: float, name: str = "scale factor") -> None:
-    """A ValueError that names ``factor`` unless it is a finite,
-    non-negative multiplier on demand."""
+    """A ValueError naming ``factor`` unless it is a finite, non-negative multiplier."""
     if not (math.isfinite(factor) and factor >= 0):
         raise ValueError(f"{name} must be finite and non-negative, got {factor}")
 
