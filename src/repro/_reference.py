@@ -6,7 +6,8 @@ bit and the benchmarks time against them:
   loops the struct-of-arrays kernels of :mod:`repro.routing.soa` replay
   (list-form DAGs from the slack mask, per-destination accumulation,
   the interleaved all-destination :meth:`ScalarRouting.link_loads`, pair
-  fractions, mean path delays);
+  fractions, mean path delays), one routing at a time even where the
+  evaluator batches a search step's siblings;
 * :class:`NaiveSweepEngine` / :class:`ReferenceSession` — the naive
   per-scenario rebuild: a fresh degraded routing and a full load pass per
   scenario, with no shared projections, derived routings or reused rows.
@@ -78,6 +79,16 @@ class ScalarRouting(Routing):
         for i, t in enumerate(dests):
             self._accumulate_destination(t, inj[i], rows[i], link_dst)
         return rows
+
+    @classmethod
+    def batch_destination_rows(cls, requests) -> list[np.ndarray]:
+        """One scalar :meth:`destination_rows` per request."""
+        return [routing.destination_rows(dests, inj) for routing, dests, inj in requests]
+
+    @classmethod
+    def batch_path_delays(cls, requests) -> list[np.ndarray]:
+        """One scalar :meth:`path_delays` per request."""
+        return [routing.path_delays(dests, delays) for routing, dests, delays in requests]
 
     def _accumulate_destination(
         self,

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.evaluator import DualTopologyEvaluator
 from repro.core.lexicographic import LexCost
-from repro.core.neighborhood import NeighborhoodSampler
+from repro.core.neighborhood import NeighborhoodSampler, descending_high_link_order
 from repro.core.perturbation import perturb_weights
 from repro.core.progress import ProgressFn, ProgressTicker
 from repro.core.result import OptimizationResult, TracePoint
@@ -66,31 +66,32 @@ class _DtrSearch:
         """One FindH (``which='high'``) or FindL (``which='low'``) move.
 
         Replaces the current solution with the best neighbor if that
-        neighbor improves it; otherwise the current solution is kept.
+        neighbor improves it; otherwise the current solution is kept.  All
+        ``m`` neighbors are evaluated in one batch call.
         """
         evaluation = self.evaluator.evaluate(self.wh, self.wl)
         if which == PHASE_HIGH:
-            keys = evaluation.high_link_sort_keys()
-            order = sorted(range(len(keys)), key=lambda i: keys[i], reverse=True)
+            order = descending_high_link_order(evaluation)
             current, metric = self.wh, evaluation.objective
         else:
             keys = evaluation.low_link_sort_keys()
             order = list(np.argsort(-np.asarray(keys), kind="stable"))
             current, metric = self.wl, evaluation.phi_low
 
+        deltas = self.sampler.neighbor_deltas(current, order)
+        if which == PHASE_HIGH:
+            neighbors, candidates = self.evaluator.evaluate_high_neighbors(
+                current, self.wl, deltas
+            )
+            metrics = [candidate.objective for candidate in candidates]
+        else:
+            neighbors, candidates = self.evaluator.evaluate_low_neighbors(
+                self.wh, current, deltas
+            )
+            metrics = [candidate.phi_low for candidate in candidates]
         best_neighbor = None
         best_metric = metric
-        for delta in self.sampler.neighbor_deltas(current, order):
-            if which == PHASE_HIGH:
-                neighbor, candidate = self.evaluator.evaluate_high_neighbor(
-                    current, self.wl, delta
-                )
-                candidate_metric = candidate.objective
-            else:
-                neighbor, candidate = self.evaluator.evaluate_low_neighbor(
-                    self.wh, current, delta
-                )
-                candidate_metric = candidate.phi_low
+        for neighbor, candidate_metric in zip(neighbors, metrics):
             if candidate_metric < best_metric:
                 best_metric = candidate_metric
                 best_neighbor = neighbor

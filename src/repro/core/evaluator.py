@@ -22,35 +22,58 @@ the low-priority loads.
 On top of that sits the incremental-SPF delta path: neighbors in the
 search differ from their parent in one or two link weights, so when a
 caller supplies the parent vector and a
-:class:`~repro.routing.incremental.WeightDelta` (see
-:meth:`DualTopologyEvaluator.evaluate_high_neighbor` and friends), a
-cache-missed layer is *derived* from the parent's layer instead of
-rebuilt: only the destinations whose SP structure can change (the slack
-test of :func:`repro.routing.incremental.affected_destinations`) get
-their Dijkstra row, SP DAG and load row recomputed; everything else is
-reused verbatim.  Both paths sum a layer's rows through
-:meth:`repro.routing.state.ClassLoads.refresh`, in one fixed
-order, so a derived layer is bit-identical to a rebuilt one.  In SLA mode the link delays move with
-the loads, so every pair delay is recomputed; the reverse pass reads the
-same DAGs and delays either way and its per-node sums do not depend on
-batching, so the pair delays are bit-identical too.
+:class:`~repro.routing.incremental.WeightDelta`, a cache-missed layer is
+*derived* from the parent's layer instead of rebuilt: only the
+destinations whose SP structure can change (the slack test of
+:func:`repro.routing.incremental.affected_destinations`) get their
+Dijkstra row, SP DAG and load row recomputed; everything else is reused
+verbatim.
+
+A search step evaluates every neighbor of one parent before it keeps
+the best (Algorithm 2's m neighbors, the STR step's single-weight
+moves), so the drivers pass the whole step to one batch call
+(:meth:`DualTopologyEvaluator.evaluate_high_neighbors`,
+:meth:`~DualTopologyEvaluator.evaluate_low_neighbors`,
+:meth:`~DualTopologyEvaluator.evaluate_str_neighbors`).  A batch looks
+the caches up in delta order, exactly as one call per neighbor would,
+and derives each missed sibling's routing on its own restricted
+Dijkstra.  A missed layer is cached as a shell and filled afterwards:
+the stale rows of every missed layer are built and accumulated in one
+kernel pass (:meth:`repro.routing.state.Routing.batch_destination_rows`),
+and in SLA mode the high layers' pair delays come from one reverse pass
+(:meth:`~repro.routing.state.Routing.batch_path_delays`).  Every layer
+is built this way (:meth:`DualTopologyEvaluator.evaluate` is a batch of
+one) and sums its rows with :func:`repro.routing.state.row_sum` in one
+fixed order, so a derived layer is bit-identical to a rebuilt one and a
+batched sibling to a lone one.  In SLA mode the link delays move with
+the loads, so every pair delay is recomputed; the reverse pass's
+per-node sums do not depend on batching, so the pair delays are
+bit-identical too.  Cached layers, prices and evaluations are shared,
+so their arrays are read-only.
 ``incremental=False`` falls back to full recomputation everywhere, and
 ``verify_incremental=True`` cross-checks every derived layer against a
-full rebuild (the verification fallback used by the property tests).
+from-scratch rebuild through :meth:`~repro.routing.state.ClassLoads.refresh`
+(the verification fallback used by the property tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.costs.pricing import HighPrice, check_mode, price_high
+from repro.costs.pricing import (
+    HighPrice,
+    check_mode,
+    price_high,
+    price_links,
+    read_only,
+)
 from repro.costs.pricing import LOAD_MODE, SLA_MODE, Evaluation  # noqa: F401  (re-export)
-from repro.costs.sla import SlaParams
+from repro.costs.sla import DemandPairs, SlaParams
 from repro.lru import LruCache
 from repro.network.graph import Network
 from repro.routing.incremental import (
@@ -58,8 +81,14 @@ from repro.routing.incremental import (
     affected_destinations,
     derive_routing,
 )
-from repro.routing.state import ClassLoads, Routing, active_destinations
-from repro.routing.weights import as_weight_array, weights_key
+from repro.routing.state import (
+    ClassLoads,
+    Routing,
+    active_destinations,
+    injections_toward,
+    row_sum,
+)
+from repro.routing.weights import MAX_WEIGHT, MIN_WEIGHT, as_weight_array, weights_key
 from repro.traffic.matrix import TrafficMatrix
 
 
@@ -76,6 +105,40 @@ class _Layer(ClassLoads):
     """
 
     price: Optional[HighPrice] = None
+
+
+class _Build(NamedTuple):
+    """A missed layer between its lookup and its fill.
+
+    Attributes:
+        which: ``"high"`` or ``"low"``.
+        layer: The shell, cached at lookup with its routing only.
+        weights: The layer's weight vector (for the verification rebuild).
+        parent: The layer whose rows are reused, or ``None`` (all fresh).
+        redo: Positions, among the class's active destinations, of the
+            rows to build.
+        injections: Their injection rows.
+    """
+
+    which: str
+    layer: _Layer
+    weights: np.ndarray
+    parent: Optional[_Layer]
+    redo: np.ndarray
+    injections: np.ndarray
+
+
+@dataclass
+class _Pending:
+    """A full-cache entry laid down in lookup order, before its layers are filled."""
+
+    high: _Layer
+    low: _Layer
+    evaluation: Optional[Evaluation] = None
+
+
+Hint = Optional[tuple[bytes, WeightDelta]]
+"""An incremental hint: the parent vector's key and the delta from it."""
 
 
 class DualTopologyEvaluator:
@@ -130,6 +193,8 @@ class DualTopologyEvaluator:
         # Routings depend only on the weight vector, so high and low layers
         # share them: entries are (routing, parent_key, affected array).
         self._routing_memo = LruCache(cache_size * 2)
+        # The high class's demanded pairs, for the SLA delay pass.
+        self._pairs = DemandPairs(high_traffic)
         # Per class: its layer cache, demand matrix and active destinations.
         self._classes = {
             which: (cache, tm.demands, active_destinations(tm.demands))
@@ -218,7 +283,6 @@ class DualTopologyEvaluator:
         (the lexicographic cost) and the per-link sort keys the search
         routines consume.
         """
-        self.evaluations += 1
         # Validate BEFORE keying: a bare int64 cast truncates fractional
         # weights, silently keying `w + 0.5` as `floor(w)` and returning a
         # cached result computed for different weights.
@@ -227,83 +291,115 @@ class DualTopologyEvaluator:
         hk = weights_key(hw)
         lk = weights_key(lw)
         full_key = hk + b"|" + lk
-        cached = self._full_cache.get(full_key)
-        if cached is not None:
+        if full_key in self._full_cache:  # a hit opens no span
+            self.evaluations += 1
             self._obs_full_hit.inc()
-            return cached
-        self._obs_full_miss.inc()
-        started = perf_counter()
-
-        with obs.span("evaluate", mode=self.mode):
-            hbk = (
-                weights_key(as_weight_array(high_base, self._net.num_links))
-                if high_base is not None
-                else None
-            )
-            lbk = (
-                weights_key(as_weight_array(low_base, self._net.num_links))
-                if low_base is not None
-                else None
-            )
-            high = self._layer("high", hk, hw, base_key=hbk, delta=high_delta)
-            low = self._layer("low", lk, lw, base_key=lbk, delta=low_delta)
-            result = high.price.evaluation(self._net, low.loads)
-            self._full_cache.put(full_key, result)
-        self._obs_eval_seconds.observe(perf_counter() - started)
-        return result
+            return self._full_cache.get(full_key)
+        high_hint = self._hint(high_base, high_delta)
+        low_hint = self._hint(low_base, low_delta)
+        return self._evaluate_many([(hw, hk, lw, lk, high_hint, low_hint)])[0]
 
     def evaluate_str(self, weights: np.ndarray) -> Evaluation:
         """Evaluate single-topology routing: both classes on ``weights``."""
         return self.evaluate(weights, weights)
 
+    def evaluate_high_neighbors(
+        self, high_base: np.ndarray, low_weights: np.ndarray, deltas: Sequence[WeightDelta]
+    ) -> tuple[list[np.ndarray], list[Evaluation]]:
+        """Evaluate one FindH step: each of ``deltas`` applied to ``high_base``.
+
+        Same results, cache state and counters as one
+        :meth:`evaluate_high_neighbor` call per delta in order; the missed
+        siblings share one kernel pass (see the module docstring).
+
+        Returns:
+            ``(neighbor_high_weights, evaluations)``, both in delta order.
+
+        Raises:
+            ValueError: on an invalid vector, or a delta that does not fit
+                ``high_base`` or leaves the weight range; nothing is looked
+                up then.
+        """
+        base_key, children = self._children(high_base, deltas)
+        lw = as_weight_array(low_weights, self._net.num_links)
+        lk = weights_key(lw)
+        return [w for w, _ in children], self._evaluate_many(
+            [(w, k, lw, lk, (base_key, d), None) for (w, k), d in zip(children, deltas)]
+        )
+
+    def evaluate_low_neighbors(
+        self, high_weights: np.ndarray, low_base: np.ndarray, deltas: Sequence[WeightDelta]
+    ) -> tuple[list[np.ndarray], list[Evaluation]]:
+        """Evaluate one FindL step: each of ``deltas`` applied to ``low_base``.
+
+        The FindL counterpart of :meth:`evaluate_high_neighbors`.
+
+        Returns:
+            ``(neighbor_low_weights, evaluations)``, both in delta order.
+        """
+        base_key, children = self._children(low_base, deltas)
+        hw = as_weight_array(high_weights, self._net.num_links)
+        hk = weights_key(hw)
+        return [w for w, _ in children], self._evaluate_many(
+            [(hw, hk, w, k, None, (base_key, d)) for (w, k), d in zip(children, deltas)]
+        )
+
+    def evaluate_str_neighbors(
+        self, base: np.ndarray, deltas: Sequence[WeightDelta]
+    ) -> tuple[list[np.ndarray], list[Evaluation]]:
+        """Evaluate one STR step: each of ``deltas`` applied to ``base`` in both classes.
+
+        The STR counterpart of :meth:`evaluate_high_neighbors`; both
+        classes' rows share the one kernel pass.
+
+        Returns:
+            ``(neighbor_weights, evaluations)``, both in delta order.
+        """
+        base_key, children = self._children(base, deltas)
+        return [w for w, _ in children], self._evaluate_many(
+            [(w, k, w, k, (base_key, d), (base_key, d)) for (w, k), d in zip(children, deltas)]
+        )
+
     def evaluate_high_neighbor(
         self, high_base: np.ndarray, low_weights: np.ndarray, delta: WeightDelta
     ) -> tuple[np.ndarray, Evaluation]:
-        """Evaluate a FindH move: ``delta`` applied to ``high_base``.
+        """Evaluate a FindH move: a one-delta :meth:`evaluate_high_neighbors`.
 
         Returns:
             ``(neighbor_high_weights, evaluation)``.
         """
-        hw = delta.apply(high_base)
-        return hw, self.evaluate(
-            hw, low_weights, high_base=high_base, high_delta=delta
-        )
+        (hw,), (evaluation,) = self.evaluate_high_neighbors(high_base, low_weights, [delta])
+        return hw, evaluation
 
     def evaluate_low_neighbor(
         self, high_weights: np.ndarray, low_base: np.ndarray, delta: WeightDelta
     ) -> tuple[np.ndarray, Evaluation]:
-        """Evaluate a FindL move: ``delta`` applied to ``low_base``.
+        """Evaluate a FindL move: a one-delta :meth:`evaluate_low_neighbors`.
 
         Returns:
             ``(neighbor_low_weights, evaluation)``.
         """
-        lw = delta.apply(low_base)
-        return lw, self.evaluate(
-            high_weights, lw, low_base=low_base, low_delta=delta
-        )
+        (lw,), (evaluation,) = self.evaluate_low_neighbors(high_weights, low_base, [delta])
+        return lw, evaluation
 
     def evaluate_str_neighbor(
         self, base: np.ndarray, delta: WeightDelta
     ) -> tuple[np.ndarray, Evaluation]:
-        """Evaluate an STR move: ``delta`` applied to ``base`` in both classes.
+        """Evaluate an STR move: a one-delta :meth:`evaluate_str_neighbors`.
 
         Returns:
             ``(neighbor_weights, evaluation)``.
         """
-        w = delta.apply(base)
-        return w, self.evaluate(
-            w, w, high_base=base, high_delta=delta, low_base=base, low_delta=delta
-        )
+        (w,), (evaluation,) = self.evaluate_str_neighbors(base, [delta])
+        return w, evaluation
 
     def high_routing(self, high_weights: np.ndarray) -> Routing:
         """The (cached) high-priority routing for ``high_weights``."""
-        hw = as_weight_array(high_weights, self._net.num_links)
-        return self._layer("high", weights_key(hw), hw).routing
+        return self._class_layer("high", high_weights).routing
 
     def low_routing(self, low_weights: np.ndarray) -> Routing:
         """The (cached) low-priority routing for ``low_weights``."""
-        lw = as_weight_array(low_weights, self._net.num_links)
-        return self._layer("low", weights_key(lw), lw).routing
+        return self._class_layer("low", low_weights).routing
 
     def cache_stats(self) -> dict[str, int]:
         """Hit/miss counters of the cache layers plus incremental-SPF counters.
@@ -323,32 +419,126 @@ class DualTopologyEvaluator:
         }
 
     # ------------------------------------------------------------------
-    # Layers
+    # Batches and layers
     # ------------------------------------------------------------------
-    def _layer(
-        self,
-        which: str,
-        key: bytes,
-        weights: np.ndarray,
-        base_key: Optional[bytes] = None,
-        delta: Optional[WeightDelta] = None,
-    ) -> _Layer:
+    def _hint(self, base: Optional[np.ndarray], delta: Optional[WeightDelta]) -> Hint:
+        """The hint of a validated ``base`` and ``delta``; ``None`` without a base."""
+        if base is None:
+            return None
+        return weights_key(as_weight_array(base, self._net.num_links)), delta
+
+    def _children(self, base: np.ndarray, deltas) -> tuple[bytes, list[tuple[np.ndarray, bytes]]]:
+        """The key of ``base`` and each delta's child vector and key.
+
+        Everything is checked before any cache is touched: ``base`` in
+        full, each delta against ``base`` (:meth:`WeightDelta.apply`) and
+        its new weights against the weight range.  A child of a valid base
+        through such a delta is valid, so it is not validated again.
+        """
+        base = as_weight_array(base, self._net.num_links)
+        children = []
+        for delta in deltas:
+            for link, _old, new in delta.changes:
+                if not MIN_WEIGHT <= new <= MAX_WEIGHT:
+                    raise ValueError(
+                        f"link {link}: weight {new} outside [{MIN_WEIGHT}, {MAX_WEIGHT}]"
+                    )
+            child = delta.apply(base)
+            children.append((child, weights_key(child)))
+        return weights_key(base), children
+
+    def _evaluate_many(self, items) -> list[Evaluation]:
+        """Evaluate ``items`` in order, with one kernel pass for every missed layer.
+
+        Each item is ``(hw, hk, lw, lk, high_hint, low_hint)``.  The full
+        cache, the layer caches and the routing memo see exactly the
+        operations one :meth:`evaluate` per item would make, in item
+        order.  A missed layer is cached as a shell (:meth:`_lookup`) and
+        a missed evaluation as a :class:`_Pending` entry; both are filled
+        once the kernels have run, so a repeated item looks up the same
+        entry.  Entries laid down before a lookup that raises are filled
+        all the same.
+        """
+        started = perf_counter()
+        results: list = []
+        missed: list[tuple[bytes, _Pending]] = []
+        builds: list[_Build] = []
+        with obs.span("evaluate", mode=self.mode, size=len(items)):
+            try:
+                for hw, hk, lw, lk, high_hint, low_hint in items:
+                    self.evaluations += 1
+                    full_key = hk + b"|" + lk
+                    cached = self._full_cache.get(full_key)
+                    if cached is not None:
+                        self._obs_full_hit.inc()
+                        results.append(cached)
+                        continue
+                    self._obs_full_miss.inc()
+                    pending = _Pending(
+                        self._lookup("high", hk, hw, high_hint, builds),
+                        self._lookup("low", lk, lw, low_hint, builds),
+                    )
+                    self._full_cache.put(full_key, pending)
+                    missed.append((full_key, pending))
+                    results.append(pending)
+            finally:
+                self._fill(builds)
+                for full_key, pending in missed:
+                    pending.evaluation = pending.high.price.evaluation(
+                        self._net, pending.low.loads
+                    )
+                    self._full_cache.replace(full_key, pending.evaluation)
+            self._settle(builds, len(missed), started)
+        return [r.evaluation if isinstance(r, _Pending) else r for r in results]
+
+    def _class_layer(self, which: str, weights: np.ndarray) -> _Layer:
         """The cached ``"high"`` or ``"low"`` layer of ``weights``, built on a miss."""
-        cache = self._classes[which][0]
+        w = as_weight_array(weights, self._net.num_links)
+        started = perf_counter()
+        builds: list[_Build] = []
+        try:
+            layer = self._lookup(which, weights_key(w), w, None, builds)
+        finally:
+            self._fill(builds)
+        self._settle(builds, 0, started)
+        return layer
+
+    def _lookup(
+        self, which: str, key: bytes, weights: np.ndarray, hint: Hint, builds: list
+    ) -> _Layer:
+        """The cached layer of ``weights``; on a miss, a shell cached now.
+
+        The shell gets its routing here — derived from the hint's parent
+        layer when that is cached, else built — and its stale rows (all of
+        them for a built routing) are queued on ``builds`` for
+        :meth:`_fill`.  Reachability is checked before the shell is
+        cached, so the fill cannot fail.
+        """
+        cache, demands, active = self._classes[which]
         layer = cache.get(key)
         if layer is not None:
             return layer
+        base_key, delta = hint or (None, None)
         parent = None
         if self.incremental and delta is not None and delta.num_changes:
             parent = cache.peek(base_key)
-        started = perf_counter()
-        layer = self._build_layer(which, weights, parent, delta, key, base_key)
+        routing, affected = self._derive_or_build(
+            weights, parent.routing if parent else None, delta, key, base_key
+        )
+        if affected is None:
+            redo = np.arange(active.size)
+        else:
+            stale = np.zeros(self._net.num_nodes, dtype=bool)
+            stale[affected] = True
+            redo = np.flatnonzero(stale[active])
+        dests = active[redo]
+        injections = injections_toward(demands, dests)
+        routing.check_reachable(dests, injections)
         path = "full" if parent is None else "incremental"
         self._incremental_stats[f"{which}_{path}"] += 1
         self._obs_builds[(which, path)].inc()
-        if parent is not None and self.verify_incremental:
-            self._verify_layer(layer, self._build_layer(which, weights), which)
-        self._obs_layer_seconds[which].observe(perf_counter() - started)
+        layer = _Layer(routing, None, None)
+        builds.append(_Build(which, layer, weights, parent, redo, injections))
         cache.put(key, layer)
         return layer
 
@@ -357,15 +547,13 @@ class DualTopologyEvaluator:
         weights: np.ndarray,
         parent_routing: Optional[Routing],
         delta: Optional[WeightDelta],
-        child_key: Optional[bytes] = None,
-        parent_key: Optional[bytes] = None,
+        child_key: bytes,
+        parent_key: Optional[bytes],
     ) -> tuple[Routing, Optional[np.ndarray]]:
         """Child routing plus its affected destinations (``None`` = all).
 
         Routings are memoized by weight key and shared across the high and
         low layers (an STR move builds the routing once, not twice).
-        ``child_key=None`` bypasses the memo — the verification rebuild
-        must not be handed the very derived routing it is checking.
         """
         memo = self._routing_memo.peek(child_key)
         if memo is not None:
@@ -388,37 +576,67 @@ class DualTopologyEvaluator:
                     "incremental hint mismatch: delta applied to base does not "
                     "produce the requested weight vector"
                 )
-        if child_key is not None:
-            self._routing_memo.put(child_key, (routing, parent_key, affected))
+        self._routing_memo.put(child_key, (routing, parent_key, affected))
         return routing, affected
 
-    def _build_layer(
-        self,
-        which: str,
-        weights: np.ndarray,
-        parent: Optional[_Layer] = None,
-        delta: Optional[WeightDelta] = None,
-        child_key: Optional[bytes] = None,
-        parent_key: Optional[bytes] = None,
-    ) -> _Layer:
-        """Build a layer, from scratch or derived from ``parent``.
+    def _fill(self, builds: list[_Build]) -> None:
+        """Fill the shells of ``builds``.
 
-        A derived layer copies its parent's row matrix whole and marks
-        stale only the rows of affected destinations; a high layer is
-        then priced (:func:`~repro.costs.pricing.price_high`).
+        Every stale row of every shell comes from one
+        :meth:`~repro.routing.state.Routing.batch_destination_rows` pass;
+        a derived shell copies its parent's rows around them.  Each shell
+        sums its rows with :func:`~repro.routing.state.row_sum`, and the
+        high shells are priced, in SLA mode with one
+        :meth:`~repro.routing.state.Routing.batch_path_delays` pass for
+        all their pair delays.  A layer's arrays are read-only: the
+        siblings of a step share their parent's rows.
         """
-        _cache, demands, active = self._classes[which]
-        routing, affected = self._derive_or_build(
-            weights, parent.routing if parent else None, delta, child_key, parent_key
+        if not builds:
+            return
+        fresh = self._routing_class.batch_destination_rows(
+            [(b.layer.routing, self._classes[b.which][2][b.redo], b.injections) for b in builds]
         )
-        if affected is None:
-            layer = _Layer.refresh(routing, active, demands)
-        else:
-            stale = np.zeros(self._net.num_nodes, dtype=bool)
-            stale[affected] = True
-            layer = _Layer.refresh(
-                routing, active, demands, parent.dest_rows.copy(), stale[active]
+        for b, rows in zip(builds, fresh):
+            if b.parent is None or b.redo.size == len(b.parent.dest_rows):
+                dest_rows = rows
+            else:
+                dest_rows = b.parent.dest_rows.copy()
+                dest_rows[b.redo] = rows
+            loads = row_sum(dest_rows)
+            read_only(dest_rows, loads)
+            b.layer.dest_rows, b.layer.loads = dest_rows, loads
+        highs = [b.layer for b in builds if b.which == "high"]
+        prices = [price_links(self._net, h.loads, self.mode, self.sla_params) for h in highs]
+        if self.mode == SLA_MODE and highs:
+            delays = self._routing_class.batch_path_delays(
+                [(h.routing, self._pairs.dests, p.link_delays) for h, p in zip(highs, prices)]
             )
+            prices = [p.with_pair_delays(self._pairs, d) for p, d in zip(prices, delays)]
+        for layer, price in zip(highs, prices):
+            layer.price = price
+
+    def _settle(self, builds: list[_Build], misses: int, started: float) -> None:
+        """Verify the derived layers of a filled batch and record its latency.
+
+        The batch's time is split evenly over its built layers and its
+        missed evaluations, one histogram observation each.
+        """
+        if self.verify_incremental:
+            for b in builds:
+                if b.parent is not None:
+                    self._verify_layer(b.layer, self._rebuild(b.which, b.weights), b.which)
+        elapsed = perf_counter() - started
+        for b in builds:
+            self._obs_layer_seconds[b.which].observe(elapsed / len(builds))
+        for _ in range(misses):
+            self._obs_eval_seconds.observe(elapsed / misses)
+
+    def _rebuild(self, which: str, weights: np.ndarray) -> _Layer:
+        """A from-scratch layer through the per-routing path, bypassing the
+        caches, the memo and the batch: the verification rebuild."""
+        _cache, demands, active = self._classes[which]
+        routing = self._routing_class(self._net, weights)
+        layer = _Layer.refresh(routing, active, demands)
         if which == "high":
             layer.price = price_high(
                 self._net,
@@ -439,18 +657,13 @@ class DualTopologyEvaluator:
         tolerance (the old blind spot) cannot slip through and resurface
         later via row reuse.
         """
-        if not np.allclose(
-            derived.routing.distance_matrix,
-            rebuilt.routing.distance_matrix,
-            rtol=1e-12,
-            atol=1e-9,
-        ):
+        if not np.array_equal(derived.routing.distance_matrix, rebuilt.routing.distance_matrix):
             raise IncrementalMismatchError(f"{which} layer: distance matrices differ")
         if not np.array_equal(derived.dest_rows, rebuilt.dest_rows):
             raise IncrementalMismatchError(
                 f"{which} layer: per-destination rows differ"
             )
-        if not np.allclose(derived.loads, rebuilt.loads, rtol=1e-12, atol=1e-9):
+        if not np.array_equal(derived.loads, rebuilt.loads):
             raise IncrementalMismatchError(f"{which} layer: link loads differ")
         if which == "low":
             return

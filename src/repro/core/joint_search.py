@@ -98,9 +98,10 @@ def _joint_search(
         per_link = alpha * evaluation.per_link_high + evaluation.per_link_low
         order = list(np.argsort(-per_link, kind="stable"))
         improved = False
-        base = current
-        for delta in sampler.single_change_deltas(base, order):
-            neighbor, candidate = evaluator.evaluate_str_neighbor(base, delta)
+        neighbors, candidates = evaluator.evaluate_str_neighbors(
+            current, sampler.single_change_deltas(current, order)
+        )
+        for neighbor, candidate in zip(neighbors, candidates):
             if joint(candidate) < joint(evaluation):
                 current, evaluation = neighbor, candidate
                 improved = True

@@ -22,6 +22,19 @@ from repro.core.search_params import SearchParams
 from repro.routing.incremental import WeightDelta
 
 
+def descending_high_link_order(evaluation) -> list[int]:
+    """Links by decreasing FindH key ``high_link_sort_keys()``, ties by
+    ascending link index: the order FindH and the STR step sample from.
+
+    Equal to ``sorted(range(n), key=lambda i: keys[i], reverse=True)``
+    over the :class:`~repro.core.lexicographic.LexCost` keys (a stable
+    sort keeps equal keys in index order even reversed), computed by one
+    stable ``np.lexsort`` on the negated components.
+    """
+    primary, secondary = evaluation.high_link_costs()
+    return np.lexsort((-np.asarray(secondary), -np.asarray(primary))).tolist()
+
+
 @dataclass(frozen=True)
 class CandidateSets:
     """The high-cost set ``A`` and low-cost set ``B`` of one neighborhood."""
@@ -66,8 +79,9 @@ class NeighborhoodSampler:
         without replacement from ``B``, clamped to the weight range.  A
         move that clamps to no change on both links yields an empty delta,
         preserving the neighbor count.  Deltas are the native currency of
-        the evaluator's incremental-SPF path
-        (:meth:`repro.core.evaluator.DualTopologyEvaluator.evaluate_high_neighbor`).
+        the evaluator's incremental-SPF path; one step's deltas go to one
+        batch call
+        (:meth:`repro.core.evaluator.DualTopologyEvaluator.evaluate_high_neighbors`).
         """
         base = np.asarray(weights, dtype=np.int64)
         sets = self.candidate_sets(order_desc)

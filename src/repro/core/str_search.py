@@ -20,17 +20,12 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.core.evaluator import DualTopologyEvaluator, Evaluation
-from repro.core.neighborhood import NeighborhoodSampler
+from repro.core.neighborhood import NeighborhoodSampler, descending_high_link_order
 from repro.core.perturbation import perturb_weights
 from repro.core.progress import ProgressFn, ProgressTicker
 from repro.core.result import OptimizationResult, RelaxedSolution, TracePoint
 from repro.core.search_params import SearchParams
 from repro.routing.weights import as_weight_array, random_weights
-
-
-def _descending_link_order(evaluation: Evaluation) -> list[int]:
-    keys = evaluation.high_link_sort_keys()
-    return sorted(range(len(keys)), key=lambda i: keys[i], reverse=True)
 
 
 def _str_search(
@@ -109,11 +104,12 @@ def _str_search(
     total_iterations = params.total_iterations()
     for iteration in range(1, total_iterations + 1):
         ticker.tick("str", iteration, total_iterations)
-        order = _descending_link_order(evaluation)
+        order = descending_high_link_order(evaluation)
         improved = False
-        base = current
-        for delta in sampler.single_change_deltas(base, order):
-            neighbor, candidate = evaluator.evaluate_str_neighbor(base, delta)
+        neighbors, candidates = evaluator.evaluate_str_neighbors(
+            current, sampler.single_change_deltas(current, order)
+        )
+        for neighbor, candidate in zip(neighbors, candidates):
             consider_relaxed(neighbor, candidate)
             if candidate.objective < evaluation.objective:
                 current, evaluation = neighbor, candidate

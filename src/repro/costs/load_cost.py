@@ -56,9 +56,13 @@ class LoadCostEvaluation:
         """Largest total link utilization."""
         return float(np.max(self.utilization))
 
+    def high_link_costs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The components of FindH's per-link key: ``(Phi_{H,l}, Phi_{L,l})``."""
+        return self.per_link_high, self.per_link_low
+
     def high_link_sort_keys(self) -> list[LexCost]:
         """Per-link lexicographic cost ``L_l = <Phi_{H,l}, Phi_{L,l}>`` used by FindH."""
-        return [LexCost(h, l) for h, l in zip(self.per_link_high, self.per_link_low)]
+        return [LexCost(h, l) for h, l in zip(*self.high_link_costs())]
 
     def low_link_sort_keys(self) -> np.ndarray:
         """Per-link cost ``Phi_{L,l}`` used by FindL."""

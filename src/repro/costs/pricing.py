@@ -8,7 +8,11 @@ has two halves:
 * :func:`price_high` — everything that depends on the high loads alone:
   the residual, the per-link ``Phi_{H,l}`` and, under the SLA objective,
   the link delays (Eq. 3) and the pair-delay fold into the penalty
-  ``Lambda`` (Eq. 4-5).  The evaluator caches one per high weight vector;
+  ``Lambda`` (Eq. 4-5).  It runs in two steps, :func:`price_links` and
+  :meth:`HighPrice.with_pair_delays`, so a caller pricing several
+  routings at once (the evaluator's search steps) can run one delay pass
+  for all of them in between.  The evaluator caches one per high weight
+  vector;
 * :meth:`HighPrice.evaluation` — the combine step: the low loads priced
   against that residual, and the evaluation of the objective (``A``,
   Eq. 2, or ``S``, Eq. 5) built from both halves.
@@ -16,13 +20,17 @@ has two halves:
 Every evaluation path — :class:`~repro.core.evaluator.DualTopologyEvaluator`,
 :class:`~repro.scenarios.batch.SweepEngine`, ``Session.scaled_traffic``,
 sliced optimization and :func:`~repro.costs.load_cost.evaluate_load_cost` /
-:func:`~repro.costs.sla.evaluate_sla_cost` — prices through these two
+:func:`~repro.costs.sla.evaluate_sla_cost` — prices through these
 functions, so the formula and the choice of objective live here only.
+
+Evaluations are cached and shared, so every array of a :class:`HighPrice`
+and of an evaluation is made read-only where it is built, and the pair
+delays are a read-only :class:`~repro.costs.sla.PairDelays`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -30,7 +38,14 @@ import numpy as np
 from repro.costs.fortz import fortz_cost_vector
 from repro.costs.load_cost import LoadCostEvaluation
 from repro.costs.residual import residual_capacities
-from repro.costs.sla import SlaCostEvaluation, SlaParams, link_delays_ms, pair_delay_penalty
+from repro.costs.sla import (
+    DemandPairs,
+    PairDelays,
+    SlaCostEvaluation,
+    SlaParams,
+    link_delays_ms,
+    pair_delay_penalty,
+)
 from repro.network.graph import Network
 from repro.routing.state import Routing
 from repro.traffic.matrix import TrafficMatrix
@@ -49,6 +64,13 @@ def check_mode(mode: str) -> str:
     if mode not in (LOAD_MODE, SLA_MODE):
         raise ValueError(f"mode must be '{LOAD_MODE}' or '{SLA_MODE}', got {mode!r}")
     return mode
+
+
+def read_only(*arrays: Optional[np.ndarray]) -> None:
+    """Mark each array (``None`` skipped) read-only: it is shared from here on."""
+    for array in arrays:
+        if array is not None:
+            array.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -72,18 +94,36 @@ class HighPrice:
     per_link: np.ndarray
     params: Optional[SlaParams] = None
     link_delays: Optional[np.ndarray] = None
-    pair_delays: Optional[dict[tuple[int, int], float]] = None
+    pair_delays: Optional[PairDelays] = None
     penalty: float = 0.0
     violations: int = 0
+
+    def __post_init__(self) -> None:
+        read_only(self.loads, self.residual, self.per_link, self.link_delays)
+
+    def with_pair_delays(self, pairs: DemandPairs, path_delays: np.ndarray) -> "HighPrice":
+        """The SLA price completed by its pair delays (Eq. 4-5).
+
+        Args:
+            pairs: The high-priority traffic's demanded pairs.
+            path_delays: Mean ECMP path delays toward ``pairs.dests``
+                under this price's :attr:`link_delays`.
+        """
+        pair_delays, penalty, violations = pair_delay_penalty(pairs, path_delays, self.params)
+        return replace(
+            self, pair_delays=pair_delays, penalty=penalty, violations=violations
+        )
 
     def evaluation(self, net: Network, low_loads: np.ndarray) -> Evaluation:
         """The combine step: price ``low_loads`` against the residual.
 
         Returns a :class:`LoadCostEvaluation` under the load objective or
-        a :class:`SlaCostEvaluation` under the SLA objective.
+        a :class:`SlaCostEvaluation` under the SLA objective; its arrays,
+        ``low_loads`` included, are read-only.
         """
         per_link_low = fortz_cost_vector(low_loads, self.residual)
         utilization = (self.loads + low_loads) / net.capacities()
+        read_only(low_loads, per_link_low, utilization)
         if self.params is None:
             return LoadCostEvaluation(
                 phi_high=float(self.per_link.sum()),
@@ -110,6 +150,23 @@ class HighPrice:
         )
 
 
+def price_links(
+    net: Network, high_loads: np.ndarray, mode: str, params: Optional[SlaParams] = None
+) -> HighPrice:
+    """The per-link half of :func:`price_high`: residual, ``Phi_{H,l}`` and,
+    under the SLA objective, the link delays (Eq. 3).
+
+    An SLA price is complete only after :meth:`HighPrice.with_pair_delays`.
+    """
+    capacities = net.capacities()
+    per_link = fortz_cost_vector(high_loads, capacities)
+    residual = residual_capacities(capacities, high_loads)
+    if check_mode(mode) == LOAD_MODE:
+        return HighPrice(high_loads, residual, per_link)
+    delays = link_delays_ms(net, high_loads, per_link, params.packet_size_bits)
+    return HighPrice(high_loads, residual, per_link, params, delays)
+
+
 def price_high(
     net: Network,
     high_loads: np.ndarray,
@@ -132,13 +189,8 @@ def price_high(
         traffic: The high-priority traffic; its pairs incur the per-pair
             penalties (SLA mode).
     """
-    capacities = net.capacities()
-    per_link = fortz_cost_vector(high_loads, capacities)
-    residual = residual_capacities(capacities, high_loads)
-    if check_mode(mode) == LOAD_MODE:
-        return HighPrice(high_loads, residual, per_link)
-    delays = link_delays_ms(net, high_loads, per_link, params.packet_size_bits)
-    pair_delays, penalty, violations = pair_delay_penalty(routing(), traffic, delays, params)
-    return HighPrice(
-        high_loads, residual, per_link, params, delays, pair_delays, penalty, violations
-    )
+    price = price_links(net, high_loads, mode, params)
+    if price.params is None:
+        return price
+    pairs = DemandPairs(traffic)
+    return price.with_pair_delays(pairs, routing().path_delays(pairs.dests, price.link_delays))

@@ -18,8 +18,9 @@ reverse-level pass per evaluation (:meth:`Routing.path_delays
 <repro.routing.state.Routing.path_delays>`) therefore yields ``xi`` for
 every high-priority pair at once, with no per-pair link-fraction
 vectors.  :func:`pair_delay_penalty` is the one fold of those delays
-into violations and penalty; :func:`repro.costs.pricing.price_high`, the
-high half of every evaluation path's costing pass, calls it.
+into violations and penalty; :meth:`repro.costs.pricing.HighPrice.with_pair_delays`,
+the last step of the high half of every evaluation path's costing
+pass, calls it.
 """
 
 from __future__ import annotations
@@ -90,14 +91,63 @@ def link_delays_ms(
     return transmission_ms * queueing_factor + net.prop_delays()
 
 
+class DemandPairs:
+    """The demanded pairs of a traffic matrix and the destinations they need.
+
+    Attributes:
+        srcs, dsts: Aligned arrays of every pair with positive demand, in
+            :meth:`TrafficMatrix.pairs` order (source-major).
+        dests: The demanded destinations, ascending: the rows of the one
+            path-delay pass that covers every pair (the list a class's
+            load rows use, so a routing's compiled schedule is reused).
+    """
+
+    def __init__(self, traffic: TrafficMatrix) -> None:
+        self.srcs, self.dsts = np.nonzero(traffic.demands)
+        self.dests, self._rows = np.unique(self.dsts, return_inverse=True)
+
+    def delays(self, path_delays: np.ndarray) -> np.ndarray:
+        """``xi(s, t)`` per pair, read off a path-delay matrix over :attr:`dests`.
+
+        Raises:
+            RoutingError: if a demanded destination is unreachable from its
+                source (reported for the first such pair in pair order).
+        """
+        xi = path_delays[self._rows, self.srcs]
+        unreachable = np.flatnonzero(~np.isfinite(xi))
+        if unreachable.size:
+            i = unreachable[0]
+            raise RoutingError(f"node {self.dsts[i]} unreachable from node {self.srcs[i]}")
+        return xi
+
+
+class PairDelays(dict):
+    """A read-only ``{(s, t): xi}`` dict.
+
+    Evaluations are cached and handed to every caller that asks for the
+    same weights, so their pair delays must not change under a caller:
+    every mutating method raises ``TypeError``.  It stays a ``dict`` for
+    readers (equality, JSON, ``dict(...)`` copies).
+    """
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("pair delays are read-only; copy them with dict(...)")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = (
+        _read_only
+    )
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 def traffic_pair_delays(
     routing: Routing, traffic: TrafficMatrix, link_delays: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean ECMP delay ``xi(s, t)`` of every demand of ``traffic``.
 
     One :meth:`Routing.path_delays <repro.routing.state.Routing.path_delays>`
-    pass over the demanded destinations (ascending, the list the
-    evaluator's load rows use, so its compiled schedule is reused).
+    pass over the demanded destinations (:class:`DemandPairs`).
 
     Returns:
         ``(srcs, dsts, xi)`` aligned arrays in :meth:`TrafficMatrix.pairs`
@@ -107,23 +157,20 @@ def traffic_pair_delays(
         RoutingError: if a demanded destination is unreachable from its
             source (reported for the first such pair in that order).
     """
-    srcs, dsts = np.nonzero(traffic.demands)
-    dests, rows = np.unique(dsts, return_inverse=True)
-    xi = routing.path_delays(dests, link_delays)[rows, srcs]
-    unreachable = np.flatnonzero(~np.isfinite(xi))
-    if unreachable.size:
-        i = unreachable[0]
-        raise RoutingError(f"node {dsts[i]} unreachable from node {srcs[i]}")
-    return srcs, dsts, xi
+    pairs = DemandPairs(traffic)
+    return pairs.srcs, pairs.dsts, pairs.delays(routing.path_delays(pairs.dests, link_delays))
 
 
 def pair_delay_penalty(
-    high_routing: Routing,
-    high_traffic: TrafficMatrix,
-    link_delays: np.ndarray,
-    params: SlaParams,
-) -> tuple[dict[tuple[int, int], float], float, int]:
+    pairs: DemandPairs, path_delays: np.ndarray, params: SlaParams
+) -> tuple[PairDelays, float, int]:
     """Fold per-pair delays into the SLA penalty (Eq. 4-5).
+
+    Args:
+        pairs: The high-priority traffic's demanded pairs.
+        path_delays: Mean path delays toward ``pairs.dests``
+            (:meth:`Routing.path_delays <repro.routing.state.Routing.path_delays>`).
+        params: SLA bound and penalty parameters.
 
     Returns:
         ``(pair_delays, penalty, violations)``: ``xi(s, t)`` per
@@ -131,15 +178,15 @@ def pair_delay_penalty(
         pair in :meth:`TrafficMatrix.pairs` order) and the number of
         pairs whose delay exceeds ``theta``.
     """
-    srcs, dsts, xi = traffic_pair_delays(high_routing, high_traffic, link_delays)
-    values = xi.tolist()
+    values = pairs.delays(path_delays).tolist()
     penalty = 0.0
     violations = 0
     for value in values:
         if value > params.theta_ms:
             violations += 1
             penalty += params.pair_penalty(value)
-    return dict(zip(zip(srcs.tolist(), dsts.tolist()), values)), penalty, violations
+    keys = zip(pairs.srcs.tolist(), pairs.dsts.tolist())
+    return PairDelays(zip(keys, values)), penalty, violations
 
 
 @dataclass(frozen=True)
@@ -151,7 +198,7 @@ class SlaCostEvaluation:
         phi_low: Low-priority load cost ``Phi_L`` against residual capacity.
         violations: Number of high-priority pairs exceeding the bound.
         pair_delays_ms: Mean end-to-end delay ``xi(s, t)`` per high-priority
-            pair, keyed by ``(s, t)``.
+            pair, keyed by ``(s, t)`` (a read-only :class:`PairDelays`).
         link_delays: Per-link high-priority delay ``D_l`` in ms.
         per_link_low: Per-link ``Phi_{L,l}``.
         high_loads: Per-link high-priority load.
@@ -193,9 +240,13 @@ class SlaCostEvaluation:
         """Largest mean end-to-end delay over high-priority pairs."""
         return max(self.pair_delays_ms.values()) if self.pair_delays_ms else 0.0
 
+    def high_link_costs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The components of FindH's per-link key: ``(D_l, Phi_{L,l})``."""
+        return self.link_delays, self.per_link_low
+
     def high_link_sort_keys(self) -> list[LexCost]:
         """Per-link lexicographic cost ``L_l = <D_l, Phi_{L,l}>`` used by FindH."""
-        return [LexCost(d, l) for d, l in zip(self.link_delays, self.per_link_low)]
+        return [LexCost(d, l) for d, l in zip(*self.high_link_costs())]
 
     def low_link_sort_keys(self) -> np.ndarray:
         """Per-link cost ``Phi_{L,l}`` used by FindL."""

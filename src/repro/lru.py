@@ -64,6 +64,14 @@ class LruCache(Generic[K, V]):
             evicted += 1
         return evicted
 
+    def replace(self, key: K, value: V) -> None:
+        """Swap the value of a present ``key``, leaving recency and counts
+        alone; an absent key stays absent.  A caller that lays entries down
+        in order before it can compute them (the evaluator's batched
+        search steps) fills them in afterwards with this."""
+        if key in self._store:
+            self._store[key] = value
+
     def __setitem__(self, key: K, value: V) -> None:
         self.put(key, value)
 

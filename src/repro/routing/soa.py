@@ -40,7 +40,8 @@ operands in the same per-slot order:
 
 Rows are independent (each row owns a disjoint slice of the flat flow
 and load buffers), so any set of destinations — including the same
-destination repeated with different injections — batches into one
+destination repeated with different injections, or the rows of several
+routings, each built from its own weight vector — batches into one
 schedule.
 
 The reverse pass
@@ -151,7 +152,10 @@ def _dag_arrays(net, weights, dist_rows):
     order, level ids, out-degrees, link-pool offsets) is assembled as one
     concatenated array plus per-destination boundaries, so callers only
     slice (to materialize :class:`DestinationDag` objects) or compile a
-    schedule directly from the concatenations.
+    schedule directly from the concatenations.  ``weights`` is one
+    ``(num_links,)`` vector for every row, or ``(k, num_links)`` with one
+    vector per row (the rows of several routings in one pass); the slack
+    test reads each row's own weights either way.
     """
     from repro.routing.spf import _DISTANCE_ATOL
 
@@ -172,7 +176,7 @@ def _dag_arrays(net, weights, dist_rows):
     w = np.asarray(weights)
     sg = srcs[fperm]
     use_int = False
-    if m_f and np.issubdtype(w.dtype, np.integer):
+    if m_f and w.size and np.issubdtype(w.dtype, np.integer):
         use_int = 1 <= int(w.min()) and int(w.max()) <= 1000 and dmax <= 30000.0
     if use_int:
         # Distances under integer weights are exact integer-valued
@@ -188,7 +192,7 @@ def _dag_arrays(net, weights, dist_rows):
         d16 = np.where(fin, dist_rows, 32767.0).astype(np.int16)
         slack = d16[:, sg]
         slack -= d16[:, link_dst[fperm]]
-        slack -= w[fperm].astype(np.int16)
+        slack -= w[..., fperm].astype(np.int16)
         mask_f = slack == 0
     else:
         # Float fallback: exact for the same reason whenever weights are
@@ -198,7 +202,7 @@ def _dag_arrays(net, weights, dist_rows):
         slack = dist_rows[:, sg]
         with np.errstate(invalid="ignore"):  # inf - inf on unreachable endpoints
             slack -= dist_rows[:, link_dst[fperm]]
-            slack -= wf[fperm]
+            slack -= wf[..., fperm]
             np.abs(slack, out=slack)
             mask_f = slack <= _DISTANCE_ATOL
     flat = np.flatnonzero(mask_f)
@@ -302,6 +306,30 @@ def slice_destination_dags(dests, arrays) -> list[DestinationDag]:
     return dags
 
 
+def row_slice(arrays, start: int, stop: int) -> tuple:
+    """The rows ``start..stop`` of a fused pass's arrays, for
+    :func:`slice_destination_dags`.
+
+    Only the per-row bounds are cut; the concatenated pools stay whole
+    (their offsets are absolute), so this costs three views.  One pass
+    over several routings' rows hands each routing its own slice.
+    """
+    links_all, row_bounds, indptr2d, _rows_g, order_cat, levels_cat, oc_cat, _starts, node_bounds = (
+        arrays
+    )
+    return (
+        links_all,
+        row_bounds[start : stop + 1],
+        indptr2d[start:stop],
+        None,
+        order_cat,
+        levels_cat,
+        oc_cat,
+        None,
+        node_bounds[start : stop + 1],
+    )
+
+
 def build_destination_dags(net, weights, dist_rows, dests) -> list[DestinationDag]:
     """SoA DAGs for several destinations from one broadcast slack test.
 
@@ -326,10 +354,13 @@ def build_arrays_and_schedule(net, weights, dist_rows, dests, link_dst):
     Equivalent to ``dags = build_destination_dags(...)`` followed by
     ``build_schedule(dags, ...)``, but the schedule is compiled straight
     from the flattened arrays the DAG builder already produced — the
-    from-scratch evaluator path, where no destination is cached yet.
-    Returns ``(arrays, schedule)``; pass ``arrays`` to
-    :func:`slice_destination_dags` to materialize the per-destination
-    tuples (deferred because load-mode evaluations never read them).
+    path of rows whose DAGs are not cached yet.  ``weights`` may hold one
+    vector per row (``(len(dests), num_links)``), so one pass serves the
+    stale rows of several routings, such as a search step's siblings.
+    Returns ``(arrays, schedule)``; pass ``arrays`` (or a
+    :func:`row_slice` of it) to :func:`slice_destination_dags` to
+    materialize the per-destination tuples (deferred because load-mode
+    evaluations never read them).
     """
     dests = [int(t) for t in dests]
     dist_rows = np.asarray(dist_rows, dtype=float)
@@ -495,7 +526,9 @@ def mean_path_delays(schedule: Schedule, link_delays: np.ndarray) -> np.ndarray:
 
     Args:
         schedule: Output of :func:`build_schedule`.
-        link_delays: ``(num_links,)`` per-link delays ``D_l``.
+        link_delays: ``(num_links,)`` per-link delays ``D_l`` shared by
+            every row, or ``(num_rows, num_links)`` with one delay vector
+            per row (rows of several routings, each under its own loads).
 
     Returns:
         ``(num_rows, num_nodes)`` matrix ``E`` with ``E[i, v]`` the mean
@@ -506,14 +539,20 @@ def mean_path_delays(schedule: Schedule, link_delays: np.ndarray) -> np.ndarray:
     k, n, m = schedule.num_rows, schedule.num_nodes, schedule.num_links
     started = perf_counter()
     delays = np.asarray(link_delays, dtype=float)
-    if delays.shape != (m,):
-        raise ValueError(f"expected link delays of shape ({m},), got {delays.shape}")
+    if delays.shape not in ((m,), (k, m)):
+        raise ValueError(
+            f"expected link delays of shape ({m},) or ({k}, {m}), got {delays.shape}"
+        )
     expected = np.zeros(k * n)
     if schedule.steps:
         # D_l of every slot in step order, read off the load scatter
         # targets (``row * num_links + l``) rather than kept per step, so
-        # cached schedules hold no extra array for this pass.
-        slot_delays = delays.take(schedule.load_pos % m)
+        # cached schedules hold no extra array for this pass.  With one
+        # delay vector per row the target indexes the flattened matrix.
+        if delays.ndim == 1:
+            slot_delays = delays.take(schedule.load_pos % m)
+        else:
+            slot_delays = delays.reshape(-1).take(schedule.load_pos)
         end = slot_delays.size
         for step in reversed(schedule.steps):
             start = end - step.dst_pos.size

@@ -17,6 +17,7 @@ from repro.routing.soa import (
     build_destination_dags,
     build_schedule,
     mean_path_delays,
+    row_slice,
     slice_destination_dags,
 )
 from repro.routing.spf import RoutingError, distances_to_all
@@ -27,15 +28,16 @@ DemandsLike = Union[TrafficMatrix, np.ndarray]
 
 _DEST_SCHEDULE_CAP = 2
 """Multi-row destination schedules kept per routing (LRU), keyed by the
-requested destination list.  A from-scratch high layer's SLA delay pass
-(:meth:`Routing.path_delays` over every high-priority destination)
-reuses the schedule its load rows just compiled for the same list; when
-an STR move shares the routing, the low layer's list is the other
-entry, so a later query on either list (e.g. the delay pass of
-``Session.scaled_traffic``) still hits.  The extra key a derived layer's
-delay pass adds only evicts its affected-row list, the least recently
-used entry, which nothing requests again.  The worst case (two
-full-network schedules) stays small next to the DAG cache itself."""
+requested destination list.  A load pass over a class's active
+destinations (:meth:`Routing.link_loads`, the sweep engine's rows)
+compiles that list's schedule, and an SLA delay pass over the same list
+(:meth:`Routing.path_delays` from
+:func:`~repro.costs.pricing.price_high`) reuses it; the second entry
+keeps the other class's list when one routing serves both.  The
+evaluator's layers are built in batches
+(:meth:`Routing.batch_destination_rows`, :meth:`Routing.batch_path_delays`)
+and keep no schedule here.  The worst case (two full-network schedules)
+stays small next to the DAG cache itself."""
 
 
 class Routing:
@@ -62,7 +64,7 @@ class Routing:
         self._dist = distances_to_all(net, self._weights)
         self._dist.setflags(write=False)
         self._dags: dict[int, DestinationDag] = {}
-        self._pending_dags: Optional[tuple[list[int], tuple]] = None
+        self._pending_dags: list[tuple[list[int], tuple]] = []
         self._dest_schedules: LruCache[bytes, Schedule] = LruCache(_DEST_SCHEDULE_CAP)
         self._all_finite: Optional[bool] = None
 
@@ -91,7 +93,7 @@ class Routing:
         dist.setflags(write=False)
         routing._dist = dist
         routing._dags = dict(dags) if dags else {}
-        routing._pending_dags = None
+        routing._pending_dags = []
         routing._dest_schedules = LruCache(_DEST_SCHEDULE_CAP)
         routing._all_finite = None
         return routing
@@ -231,13 +233,104 @@ class Routing:
         if k == 0:
             return np.empty((0, self._net.num_links))
         darr = np.asarray(dests, dtype=np.int64)
-        if not self._reachable_from_everywhere():
-            dist_rows = self._dist[darr]
-            bad = ~np.isfinite(dist_rows) & (inj > 0)
-            if bad.any():
-                i, u = (int(x) for x in np.argwhere(bad)[0])
-                raise RoutingError(f"node {dests[i]} unreachable from node {u}")
+        self.check_reachable(darr, inj)
         return accumulate_rows(self._schedule(dests, darr), inj)
+
+    def check_reachable(self, dests: np.ndarray, injections: np.ndarray) -> None:
+        """Raise unless every positive injection reaches its row's destination.
+
+        The check of :meth:`destination_rows`, for callers that batch
+        rows themselves (:meth:`batch_destination_rows`) and must fail
+        before they change any state.
+
+        Raises:
+            RoutingError: for the first offending row, lowest node first
+                (the scalar loop's error order).
+        """
+        if self._reachable_from_everywhere():
+            return
+        bad = ~np.isfinite(self._dist[dests]) & (injections > 0)
+        if bad.any():
+            i, u = (int(x) for x in np.argwhere(bad)[0])
+            raise RoutingError(f"node {int(dests[i])} unreachable from node {u}")
+
+    @classmethod
+    def batch_destination_rows(cls, requests) -> list[np.ndarray]:
+        """:meth:`destination_rows` of several routings in one kernel pass.
+
+        Each request is ``(routing, dests, injections)``, every routing
+        over the same network, with its reachability already checked
+        (:meth:`check_reachable`).  Every distinct ``(routing,
+        destination)`` pair gets one DAG row, laid out routing by
+        routing, and all rows are built in one
+        :func:`~repro.routing.soa.build_arrays_and_schedule` pass, each
+        under its own routing's weights.  One
+        :func:`~repro.routing.soa.accumulate_rows` call runs the schedule;
+        a pair requested again (one routing serving both classes of an STR
+        move) is accumulated in a further pass over the same schedule.
+        Rows are independent in both kernels, so each request's rows equal
+        its own :meth:`destination_rows` bit for bit.  Each routing keeps
+        its slice of the DAG arrays, sliced into tuples only when asked
+        for; no schedule is cached on the routings.
+
+        Returns:
+            One ``(len(dests), num_links)`` matrix per request, in order.
+        """
+        requests = [(r, np.asarray(d, dtype=np.int64), inj) for r, d, inj in requests]
+        layout, placed, num_passes = _row_layout(requests)
+        total = sum(dests.size for _, dests in layout)
+        if not total:
+            return [np.empty((0, r.network.num_links)) for r, _, _ in requests]
+        net = requests[0][0].network
+        if len(layout) == 1:
+            routing, dests = layout[0]
+            weights = routing.weights
+            # Every node a destination (ascending): the matrix itself.
+            dist_rows = routing._dist if dests.size == net.num_nodes else routing._dist[dests]
+        else:
+            weights = np.repeat(
+                np.stack([r.weights for r, _ in layout]), [d.size for _, d in layout], axis=0
+            )
+            dests = np.concatenate([d for _, d in layout])
+            dist_rows = np.concatenate([r._dist[d] for r, d in layout])
+        arrays, schedule = build_arrays_and_schedule(
+            net, weights, dist_rows, dests.tolist(), net.link_destinations()
+        )
+        start = 0
+        for routing, routing_dests in layout:
+            stop = start + routing_dests.size
+            routing._pending_dags.append((routing_dests.tolist(), row_slice(arrays, start, stop)))
+            start = stop
+        passes = _pass_injections(placed, [inj for _, _, inj in requests], num_passes, total)
+        out = [accumulate_rows(schedule, inj) for inj in passes]
+        return [_gather(out, p, rows) for p, rows in placed]
+
+    @classmethod
+    def batch_path_delays(cls, requests) -> list[np.ndarray]:
+        """:meth:`path_delays` of several routings in one reverse pass.
+
+        Each request is ``(routing, dests, link_delays)``, every routing
+        over the same network.  One :func:`~repro.routing.soa.build_schedule`
+        over every request's DAGs and one
+        :func:`~repro.routing.soa.mean_path_delays` call with each row's
+        own delay vector; the reverse pass's per-node sums do not depend
+        on which rows share the schedule, so each request's matrix
+        equals its own :meth:`path_delays` bit for bit.
+        """
+        if not requests:
+            return []
+        net = requests[0][0].network
+        dags = [dag for routing, dests, _ in requests for dag in routing.ensure_dags(dests)]
+        schedule = build_schedule(dags, net.link_destinations(), net.num_nodes, net.num_links)
+        counts = [len(dests) for _, dests, _ in requests]
+        if len(requests) == 1:
+            delays = requests[0][2]
+        else:
+            delays = np.repeat(np.stack([d for _, _, d in requests]), counts, axis=0)
+        out = np.split(mean_path_delays(schedule, delays), np.cumsum(counts)[:-1])
+        for (routing, dests, _), matrix in zip(requests, out):
+            routing._mark_unreachable(dests, matrix)
+        return out
 
     def destination_link_loads(self, dst: int, injections: np.ndarray) -> np.ndarray:
         """Per-link loads contributed by traffic destined to ``dst`` alone.
@@ -279,8 +372,7 @@ class Routing:
             return np.empty((0, self._net.num_nodes))
         darr = np.asarray(dests, dtype=np.int64)
         out = mean_path_delays(self._schedule(dests, darr), link_delays)
-        if not self._reachable_from_everywhere():
-            out[~np.isfinite(self._dist[darr])] = np.inf
+        self._mark_unreachable(darr, out)
         return out
 
     def pair_link_fractions(self, src: int, dst: int) -> np.ndarray:
@@ -349,16 +441,21 @@ class Routing:
     def _materialize_pending_dags(self) -> None:
         """Slice deferred fused-pass DAG arrays into the ``_dags`` cache.
 
-        :meth:`destination_rows` keeps the flattened arrays of its fused
-        build instead of slicing ``DestinationDag`` tuples eagerly; any
-        reader of the cache (or a second build) materializes them first,
-        so the deferral is invisible outside this class.
+        :meth:`destination_rows` and :meth:`batch_destination_rows` keep
+        the flattened arrays of their fused builds instead of slicing
+        ``DestinationDag`` tuples eagerly; any reader of the cache (or a
+        second build) materializes them first, so the deferral is
+        invisible outside this class.
         """
-        if self._pending_dags is not None:
-            dests, arrays = self._pending_dags
-            self._pending_dags = None
+        pending, self._pending_dags = self._pending_dags, []
+        for dests, arrays in pending:
             for t, dag in zip(dests, slice_destination_dags(dests, arrays)):
                 self._dags[t] = dag
+
+    def _mark_unreachable(self, dests, delays: np.ndarray) -> None:
+        """Set ``inf`` where a node cannot reach a row's destination."""
+        if not self._reachable_from_everywhere():
+            delays[~np.isfinite(self._dist[np.asarray(dests, dtype=np.int64)])] = np.inf
 
     def _reachable_from_everywhere(self) -> bool:
         """Whether every node reaches every node (no inf distances), cached."""
@@ -388,7 +485,7 @@ class Routing:
             arrays, schedule = build_arrays_and_schedule(
                 net, self._weights, dist_rows, dests, net.link_destinations()
             )
-            self._pending_dags = (dests, arrays)
+            self._pending_dags.append((dests, arrays))
         else:
             schedule = build_schedule(
                 self.ensure_dags(dests), net.link_destinations(), net.num_nodes, net.num_links
@@ -469,16 +566,112 @@ class ClassLoads:
         redo = np.flatnonzero(stale)
         if redo.size:
             ts = active[redo]
-            # With every node a stale destination, the transpose view skips
-            # a full-matrix column gather (the kernel copies anyway).
-            fresh = routing.destination_rows(
-                ts, demands.T if ts.size == demands.shape[1] else demands[:, ts].T
-            )
+            fresh = routing.destination_rows(ts, injections_toward(demands, ts))
             if redo.size == len(rows):
                 rows = fresh
             else:
                 rows[redo] = fresh
-        loads = np.zeros(rows.shape[1])
-        for row in rows:
-            loads += row
-        return cls(routing, rows, loads)
+        return cls(routing, rows, row_sum(rows))
+
+
+def _row_layout(requests):
+    """Where :meth:`Routing.batch_destination_rows` puts each request's rows.
+
+    Returns ``(layout, placed, num_passes)``: ``layout`` lists each
+    routing with the ascending distinct destinations of its DAG rows, in
+    row order; ``placed`` gives each request its ``(pass, rows)`` — ints
+    and slices when its rows are one run of one pass, else aligned arrays.
+    The k-th request row of a ``(routing, destination)`` pair goes to
+    pass k.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, (routing, _, _) in enumerate(requests):
+        groups.setdefault(id(routing), []).append(i)
+    layout, placed, total, num_passes = [], [None] * len(requests), 0, 1
+    for members in groups.values():
+        dests = [requests[i][1] for i in members]
+        unique = dests[0]
+        if (unique[1:] > unique[:-1]).all() and all(
+            np.array_equal(d, unique) for d in dests[1:]
+        ):
+            # Distinct ascending destinations, the same in every request
+            # (one class, or both classes of an STR move with the same
+            # stale rows): request k is pass k's run.
+            for k, i in enumerate(members):
+                placed[i] = (k, slice(total, total + unique.size))
+            num_passes = max(num_passes, len(members))
+        else:
+            flat = np.concatenate(dests)
+            unique, rows = np.unique(flat, return_inverse=True)
+            order = np.argsort(rows, kind="stable")
+            ranks = np.empty_like(rows)
+            ranks[order] = np.arange(rows.size) - np.searchsorted(rows[order], rows[order])
+            num_passes = max(num_passes, int(ranks.max(initial=0)) + 1)
+            bounds = np.cumsum([0] + [d.size for d in dests])
+            for i, a, b in zip(members, bounds[:-1], bounds[1:]):
+                p, r = ranks[a:b], rows[a:b]
+                if r.size and (p == p[0]).all() and (np.diff(r) == 1).all():
+                    placed[i] = (int(p[0]), slice(total + r[0], total + r[-1] + 1))
+                else:
+                    placed[i] = (p, total + r)
+        layout.append((requests[members[0]][0], unique))
+        total += unique.size
+    return layout, placed, num_passes
+
+
+def _pass_injections(placed, injections: list, num_passes: int, total: int) -> list:
+    """Each pass's ``(total, n)`` injection rows.
+
+    Where the requests' runs tile every pass in request order (one
+    routing per request, or both classes of a move on the same list),
+    a pass is its requests' injections as given; otherwise they are
+    scattered into zero rows.
+    """
+    runs: list[list] = [[] for _ in range(num_passes)]
+    stops = [0] * num_passes
+    for (p, rows), inj in zip(placed, injections):
+        if not isinstance(rows, slice) or rows.start != stops[p]:
+            break
+        runs[p].append(inj)
+        stops[p] = rows.stop
+    else:
+        if all(stop == total for stop in stops):
+            return [r[0] if len(r) == 1 else np.concatenate(r) for r in runs]
+    passes = np.zeros((num_passes, total, injections[0].shape[1]))
+    for (p, rows), inj in zip(placed, injections):
+        passes[p, rows] = inj
+    return passes
+
+
+def _gather(out: list, passes, rows) -> np.ndarray:
+    """A request's rows out of the per-pass accumulations (a view for a run)."""
+    if isinstance(rows, slice):
+        return out[passes][rows]
+    gathered = np.empty((rows.size, out[0].shape[1]))
+    for p, rows_of_pass in enumerate(out):
+        mine = passes == p
+        gathered[mine] = rows_of_pass[rows[mine]]
+    return gathered
+
+
+def injections_toward(demands: np.ndarray, dests: np.ndarray) -> np.ndarray:
+    """The ``(len(dests), n)`` injection rows of ``demands`` toward ``dests``.
+
+    With every node a destination, the transpose view skips a
+    full-matrix column gather (the kernels copy anyway).
+    """
+    return demands.T if dests.size == demands.shape[1] else demands[:, dests].T
+
+
+def row_sum(rows: np.ndarray) -> np.ndarray:
+    """A class's loads: its per-destination rows added left to right from zero.
+
+    The one summation every load pass uses (:meth:`ClassLoads.refresh`
+    and the evaluator's batched layers).  A numpy reduction may regroup
+    the additions, so the loop fixes the order: the loads are then
+    bit-identical whichever rows were reused.
+    """
+    loads = np.zeros(rows.shape[1])
+    for row in rows:
+        loads += row
+    return loads

@@ -139,3 +139,64 @@ def test_cache_eviction(setup):
         evaluator.evaluate(w, w)
     stats = evaluator.cache_stats()
     assert stats["high_misses"] == 10
+
+
+# ----------------------------------------------------------------------
+# A returned evaluation cannot reach the evaluator's caches
+# ----------------------------------------------------------------------
+def _isp_session(mode):
+    """An ISP session at 50% utilization and three weight vectors."""
+    from repro.api import Session
+    from repro.eval.experiment import ExperimentConfig
+
+    def session():
+        return Session.from_config(
+            ExperimentConfig(topology="isp", mode=mode, target_utilization=0.5, seed=1)
+        )
+
+    s = session()
+    rng = random.Random(1)
+    wh, wl, wl2 = (random_weights(s.network.num_links, rng) for _ in range(3))
+    return s, session, wh, wl, wl2
+
+
+def test_evaluation_arrays_are_read_only():
+    """Writing into a returned evaluation used to rewrite the cached high
+    layer: the next evaluation sharing it read ``Phi_H = 0``."""
+    import dataclasses
+
+    s, session, wh, wl, wl2 = _isp_session("load")
+    s.set_weights(wh, wl)
+    e = s.evaluate()
+    for field in dataclasses.fields(e):
+        value = getattr(e, field.name)
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                value[:] = 0
+    layer = s.evaluator._high_cache.peek(np.asarray(wh, dtype=np.int64).tobytes())
+    for array in (layer.dest_rows, layer.loads, layer.price.residual, layer.price.per_link):
+        assert not array.flags.writeable
+    fresh = session()
+    assert s.evaluator.evaluate(wh, wl2).objective == fresh.evaluator.evaluate(wh, wl2).objective
+
+
+def test_pair_delays_are_read_only():
+    """Clearing a returned evaluation's pair delays used to empty the cached
+    ones: the next evaluation read 0 pairs and a worst delay of 0.0."""
+    s, session, wh, wl, _wl2 = _isp_session("sla")
+    s.set_weights(wh, wl)
+    e = s.evaluate()
+    pairs = dict(e.pair_delays_ms)
+    for mutate in (
+        lambda d: d.clear(),
+        lambda d: d.pop(next(iter(d))),
+        lambda d: d.update({(0, 1): 0.0}),
+        lambda d: d.__setitem__(next(iter(d)), 0.0),
+    ):
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(e.pair_delays_ms)
+    again = s.evaluate()
+    assert again.pair_delays_ms == pairs and len(pairs) == 24
+    fresh = session()
+    fresh.set_weights(wh, wl)
+    assert again.worst_delay_ms == fresh.evaluate().worst_delay_ms > 0.0

@@ -10,6 +10,7 @@ evaluator that recomputes every neighbor from scratch
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -325,3 +326,250 @@ def test_fractional_weights_rejected_on_every_entry_point():
     assert after["full_hits"] == before["full_hits"]
     assert after["high_hits"] == before["high_hits"]
     assert after["low_hits"] == before["low_hits"]
+
+
+# ----------------------------------------------------------------------
+# One search step in one batch call == one call per neighbor
+# ----------------------------------------------------------------------
+def _assert_fields_equal(a, b):
+    """Every field of two evaluations, exactly (arrays by dtype and bits)."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+def _obs_counts(evaluator):
+    """The evaluator's counters and histogram counts, plus the derivation
+    histograms of the incremental-SPF path (kernel histograms are left
+    out: a batch runs fewer kernel calls by design)."""
+    from repro.routing import incremental
+
+    counters = {
+        "full_hit": evaluator._obs_full_hit,
+        "full_miss": evaluator._obs_full_miss,
+        "memo_hit": evaluator._obs_memo_hit,
+        "memo_miss": evaluator._obs_memo_miss,
+        **{f"build_{k[0]}_{k[1]}": c for k, c in evaluator._obs_builds.items()},
+    }
+    histograms = {
+        "evaluate_seconds": evaluator._obs_eval_seconds,
+        **{f"layer_{k}": h for k, h in evaluator._obs_layer_seconds.items()},
+        "derive_seconds": incremental._OBS_DERIVE_SECONDS,
+        "affected": incremental._OBS_AFFECTED,
+    }
+    return {
+        **{name: c.value for name, c in counters.items()},
+        **{name: h.sample()["count"] for name, h in histograms.items()},
+    }
+
+
+def _state(evaluator):
+    """Everything a step may change: counts, stats and every LRU's key order."""
+    return (
+        evaluator.evaluations,
+        evaluator.cache_stats(),
+        [
+            list(cache._store)
+            for cache in (
+                evaluator._full_cache,
+                evaluator._high_cache,
+                evaluator._low_cache,
+                evaluator._routing_memo,
+            )
+        ],
+    )
+
+
+def _step(method, evaluator, wh, wl, deltas, batched):
+    """One step's neighbors and evaluations, batched or one call per delta."""
+    if method == "high":
+        many, one = evaluator.evaluate_high_neighbors, evaluator.evaluate_high_neighbor
+        args = (wh, wl)
+    elif method == "low":
+        many, one = evaluator.evaluate_low_neighbors, evaluator.evaluate_low_neighbor
+        args = (wh, wl)
+    else:
+        many, one = evaluator.evaluate_str_neighbors, evaluator.evaluate_str_neighbor
+        args = (wh,)
+    if batched:
+        return many(*args, deltas)
+    pairs = [one(*args, delta) for delta in deltas]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+def _step_deltas(base, num_links, rng):
+    """A step with repeated deltas, an empty delta and a two-link move."""
+    singles = _random_single_deltas(base, num_links, rng, 4)
+    a, b = rng.sample(range(num_links), 2)
+    two = base.copy()
+    two[a] = 31 - two[a]
+    two[b] = 31 - two[b]
+    pair = WeightDelta.from_weights(base, two)
+    return [singles[0], pair, WeightDelta(()), singles[1], singles[0], singles[2], pair, singles[3]]
+
+
+def _evaluator(topology, mode, options):
+    config = ExperimentConfig(topology=topology, mode=mode)
+    rng = random.Random(17)
+    net = build_network(topology, 17)
+    high, low, _meta = build_traffic(net, config, rng)
+    return DualTopologyEvaluator(net, high, low, mode=mode, **options), rng
+
+
+EVALUATOR_OPTIONS = (
+    {},
+    {"incremental": False},
+    {"verify_incremental": True},
+)
+
+
+@pytest.mark.parametrize("options", EVALUATOR_OPTIONS, ids=("default", "full", "verify"))
+@pytest.mark.parametrize("method", ("high", "low", "str"))
+@pytest.mark.parametrize("mode", (LOAD_MODE, SLA_MODE))
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_batched_step_equals_one_call_per_neighbor(topology, mode, method, options):
+    """Two steps (the second from a neighbor of the first), each once in one
+    batch call and once as one call per delta, on twin evaluators: equal
+    neighbors, evaluation fields, counters, cache stats and LRU orders."""
+    runs = []
+    for batched in (True, False):
+        evaluator, rng = _evaluator(topology, mode, options)
+        net = evaluator.network
+        wh = random_weights(net.num_links, rng)
+        wl = random_weights(net.num_links, rng)
+        if method == "str":
+            wl = wh
+        before = _obs_counts(evaluator)
+        evaluator.evaluate(wh, wl)
+        out = []
+        for step in range(2):
+            base = wl if method == "low" else wh
+            deltas = _step_deltas(base, net.num_links, rng)
+            stats = evaluator.cache_stats()
+            neighbors, evaluations = _step(method, evaluator, wh, wl, deltas, batched)
+            if step == 0:
+                # The empty delta (the cached base) and the two repeats hit.
+                after = evaluator.cache_stats()
+                assert after["full_hits"] - stats["full_hits"] == 3
+                assert after["full_misses"] - stats["full_misses"] == 5
+            out.append((wh, wl, neighbors, evaluations))
+            if method == "low":
+                wl = neighbors[1]
+            elif method == "high":
+                wh = neighbors[1]
+            else:
+                wh = wl = neighbors[1]
+        after = _obs_counts(evaluator)
+        obs_delta = {k: after[k] - before[k] for k in after}
+        runs.append((out, _state(evaluator), obs_delta))
+    (batch_out, batch_state, batch_obs), (seq_out, seq_state, seq_obs) = runs
+    assert batch_state == seq_state
+    assert batch_obs == seq_obs
+    reference = DualTopologyEvaluator(
+        evaluator.network, evaluator.high_traffic, evaluator.low_traffic,
+        mode=mode, incremental=False,
+    )
+    for (wh, wl, bn, be), (_wh, _wl, sn, se) in zip(batch_out, seq_out):
+        assert len(bn) == len(sn) == len(be) == len(se) == 8
+        for b_neighbor, s_neighbor, b_eval, s_eval in zip(bn, sn, be, se):
+            np.testing.assert_array_equal(b_neighbor, s_neighbor)
+            _assert_fields_equal(b_eval, s_eval)
+            # ... and both equal a from-scratch evaluation.
+            if method == "high":
+                scratch = reference.evaluate(b_neighbor, wl)
+            elif method == "low":
+                scratch = reference.evaluate(wh, b_neighbor)
+            else:
+                scratch = reference.evaluate_str(b_neighbor)
+            _assert_fields_equal(b_eval, scratch)
+
+
+@pytest.mark.parametrize("mode", (LOAD_MODE, SLA_MODE))
+def test_batch_from_uncached_base_and_single_delta(mode):
+    """Without a cached base, an empty delta builds the base layer and later
+    siblings derive from that shell, as one call per delta does; a one-delta
+    batch is the single-neighbor call."""
+    for deltas_of in (
+        lambda base, rng, n: [WeightDelta(())] + _random_single_deltas(base, n, rng, 3),
+        lambda base, rng, n: _random_single_deltas(base, n, rng, 1),
+    ):
+        runs = []
+        for batched in (True, False):
+            evaluator, rng = _evaluator("isp", mode, {"verify_incremental": True})
+            net = evaluator.network
+            wh = random_weights(net.num_links, rng)
+            deltas = deltas_of(wh, rng, net.num_links)
+            out = _step("str", evaluator, wh, wh, deltas, batched)
+            runs.append((out, _state(evaluator)))
+        (batch_out, batch_state), (seq_out, seq_state) = runs
+        assert batch_state == seq_state
+        for b_eval, s_eval in zip(batch_out[1], seq_out[1]):
+            _assert_fields_equal(b_eval, s_eval)
+
+
+@pytest.mark.parametrize("method", ("high", "low", "str"))
+def test_invalid_delta_leaves_evaluator_unchanged(method):
+    """A delta leaving the weight range, or not fitting the base, raises
+    ValueError before any cache is touched, even after valid deltas."""
+    evaluator, rng = _evaluator("isp", LOAD_MODE, {})
+    net = evaluator.network
+    wh = random_weights(net.num_links, rng)
+    wl = random_weights(net.num_links, rng)
+    evaluator.evaluate(wh, wl)
+    base = wl if method == "low" else wh
+    good = _random_single_deltas(base, net.num_links, rng, 2)
+    too_high = WeightDelta.single(0, int(base[0]), 31)
+    wrong_base = WeightDelta.single(1, int(base[1]) % 30 + 1, int(base[1]))
+    before = (_state(evaluator), _obs_counts(evaluator))
+    for bad in (too_high, wrong_base):
+        with pytest.raises(ValueError):
+            _step(method, evaluator, wh, wl, good + [bad], batched=True)
+        assert (_state(evaluator), _obs_counts(evaluator)) == before
+
+
+def test_verify_compares_loads_exactly(monkeypatch):
+    """A rebuilt layer one ulp away from the derived one is a mismatch: the
+    check is exact, not ``allclose``."""
+    net, incremental, _full, rng = _setup("isp", LOAD_MODE, seed=8)
+    base = random_weights(net.num_links, rng)
+    incremental.evaluate_str(base)
+    rebuild = incremental._rebuild
+
+    def nudged(which, weights):
+        layer = rebuild(which, weights)
+        layer.loads = np.nextafter(layer.loads, np.inf)
+        return layer
+
+    monkeypatch.setattr(incremental, "_rebuild", nudged)
+    delta = _random_single_deltas(base, net.num_links, rng, 1)[0]
+    with pytest.raises(IncrementalMismatchError, match="link loads differ"):
+        incremental.evaluate_str_neighbor(base, delta)
+
+
+@pytest.mark.parametrize("mode", (LOAD_MODE, SLA_MODE))
+def test_unreachable_demand_raises_before_caching(mode):
+    """A demanded pair with no path raises ``RoutingError`` while its layer
+    is looked up, before a shell is cached: the same call raises again
+    instead of reading an unfilled layer."""
+    from repro.routing.spf import RoutingError
+
+    evaluator, rng = _evaluator("isp", mode, {})
+    net = evaluator.network
+    sources = net.link_sources()
+    keep = (sources != 0) & (net.link_destinations() != 0)  # isolate node 0
+    cut = net.sub_network(keep)
+    broken = DualTopologyEvaluator(
+        cut, evaluator.high_traffic, evaluator.low_traffic, mode=mode
+    )
+    w = random_weights(cut.num_links, rng)
+    deltas = _random_single_deltas(w, cut.num_links, rng, 3)
+    for _ in range(2):
+        with pytest.raises(RoutingError, match="unreachable"):
+            broken.evaluate_str_neighbors(w, deltas)
+        with pytest.raises(RoutingError, match="unreachable"):
+            broken.evaluate_str(w)
+    assert len(broken._full_cache) == 0

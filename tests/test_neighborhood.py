@@ -1,11 +1,16 @@
 """Tests for the Algorithm-2 neighborhood sampler."""
 
+import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.neighborhood import NeighborhoodSampler
+from repro.core.lexicographic import LexCost
+from repro.core.neighborhood import NeighborhoodSampler, descending_high_link_order
 from repro.core.search_params import SearchParams
 
 
@@ -106,3 +111,38 @@ def test_input_weights_never_mutated(sampler):
     sampler.neighbors(weights, list(range(50)))
     sampler.single_change_neighbors(weights, list(range(50)))
     np.testing.assert_array_equal(weights, original)
+
+
+# ----------------------------------------------------------------------
+# FindH / STR link order
+# ----------------------------------------------------------------------
+_COSTS = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, 2.5, math.inf)),
+    st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+)
+
+
+@given(st.lists(st.tuples(_COSTS, _COSTS), max_size=40))
+def test_descending_high_link_order_is_the_lexcost_sort(costs):
+    """The lexsort order equals sorting the ``LexCost`` keys in reverse, ties
+    (zeros, repeated values, ``inf``) by ascending link index."""
+    primary = np.array([p for p, _ in costs], dtype=float)
+    secondary = np.array([s for _, s in costs], dtype=float)
+    evaluation = SimpleNamespace(high_link_costs=lambda: (primary, secondary))
+    keys = [LexCost(p, s) for p, s in costs]
+    expected = sorted(range(len(keys)), key=lambda i: keys[i], reverse=True)
+    assert descending_high_link_order(evaluation) == expected
+
+
+@pytest.mark.parametrize("mode", ("load", "sla"))
+def test_descending_high_link_order_matches_sort_keys(mode):
+    from repro.api import Session
+    from repro.eval.experiment import ExperimentConfig
+    from repro.routing.weights import random_weights
+
+    session = Session.from_config(ExperimentConfig(topology="isp", mode=mode, seed=3))
+    weights = random_weights(session.network.num_links, random.Random(3))
+    evaluation = session.evaluator.evaluate_str(weights)
+    keys = evaluation.high_link_sort_keys()
+    expected = sorted(range(len(keys)), key=lambda i: keys[i], reverse=True)
+    assert descending_high_link_order(evaluation) == expected

@@ -433,3 +433,162 @@ def test_build_schedule_rejects_mismatched_dims():
 
     with pytest.raises(ValueError, match="shape"):
         accumulate_rows(schedule, np.zeros((2, net.num_nodes)))
+
+
+# ----------------------------------------------------------------------
+# Per-row inputs: the rows of several routings in one pass
+# ----------------------------------------------------------------------
+def _routings_and_rows(seed, family, count):
+    """``count`` routings on one network, each with a destination list
+    (possibly empty, repeats allowed) and its injection rows."""
+    rng = random.Random(seed)
+    net = FAMILIES[family](rng)
+    out = []
+    for _ in range(count):
+        routing = Routing(net, random_weights(net.num_links, rng))
+        dests = [rng.randrange(net.num_nodes) for _ in range(rng.randint(0, net.num_nodes))]
+        # Inject only from nodes that reach the row's destination.
+        inj = _random_injections(net, rng, len(dests))
+        inj[~np.isfinite(routing.distance_matrix[np.asarray(dests, dtype=np.int64)])] = 0.0
+        out.append((routing, dests, inj))
+    return net, out
+
+
+def _assert_schedules_equal(a, b):
+    assert (a.num_rows, a.num_nodes, a.num_links) == (b.num_rows, b.num_nodes, b.num_links)
+    assert len(a.steps) == len(b.steps)
+    for x, y in zip(a.steps, b.steps):
+        for field in x._fields:
+            assert np.array_equal(getattr(x, field), getattr(y, field)), field
+    if a.load_pos is None or b.load_pos is None:
+        assert a.load_pos is None and b.load_pos is None
+    else:
+        np.testing.assert_array_equal(a.load_pos, b.load_pos)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    family=st.sampled_from(sorted(FAMILIES)),
+    count=st.integers(1, 4),
+)
+def test_build_with_per_row_weights_equals_per_routing_builds(seed, family, count):
+    """One ``build_arrays_and_schedule`` pass with one weight vector per row
+    equals a separate 1-D build per routing: DAG tuples, schedule (against
+    ``build_schedule`` over the separate DAGs) and accumulated rows."""
+    from repro.routing.soa import (
+        accumulate_rows,
+        build_arrays_and_schedule,
+        row_slice,
+        slice_destination_dags,
+    )
+
+    net, requests = _routings_and_rows(seed, family, count)
+    link_dst = net.link_destinations()
+    dags, rows = [], []
+    for routing, dests, inj in requests:
+        dist_rows = routing.distance_matrix[np.asarray(dests, dtype=np.int64)]
+        arrays, schedule = build_arrays_and_schedule(
+            net, routing.weights, dist_rows, dests, link_dst
+        )
+        dags.append(slice_destination_dags(dests, arrays))
+        rows.append(accumulate_rows(schedule, inj))
+    counts = [len(dests) for _, dests, _ in requests]
+    weights = np.repeat(np.stack([r.weights for r, _, _ in requests]), counts, axis=0)
+    all_dests = [t for _, dests, _ in requests for t in dests]
+    dist_rows = np.concatenate(
+        [r.distance_matrix[np.asarray(d, dtype=np.int64)] for r, d, _ in requests]
+    )
+    arrays, schedule = build_arrays_and_schedule(net, weights, dist_rows, all_dests, link_dst)
+    start = 0
+    for routing_dags, (_, dests, _) in zip(dags, requests):
+        stop = start + len(dests)
+        mine = slice_destination_dags(dests, row_slice(arrays, start, stop))
+        assert len(mine) == len(routing_dags)
+        for x, y in zip(mine, routing_dags):
+            assert x.dst == y.dst
+            for field in ("indptr", "links", "order", "levels", "order_counts"):
+                assert np.array_equal(getattr(x, field), getattr(y, field)), field
+        start = stop
+    flat = [dag for routing_dags in dags for dag in routing_dags]
+    _assert_schedules_equal(schedule, build_schedule(flat, link_dst, net.num_nodes, net.num_links))
+    injections = np.concatenate([inj for _, _, inj in requests])
+    np.testing.assert_array_equal(accumulate_rows(schedule, injections), np.concatenate(rows))
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    family=st.sampled_from(sorted(FAMILIES)),
+    count=st.integers(1, 4),
+)
+def test_mean_path_delays_with_per_row_delays_equals_separate_passes(seed, family, count):
+    """One reverse pass with one delay vector per row equals a separate pass
+    per routing under its own 1-D delays, bit for bit."""
+    from repro.routing.soa import mean_path_delays
+
+    net, requests = _routings_and_rows(seed, family, count)
+    rng = random.Random(seed + 1)
+    link_dst = net.link_destinations()
+    delays = [np.array([rng.random() * 20 + 0.1 for _ in range(net.num_links)])
+              for _ in requests]
+    separate = [
+        mean_path_delays(
+            build_schedule(r.ensure_dags(d), link_dst, net.num_nodes, net.num_links), dl
+        )
+        for (r, d, _), dl in zip(requests, delays)
+    ]
+    flat = [dag for r, d, _ in requests for dag in r.ensure_dags(d)]
+    schedule = build_schedule(flat, link_dst, net.num_nodes, net.num_links)
+    counts = [len(d) for _, d, _ in requests]
+    per_row = np.repeat(np.stack(delays), counts, axis=0)
+    np.testing.assert_array_equal(
+        mean_path_delays(schedule, per_row), np.concatenate(separate)
+    )
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    family=st.sampled_from(sorted(FAMILIES)),
+    count=st.integers(1, 4),
+)
+def test_routing_batch_passes_equal_per_routing_calls(seed, family, count):
+    """``Routing.batch_destination_rows`` / ``batch_path_delays`` equal each
+    routing's own ``destination_rows`` / ``path_delays``, also when several
+    requests share a routing (both classes of an STR move); the deferred
+    DAGs each routing keeps equal a fresh routing's."""
+    net, requests = _routings_and_rows(seed, family, count)
+    # A second request on every other routing, with its own destinations.
+    rng = random.Random(seed + 1)
+    for i, (routing, _, _) in enumerate(requests[::2]):
+        dests = [rng.randrange(net.num_nodes) for _ in range(rng.randint(0, net.num_nodes))]
+        inj = _random_injections(net, rng, len(dests))
+        inj[~np.isfinite(routing.distance_matrix[np.asarray(dests, dtype=np.int64)])] = 0.0
+        requests.insert(3 * i + 1, (routing, dests, inj))
+    twins = [Routing(net, r.weights) for r, _, _ in requests]
+    batched = Routing.batch_destination_rows(requests)
+    for (routing, dests, inj), twin, rows in zip(requests, twins, batched):
+        np.testing.assert_array_equal(rows, twin.destination_rows(dests, inj))
+        fresh = Routing(net, routing.weights)
+        for t in set(dests):
+            x, y = routing.soa_dag_cache()[t], fresh.ensure_dags([t])[0]
+            assert np.array_equal(x.links, y.links) and np.array_equal(x.order, y.order)
+    rng = random.Random(seed + 2)
+    delay_requests = [
+        (r, d, np.array([rng.random() * 20 + 0.1 for _ in range(net.num_links)]))
+        for r, d, _ in requests
+    ]
+    for (_, dests, delays), twin, out in zip(
+        delay_requests, twins, Routing.batch_path_delays(delay_requests)
+    ):
+        np.testing.assert_array_equal(out, twin.path_delays(dests, delays))
+
+
+def test_mean_path_delays_rejects_mismatched_delay_rows():
+    from repro.routing.soa import mean_path_delays
+
+    net, weights = _instances()[0]
+    routing = Routing(net, weights)
+    schedule = build_schedule(
+        routing.ensure_dags([0, 1]), net.link_destinations(), net.num_nodes, net.num_links
+    )
+    with pytest.raises(ValueError, match="shape"):
+        mean_path_delays(schedule, np.ones((3, net.num_links)))
