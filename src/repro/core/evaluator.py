@@ -49,7 +49,8 @@ batched sibling to a lone one.  In SLA mode the link delays move with
 the loads, so every pair delay is recomputed; the reverse pass's
 per-node sums do not depend on batching, so the pair delays are
 bit-identical too.  Cached layers, prices and evaluations are shared,
-so their arrays are read-only.
+so their arrays are read-only.  A batch that raises before its layers
+are filled and verified takes back every entry it laid down.
 ``incremental=False`` falls back to full recomputation everywhere, and
 ``verify_incremental=True`` cross-checks every derived layer against a
 from-scratch rebuild through :meth:`~repro.routing.state.ClassLoads.refresh`
@@ -58,6 +59,7 @@ from-scratch rebuild through :meth:`~repro.routing.state.ClassLoads.refresh`
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from time import perf_counter
 from typing import NamedTuple, Optional, Sequence
@@ -112,6 +114,7 @@ class _Build(NamedTuple):
 
     Attributes:
         which: ``"high"`` or ``"low"``.
+        key: The layer's cache key (also its routing's memo key).
         layer: The shell, cached at lookup with its routing only.
         weights: The layer's weight vector (for the verification rebuild).
         parent: The layer whose rows are reused, or ``None`` (all fresh).
@@ -121,6 +124,7 @@ class _Build(NamedTuple):
     """
 
     which: str
+    key: bytes
     layer: _Layer
     weights: np.ndarray
     parent: Optional[_Layer]
@@ -288,16 +292,11 @@ class DualTopologyEvaluator:
         # cached result computed for different weights.
         hw = as_weight_array(high_weights, self._net.num_links)
         lw = as_weight_array(low_weights, self._net.num_links)
-        hk = weights_key(hw)
-        lk = weights_key(lw)
-        full_key = hk + b"|" + lk
-        if full_key in self._full_cache:  # a hit opens no span
-            self.evaluations += 1
-            self._obs_full_hit.inc()
-            return self._full_cache.get(full_key)
         high_hint = self._hint(high_base, high_delta)
         low_hint = self._hint(low_base, low_delta)
-        return self._evaluate_many([(hw, hk, lw, lk, high_hint, low_hint)])[0]
+        return self._evaluate_many(
+            [(hw, weights_key(hw), lw, weights_key(lw), high_hint, low_hint)]
+        )[0]
 
     def evaluate_str(self, weights: np.ndarray) -> Evaluation:
         """Evaluate single-topology routing: both classes on ``weights``."""
@@ -452,18 +451,20 @@ class DualTopologyEvaluator:
 
         Each item is ``(hw, hk, lw, lk, high_hint, low_hint)``.  The full
         cache, the layer caches and the routing memo see exactly the
-        operations one :meth:`evaluate` per item would make, in item
-        order.  A missed layer is cached as a shell (:meth:`_lookup`) and
-        a missed evaluation as a :class:`_Pending` entry; both are filled
-        once the kernels have run, so a repeated item looks up the same
-        entry.  Entries laid down before a lookup that raises are filled
-        all the same.
+        operations one call per item would make, in item order.  A missed
+        layer is cached as a shell (:meth:`_lookup`) and a missed
+        evaluation as a :class:`_Pending` entry; both are filled (and, with
+        ``verify_incremental``, checked) once the kernels have run, so a
+        repeated item looks up the same entry.  If anything raises first,
+        the batch takes back every entry it laid down (:meth:`_discard`).
+        The ``evaluate`` span opens at the first miss, so a batch of hits
+        opens none.
         """
-        started = perf_counter()
         results: list = []
         missed: list[tuple[bytes, _Pending]] = []
         builds: list[_Build] = []
-        with obs.span("evaluate", mode=self.mode, size=len(items)):
+        started = 0.0
+        with ExitStack() as span:
             try:
                 for hw, hk, lw, lk, high_hint, low_hint in items:
                     self.evaluations += 1
@@ -474,6 +475,9 @@ class DualTopologyEvaluator:
                         results.append(cached)
                         continue
                     self._obs_full_miss.inc()
+                    if not missed:
+                        span.enter_context(obs.span("evaluate", mode=self.mode, size=len(items)))
+                        started = perf_counter()
                     pending = _Pending(
                         self._lookup("high", hk, hw, high_hint, builds),
                         self._lookup("low", lk, lw, low_hint, builds),
@@ -481,14 +485,17 @@ class DualTopologyEvaluator:
                     self._full_cache.put(full_key, pending)
                     missed.append((full_key, pending))
                     results.append(pending)
-            finally:
                 self._fill(builds)
                 for full_key, pending in missed:
                     pending.evaluation = pending.high.price.evaluation(
                         self._net, pending.low.loads
                     )
                     self._full_cache.replace(full_key, pending.evaluation)
-            self._settle(builds, len(missed), started)
+            except BaseException:
+                self._discard(builds, [full_key for full_key, _ in missed])
+                raise
+        if missed:
+            self._record_latency(builds, len(missed), started)
         return [r.evaluation if isinstance(r, _Pending) else r for r in results]
 
     def _class_layer(self, which: str, weights: np.ndarray) -> _Layer:
@@ -498,9 +505,11 @@ class DualTopologyEvaluator:
         builds: list[_Build] = []
         try:
             layer = self._lookup(which, weights_key(w), w, None, builds)
-        finally:
             self._fill(builds)
-        self._settle(builds, 0, started)
+        except BaseException:
+            self._discard(builds, ())
+            raise
+        self._record_latency(builds, 0, started)
         return layer
 
     def _lookup(
@@ -512,7 +521,7 @@ class DualTopologyEvaluator:
         layer when that is cached, else built — and its stale rows (all of
         them for a built routing) are queued on ``builds`` for
         :meth:`_fill`.  Reachability is checked before the shell is
-        cached, so the fill cannot fail.
+        cached.
         """
         cache, demands, active = self._classes[which]
         layer = cache.get(key)
@@ -538,7 +547,7 @@ class DualTopologyEvaluator:
         self._incremental_stats[f"{which}_{path}"] += 1
         self._obs_builds[(which, path)].inc()
         layer = _Layer(routing, None, None)
-        builds.append(_Build(which, layer, weights, parent, redo, injections))
+        builds.append(_Build(which, key, layer, weights, parent, redo, injections))
         cache.put(key, layer)
         return layer
 
@@ -580,7 +589,7 @@ class DualTopologyEvaluator:
         return routing, affected
 
     def _fill(self, builds: list[_Build]) -> None:
-        """Fill the shells of ``builds``.
+        """Fill the shells of ``builds``, then verify the derived ones.
 
         Every stale row of every shell comes from one
         :meth:`~repro.routing.state.Routing.batch_destination_rows` pass;
@@ -589,7 +598,9 @@ class DualTopologyEvaluator:
         high shells are priced, in SLA mode with one
         :meth:`~repro.routing.state.Routing.batch_path_delays` pass for
         all their pair delays.  A layer's arrays are read-only: the
-        siblings of a step share their parent's rows.
+        siblings of a step share their parent's rows.  With
+        ``verify_incremental``, each derived layer is checked against a
+        rebuild (:meth:`_verify_layer`).
         """
         if not builds:
             return
@@ -614,17 +625,23 @@ class DualTopologyEvaluator:
             prices = [p.with_pair_delays(self._pairs, d) for p, d in zip(prices, delays)]
         for layer, price in zip(highs, prices):
             layer.price = price
-
-    def _settle(self, builds: list[_Build], misses: int, started: float) -> None:
-        """Verify the derived layers of a filled batch and record its latency.
-
-        The batch's time is split evenly over its built layers and its
-        missed evaluations, one histogram observation each.
-        """
         if self.verify_incremental:
             for b in builds:
                 if b.parent is not None:
                     self._verify_layer(b.layer, self._rebuild(b.which, b.weights), b.which)
+
+    def _discard(self, builds: list[_Build], full_keys) -> None:
+        """Take back what a batch that raised laid down: its evaluations,
+        its layers and their routings.  Counters stay as they are."""
+        for full_key in full_keys:
+            self._full_cache.discard(full_key)
+        for b in builds:
+            self._classes[b.which][0].discard(b.key)
+            self._routing_memo.discard(b.key)
+
+    def _record_latency(self, builds: list[_Build], misses: int, started: float) -> None:
+        """Record a filled batch's latency, split evenly over its built
+        layers and its missed evaluations, one histogram observation each."""
         elapsed = perf_counter() - started
         for b in builds:
             self._obs_layer_seconds[b.which].observe(elapsed / len(builds))

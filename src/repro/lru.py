@@ -72,6 +72,11 @@ class LruCache(Generic[K, V]):
         if key in self._store:
             self._store[key] = value
 
+    def discard(self, key: K) -> None:
+        """Drop ``key`` if present, leaving counts alone: the evaluator
+        takes back the entries of a batch that failed."""
+        self._store.pop(key, None)
+
     def __setitem__(self, key: K, value: V) -> None:
         self.put(key, value)
 

@@ -34,10 +34,13 @@ compiles that list's schedule, and an SLA delay pass over the same list
 (:meth:`Routing.path_delays` from
 :func:`~repro.costs.pricing.price_high`) reuses it; the second entry
 keeps the other class's list when one routing serves both.  The
-evaluator's layers are built in batches
-(:meth:`Routing.batch_destination_rows`, :meth:`Routing.batch_path_delays`)
-and keep no schedule here.  The worst case (two full-network schedules)
-stays small next to the DAG cache itself."""
+evaluator's batches of one routing (:meth:`Routing.batch_destination_rows`,
+:meth:`Routing.batch_path_delays`) go through the same cache, so a later
+pass over an evaluated routing (such as
+:meth:`~repro.api.Session.scaled_traffic`'s delay pass) reuses its
+schedule.  Rows of several routings share one schedule that no routing
+keeps.  The worst case (two full-network schedules) stays small next to
+the DAG cache itself."""
 
 
 class Routing:
@@ -262,16 +265,17 @@ class Routing:
         over the same network, with its reachability already checked
         (:meth:`check_reachable`).  Every distinct ``(routing,
         destination)`` pair gets one DAG row, laid out routing by
-        routing, and all rows are built in one
+        routing.  With several routings, all rows are built in one
         :func:`~repro.routing.soa.build_arrays_and_schedule` pass, each
-        under its own routing's weights.  One
-        :func:`~repro.routing.soa.accumulate_rows` call runs the schedule;
-        a pair requested again (one routing serving both classes of an STR
-        move) is accumulated in a further pass over the same schedule.
-        Rows are independent in both kernels, so each request's rows equal
-        its own :meth:`destination_rows` bit for bit.  Each routing keeps
-        its slice of the DAG arrays, sliced into tuples only when asked
-        for; no schedule is cached on the routings.
+        under its own routing's weights, and each routing keeps its slice
+        of the DAG arrays, sliced into tuples only when asked for; one
+        routing's rows come from its own cached schedule
+        (:meth:`_schedule`).  One :func:`~repro.routing.soa.accumulate_rows`
+        call runs the schedule; a pair requested again (one routing
+        serving both classes of an STR move) is accumulated in a further
+        pass over the same schedule.  Rows are independent in both
+        kernels, so each request's rows equal its own
+        :meth:`destination_rows` bit for bit.
 
         Returns:
             One ``(len(dests), num_links)`` matrix per request, in order.
@@ -281,27 +285,29 @@ class Routing:
         total = sum(dests.size for _, dests in layout)
         if not total:
             return [np.empty((0, r.network.num_links)) for r, _, _ in requests]
-        net = requests[0][0].network
         if len(layout) == 1:
             routing, dests = layout[0]
-            weights = routing.weights
-            # Every node a destination (ascending): the matrix itself.
-            dist_rows = routing._dist if dests.size == net.num_nodes else routing._dist[dests]
+            schedule = routing._schedule(dests.tolist(), dests)
         else:
+            net = requests[0][0].network
             weights = np.repeat(
                 np.stack([r.weights for r, _ in layout]), [d.size for _, d in layout], axis=0
             )
             dests = np.concatenate([d for _, d in layout])
             dist_rows = np.concatenate([r._dist[d] for r, d in layout])
-        arrays, schedule = build_arrays_and_schedule(
-            net, weights, dist_rows, dests.tolist(), net.link_destinations()
-        )
-        start = 0
-        for routing, routing_dests in layout:
-            stop = start + routing_dests.size
-            routing._pending_dags.append((routing_dests.tolist(), row_slice(arrays, start, stop)))
-            start = stop
-        passes = _pass_injections(placed, [inj for _, _, inj in requests], num_passes, total)
+            arrays, schedule = build_arrays_and_schedule(
+                net, weights, dist_rows, dests.tolist(), net.link_destinations()
+            )
+            start = 0
+            for routing, routing_dests in layout:
+                stop = start + routing_dests.size
+                routing._pending_dags.append(
+                    (routing_dests.tolist(), row_slice(arrays, start, stop))
+                )
+                start = stop
+        passes = np.zeros((num_passes, total, requests[0][0].network.num_nodes))
+        for (p, rows), (_, _, inj) in zip(placed, requests):
+            passes[p, rows] = inj
         out = [accumulate_rows(schedule, inj) for inj in passes]
         return [_gather(out, p, rows) for p, rows in placed]
 
@@ -315,18 +321,20 @@ class Routing:
         :func:`~repro.routing.soa.mean_path_delays` call with each row's
         own delay vector; the reverse pass's per-node sums do not depend
         on which rows share the schedule, so each request's matrix
-        equals its own :meth:`path_delays` bit for bit.
+        equals its own :meth:`path_delays` bit for bit.  A lone request
+        is its :meth:`path_delays`, which reuses the routing's cached
+        schedule.
         """
+        if len(requests) == 1:
+            routing, dests, link_delays = requests[0]
+            return [routing.path_delays(dests, link_delays)]
         if not requests:
             return []
         net = requests[0][0].network
         dags = [dag for routing, dests, _ in requests for dag in routing.ensure_dags(dests)]
         schedule = build_schedule(dags, net.link_destinations(), net.num_nodes, net.num_links)
         counts = [len(dests) for _, dests, _ in requests]
-        if len(requests) == 1:
-            delays = requests[0][2]
-        else:
-            delays = np.repeat(np.stack([d for _, _, d in requests]), counts, axis=0)
+        delays = np.repeat(np.stack([d for _, _, d in requests]), counts, axis=0)
         out = np.split(mean_path_delays(schedule, delays), np.cumsum(counts)[:-1])
         for (routing, dests, _), matrix in zip(requests, out):
             routing._mark_unreachable(dests, matrix)
@@ -579,10 +587,10 @@ def _row_layout(requests):
 
     Returns ``(layout, placed, num_passes)``: ``layout`` lists each
     routing with the ascending distinct destinations of its DAG rows, in
-    row order; ``placed`` gives each request its ``(pass, rows)`` — ints
-    and slices when its rows are one run of one pass, else aligned arrays.
-    The k-th request row of a ``(routing, destination)`` pair goes to
-    pass k.
+    row order; ``placed`` gives each request its ``(pass, rows)`` — an
+    int and a slice when its rows are its routing's whole list in one
+    pass, else aligned arrays.  The k-th request row of a ``(routing,
+    destination)`` pair goes to pass k.
     """
     groups: dict[int, list[int]] = {}
     for i, (routing, _, _) in enumerate(requests):
@@ -609,38 +617,10 @@ def _row_layout(requests):
             num_passes = max(num_passes, int(ranks.max(initial=0)) + 1)
             bounds = np.cumsum([0] + [d.size for d in dests])
             for i, a, b in zip(members, bounds[:-1], bounds[1:]):
-                p, r = ranks[a:b], rows[a:b]
-                if r.size and (p == p[0]).all() and (np.diff(r) == 1).all():
-                    placed[i] = (int(p[0]), slice(total + r[0], total + r[-1] + 1))
-                else:
-                    placed[i] = (p, total + r)
+                placed[i] = (ranks[a:b], total + rows[a:b])
         layout.append((requests[members[0]][0], unique))
         total += unique.size
     return layout, placed, num_passes
-
-
-def _pass_injections(placed, injections: list, num_passes: int, total: int) -> list:
-    """Each pass's ``(total, n)`` injection rows.
-
-    Where the requests' runs tile every pass in request order (one
-    routing per request, or both classes of a move on the same list),
-    a pass is its requests' injections as given; otherwise they are
-    scattered into zero rows.
-    """
-    runs: list[list] = [[] for _ in range(num_passes)]
-    stops = [0] * num_passes
-    for (p, rows), inj in zip(placed, injections):
-        if not isinstance(rows, slice) or rows.start != stops[p]:
-            break
-        runs[p].append(inj)
-        stops[p] = rows.stop
-    else:
-        if all(stop == total for stop in stops):
-            return [r[0] if len(r) == 1 else np.concatenate(r) for r in runs]
-    passes = np.zeros((num_passes, total, injections[0].shape[1]))
-    for (p, rows), inj in zip(placed, injections):
-        passes[p, rows] = inj
-    return passes
 
 
 def _gather(out: list, passes, rows) -> np.ndarray:

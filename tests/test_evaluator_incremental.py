@@ -207,10 +207,18 @@ def _reused_row_scenario(seed):
 
 
 def test_verify_flag_detects_corrupted_parent():
+    """A mismatch leaves none of the failed batch's entries cached, so the
+    same call raises again instead of returning the unverified result."""
     incremental, base, layer, _active, _reused, delta = _reused_row_scenario(8)
     layer.dest_rows = layer.dest_rows * 1.5  # corrupt the cached rows
-    with pytest.raises(IncrementalMismatchError):
-        incremental.evaluate_str_neighbor(base, delta)
+    keys = _keys(incremental)
+    for _ in range(2):
+        with pytest.raises(IncrementalMismatchError):
+            incremental.evaluate_str_neighbor(base, delta)
+        assert _keys(incremental) == keys
+        with pytest.raises(IncrementalMismatchError):
+            incremental.evaluate_str_neighbors(base, [WeightDelta(()), delta, delta])
+        assert _keys(incremental) == keys
 
 
 def test_verify_catches_sub_tolerance_row_poison():
@@ -573,3 +581,92 @@ def test_unreachable_demand_raises_before_caching(mode):
         with pytest.raises(RoutingError, match="unreachable"):
             broken.evaluate_str(w)
     assert len(broken._full_cache) == 0
+
+
+def _keys(evaluator):
+    """Every evaluator LRU's keys, in order."""
+    return _state(evaluator)[2]
+
+
+@pytest.mark.parametrize("mode", (LOAD_MODE, SLA_MODE))
+def test_interrupted_batch_takes_back_its_entries(mode, monkeypatch):
+    """An exception out of the kernel pass (here an interrupt) leaves no
+    shell or placeholder cached; the next call evaluates correctly."""
+    evaluator, rng = _evaluator("isp", mode, {})
+    net = evaluator.network
+    wh = random_weights(net.num_links, rng)
+    wl = random_weights(net.num_links, rng)
+    evaluator.evaluate(wh, wl)
+    deltas = _random_single_deltas(wh, net.num_links, rng, 3)
+    keys = _keys(evaluator)
+
+    class Interrupted(evaluator._routing_class):
+        @classmethod
+        def batch_destination_rows(cls, requests):
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(evaluator, "_routing_class", Interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        evaluator.evaluate_high_neighbors(wh, wl, deltas)
+    assert _keys(evaluator) == keys
+    other = random_weights(net.num_links, rng)
+    with pytest.raises(KeyboardInterrupt):
+        evaluator.evaluate(other, wl)
+    with pytest.raises(KeyboardInterrupt):
+        evaluator.high_routing(other)
+    assert _keys(evaluator) == keys
+    monkeypatch.undo()
+    fresh = DualTopologyEvaluator(net, evaluator.high_traffic, evaluator.low_traffic, mode=mode)
+    neighbors, evaluations = evaluator.evaluate_high_neighbors(wh, wl, deltas)
+    for hw, evaluation in zip(neighbors, evaluations):
+        _assert_fields_equal(evaluation, fresh.evaluate(hw, wl))
+    _assert_fields_equal(evaluator.evaluate(other, wl), fresh.evaluate(other, wl))
+
+
+def test_evaluate_span_only_for_a_call_that_builds(tmp_path):
+    """One ``evaluate`` span per call that misses the full cache (its size
+    the call's item count); a call of hits opens none."""
+    import json
+
+    from repro import obs
+
+    evaluator, rng = _evaluator("isp", LOAD_MODE, {})
+    net = evaluator.network
+    wh = random_weights(net.num_links, rng)
+    wl = random_weights(net.num_links, rng)
+    deltas = _random_single_deltas(wh, net.num_links, rng, 3)
+    path = tmp_path / "spans.jsonl"
+    obs.enable_tracing(path)
+    try:
+        evaluator.evaluate(wh, wl)
+        evaluator.evaluate(wh, wl)
+        evaluator.evaluate_high_neighbors(wh, wl, [WeightDelta(())] + deltas)
+        evaluator.evaluate_high_neighbors(wh, wl, deltas)
+        evaluator.evaluate_high_neighbor(wh, wl, deltas[0])
+    finally:
+        obs.disable_tracing()
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["attrs"]["size"] for r in records if r["name"] == "evaluate"] == [1, 4]
+
+
+@pytest.mark.parametrize("method", ("evaluate", "str"))
+def test_lone_sla_layer_keeps_its_schedule(method):
+    """An SLA high layer's routing keeps the schedule its lone delay pass
+    compiled, so a later delay pass over it (``Session.scaled_traffic``)
+    compiles nothing.  A routing alone in its batch (both classes of an STR
+    setting) keeps its load schedule too: here the two classes' joint
+    destination list, and the high class's list for the delays."""
+    from repro.api import Session
+
+    evaluator, rng = _evaluator("isp", SLA_MODE, {})
+    net = evaluator.network
+    wh = random_weights(net.num_links, rng)
+    wl = wh if method == "str" else random_weights(net.num_links, rng)
+    evaluator.evaluate(wh, wl)
+    schedules = evaluator.high_routing(wh)._dest_schedules
+    compiled = schedules.misses
+    assert compiled == (2 if method == "str" else 1)
+    session = Session.from_evaluator(evaluator)
+    session.set_weights(wh, wl)
+    session.scaled_traffic(1.5)
+    assert schedules.misses == compiled
