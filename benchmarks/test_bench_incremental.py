@@ -95,7 +95,7 @@ def test_incremental_speedup_on_single_weight_moves():
     net, high, low, base, deltas = _workload()
 
     def incremental_move(evaluator, delta):
-        return evaluator.evaluate_str_neighbor(base, delta)[1].objective
+        return evaluator.evaluate_moves(base, base, [(delta, delta)])[1][0].objective
 
     def full_move(evaluator, delta):
         return evaluator.evaluate_str(delta.apply(base)).objective

@@ -331,18 +331,9 @@ class Session:
             raise ValueError("topology must be 'high', 'low', or 'both'")
         baseline = self.evaluate()  # also primes the evaluator's parent layers
 
-        hints: dict = {}
-        new_wh, new_wl = wh, wl
-        dh = dl = None
-        if topology in ("high", "both"):
-            dh = self._coerce_delta(wh, delta)
-            new_wh = dh.apply(wh)
-            hints.update(high_base=wh, high_delta=dh)
-        if topology in ("low", "both"):
-            dl = self._coerce_delta(wl, delta)
-            new_wl = dl.apply(wl)
-            hints.update(low_base=wl, low_delta=dl)
-        variant = self.evaluator.evaluate(new_wh, new_wl, **hints)
+        dh = self._coerce_delta(wh, delta) if topology in ("high", "both") else None
+        dl = self._coerce_delta(wl, delta) if topology in ("low", "both") else None
+        _, (variant,) = self.evaluator.evaluate_moves(wh, wl, [(dh, dl)])
 
         high_d, low_d, total_d = utilization_deltas(
             self.network.capacities(), baseline, variant.high_loads, variant.low_loads

@@ -138,14 +138,7 @@ def _anneal_search(
                 search_params.min_weight, search_params.max_weight
             )
         delta = WeightDelta.from_weights(current, candidate)
-        candidate_eval = evaluator.evaluate(
-            candidate,
-            candidate,
-            high_base=current,
-            high_delta=delta,
-            low_base=current,
-            low_delta=delta,
-        )
+        _, (candidate_eval,) = evaluator.evaluate_moves(current, current, [(delta, delta)])
         probability = _acceptance_probability(
             current_eval.objective, candidate_eval.objective, temperature
         )

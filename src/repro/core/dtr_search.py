@@ -79,27 +79,17 @@ class _DtrSearch:
             current, metric = self.wl, evaluation.phi_low
 
         deltas = self.sampler.neighbor_deltas(current, order)
-        if which == PHASE_HIGH:
-            neighbors, candidates = self.evaluator.evaluate_high_neighbors(
-                current, self.wl, deltas
-            )
-            metrics = [candidate.objective for candidate in candidates]
-        else:
-            neighbors, candidates = self.evaluator.evaluate_low_neighbors(
-                self.wh, current, deltas
-            )
-            metrics = [candidate.phi_low for candidate in candidates]
-        best_neighbor = None
+        moves = [(d, None) if which == PHASE_HIGH else (None, d) for d in deltas]
+        children, candidates = self.evaluator.evaluate_moves(self.wh, self.wl, moves)
+        best_child = None
         best_metric = metric
-        for neighbor, candidate_metric in zip(neighbors, metrics):
+        for child, candidate in zip(children, candidates):
+            candidate_metric = candidate.objective if which == PHASE_HIGH else candidate.phi_low
             if candidate_metric < best_metric:
                 best_metric = candidate_metric
-                best_neighbor = neighbor
-        if best_neighbor is not None:
-            if which == PHASE_HIGH:
-                self.wh = best_neighbor
-            else:
-                self.wl = best_neighbor
+                best_child = child
+        if best_child is not None:
+            self.wh, self.wl = best_child
 
     # -- Algorithm 1 routines ---------------------------------------------
     def routine_high(self) -> None:

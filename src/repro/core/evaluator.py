@@ -19,38 +19,36 @@ combine step (:meth:`repro.costs.pricing.HighPrice.evaluation`), so
 FindL iterations reuse the entire high layer and FindH iterations reuse
 the low-priority loads.
 
-On top of that sits the incremental-SPF delta path: neighbors in the
-search differ from their parent in one or two link weights, so when a
-caller supplies the parent vector and a
-:class:`~repro.routing.incremental.WeightDelta`, a cache-missed layer is
-*derived* from the parent's layer instead of rebuilt: only the
-destinations whose SP structure can change (the slack test of
+On top of that sits the incremental-SPF delta path.  A move is a pair of
+:class:`~repro.routing.incremental.WeightDelta` (``None`` leaves that
+class's vector), and a cache-missed child layer is *derived* from its
+base's cached layer instead of rebuilt: only the destinations whose SP
+structure can change (the slack test of
 :func:`repro.routing.incremental.affected_destinations`) get their
 Dijkstra row, SP DAG and load row recomputed; everything else is reused
-verbatim.
+verbatim.  The child is always ``delta.apply(base)``.
 
 A search step evaluates every neighbor of one parent before it keeps
 the best (Algorithm 2's m neighbors, the STR step's single-weight
-moves), so the drivers pass the whole step to one batch call
-(:meth:`DualTopologyEvaluator.evaluate_high_neighbors`,
-:meth:`~DualTopologyEvaluator.evaluate_low_neighbors`,
-:meth:`~DualTopologyEvaluator.evaluate_str_neighbors`).  A batch looks
-the caches up in delta order, exactly as one call per neighbor would,
-and derives each missed sibling's routing on its own restricted
-Dijkstra.  A missed layer is cached as a shell and filled afterwards:
-the stale rows of every missed layer are built and accumulated in one
-kernel pass (:meth:`repro.routing.state.Routing.batch_destination_rows`),
-and in SLA mode the high layers' pair delays come from one reverse pass
+moves), so the drivers pass the whole step to one
+:meth:`DualTopologyEvaluator.evaluate_moves` call.  It looks the caches
+up in move order, exactly as one call per move would, and derives each
+missed sibling's routing on its own restricted Dijkstra.  A missed layer
+is cached as a shell and filled afterwards: the stale rows of every
+missed layer are built and accumulated in one kernel pass
+(:meth:`repro.routing.state.Routing.batch_destination_rows`), and in SLA
+mode the high layers' pair delays come from one reverse pass
 (:meth:`~repro.routing.state.Routing.batch_path_delays`).  Every layer
-is built this way (:meth:`DualTopologyEvaluator.evaluate` is a batch of
-one) and sums its rows with :func:`repro.routing.state.row_sum` in one
-fixed order, so a derived layer is bit-identical to a rebuilt one and a
-batched sibling to a lone one.  In SLA mode the link delays move with
-the loads, so every pair delay is recomputed; the reverse pass's
-per-node sums do not depend on batching, so the pair delays are
-bit-identical too.  Cached layers, prices and evaluations are shared,
-so their arrays are read-only.  A batch that raises before its layers
-are filled and verified takes back every entry it laid down.
+is built this way (:meth:`DualTopologyEvaluator.evaluate` is the move
+``(None, None)``) and sums its rows with
+:func:`repro.routing.state.row_sum` in one fixed order, so a derived
+layer is bit-identical to a rebuilt one and a batched sibling to a lone
+one.  In SLA mode the link delays move with the loads, so every pair
+delay is recomputed; the reverse pass's per-node sums do not depend on
+batching, so the pair delays are bit-identical too.  Cached layers,
+prices and evaluations are shared, so their arrays are read-only.  A
+batch that raises before its layers are filled and verified takes back
+every entry it laid down.
 ``incremental=False`` falls back to full recomputation everywhere, and
 ``verify_incremental=True`` cross-checks every derived layer against a
 from-scratch rebuild through :meth:`~repro.routing.state.ClassLoads.refresh`
@@ -141,6 +139,9 @@ class _Pending:
     evaluation: Optional[Evaluation] = None
 
 
+Move = tuple[Optional[WeightDelta], Optional[WeightDelta]]
+"""A move ``(high_delta, low_delta)``; ``None`` leaves that class's vector."""
+
 Hint = Optional[tuple[bytes, WeightDelta]]
 """An incremental hint: the parent vector's key and the delta from it."""
 
@@ -157,8 +158,8 @@ class DualTopologyEvaluator:
         sla_params: SLA bound/penalty parameters (SLA mode only).
         cache_size: Entries kept per cache layer.
         incremental: Whether cache-missed layers may be derived from a
-            cached parent layer via incremental SPF when the caller
-            supplies a weight delta.  ``False`` forces full recomputation
+            cached parent layer via incremental SPF when a move supplies
+            a weight delta.  ``False`` forces full recomputation
             (the verification fallback path).
         verify_incremental: Cross-check every incrementally derived layer
             against a full rebuild and raise
@@ -263,134 +264,56 @@ class DualTopologyEvaluator:
         """Low-priority traffic matrix."""
         return self._low_traffic
 
-    def evaluate(
-        self,
-        high_weights: np.ndarray,
-        low_weights: np.ndarray,
-        *,
-        high_base: Optional[np.ndarray] = None,
-        high_delta: Optional[WeightDelta] = None,
-        low_base: Optional[np.ndarray] = None,
-        low_delta: Optional[WeightDelta] = None,
-    ) -> Evaluation:
-        """Full evaluation of a dual weight setting.
-
-        The keyword arguments are optional incremental-SPF hints: when
-        ``high_base``/``high_delta`` are given, ``high_weights`` must equal
-        ``high_delta.apply(high_base)`` and a cache miss on the high layer
-        is derived from the (expected cached) layer of ``high_base``
-        instead of rebuilt; likewise for the low layer.  Hints never
-        change the result — only how a missed layer is computed.
+    def evaluate(self, high_weights: np.ndarray, low_weights: np.ndarray) -> Evaluation:
+        """Full evaluation of a dual weight setting: the move ``(None, None)``.
 
         Returns a :class:`LoadCostEvaluation` in load mode or a
         :class:`SlaCostEvaluation` in SLA mode; both expose ``.objective``
         (the lexicographic cost) and the per-link sort keys the search
         routines consume.
         """
-        # Validate BEFORE keying: a bare int64 cast truncates fractional
-        # weights, silently keying `w + 0.5` as `floor(w)` and returning a
-        # cached result computed for different weights.
-        hw = as_weight_array(high_weights, self._net.num_links)
-        lw = as_weight_array(low_weights, self._net.num_links)
-        high_hint = self._hint(high_base, high_delta)
-        low_hint = self._hint(low_base, low_delta)
-        return self._evaluate_many(
-            [(hw, weights_key(hw), lw, weights_key(lw), high_hint, low_hint)]
-        )[0]
+        return self.evaluate_moves(high_weights, low_weights, [(None, None)])[1][0]
 
     def evaluate_str(self, weights: np.ndarray) -> Evaluation:
         """Evaluate single-topology routing: both classes on ``weights``."""
         return self.evaluate(weights, weights)
 
-    def evaluate_high_neighbors(
-        self, high_base: np.ndarray, low_weights: np.ndarray, deltas: Sequence[WeightDelta]
-    ) -> tuple[list[np.ndarray], list[Evaluation]]:
-        """Evaluate one FindH step: each of ``deltas`` applied to ``high_base``.
+    def evaluate_moves(
+        self, high_weights: np.ndarray, low_weights: np.ndarray, moves: Sequence[Move]
+    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[Evaluation]]:
+        """Evaluate each move ``(high_delta, low_delta)`` from one weight setting.
 
-        Same results, cache state and counters as one
-        :meth:`evaluate_high_neighbor` call per delta in order; the missed
-        siblings share one kernel pass (see the module docstring).
+        A move's child is ``(high_delta.apply(high_weights),
+        low_delta.apply(low_weights))``; a ``None`` delta leaves that
+        class's vector unchanged.  A FindH step passes ``[(d, None), ...]``,
+        FindL ``[(None, d), ...]`` and an STR step ``[(d, d), ...]``.  A
+        missed child layer is derived from its base's cached layer, and the
+        missed siblings share one kernel pass (see the module docstring);
+        results, cache state and counters are those of one call per move
+        in order.
 
         Returns:
-            ``(neighbor_high_weights, evaluations)``, both in delta order.
+            ``(children, evaluations)`` in move order; each child is its
+            ``(high, low)`` vector pair.
 
         Raises:
-            ValueError: on an invalid vector, or a delta that does not fit
-                ``high_base`` or leaves the weight range; nothing is looked
+            ValueError: on an invalid base vector, or a delta that does not
+                fit its base or leaves the weight range; nothing is looked
                 up then.
         """
-        base_key, children = self._children(high_base, deltas)
-        lw = as_weight_array(low_weights, self._net.num_links)
-        lk = weights_key(lw)
-        return [w for w, _ in children], self._evaluate_many(
-            [(w, k, lw, lk, (base_key, d), None) for (w, k), d in zip(children, deltas)]
-        )
-
-    def evaluate_low_neighbors(
-        self, high_weights: np.ndarray, low_base: np.ndarray, deltas: Sequence[WeightDelta]
-    ) -> tuple[list[np.ndarray], list[Evaluation]]:
-        """Evaluate one FindL step: each of ``deltas`` applied to ``low_base``.
-
-        The FindL counterpart of :meth:`evaluate_high_neighbors`.
-
-        Returns:
-            ``(neighbor_low_weights, evaluations)``, both in delta order.
-        """
-        base_key, children = self._children(low_base, deltas)
+        # Validate BEFORE keying: a bare int64 cast truncates fractional
+        # weights, silently keying `w + 0.5` as `floor(w)` and returning a
+        # cached result computed for different weights.
         hw = as_weight_array(high_weights, self._net.num_links)
-        hk = weights_key(hw)
-        return [w for w, _ in children], self._evaluate_many(
-            [(hw, hk, w, k, None, (base_key, d)) for (w, k), d in zip(children, deltas)]
-        )
-
-    def evaluate_str_neighbors(
-        self, base: np.ndarray, deltas: Sequence[WeightDelta]
-    ) -> tuple[list[np.ndarray], list[Evaluation]]:
-        """Evaluate one STR step: each of ``deltas`` applied to ``base`` in both classes.
-
-        The STR counterpart of :meth:`evaluate_high_neighbors`; both
-        classes' rows share the one kernel pass.
-
-        Returns:
-            ``(neighbor_weights, evaluations)``, both in delta order.
-        """
-        base_key, children = self._children(base, deltas)
-        return [w for w, _ in children], self._evaluate_many(
-            [(w, k, w, k, (base_key, d), (base_key, d)) for (w, k), d in zip(children, deltas)]
-        )
-
-    def evaluate_high_neighbor(
-        self, high_base: np.ndarray, low_weights: np.ndarray, delta: WeightDelta
-    ) -> tuple[np.ndarray, Evaluation]:
-        """Evaluate a FindH move: a one-delta :meth:`evaluate_high_neighbors`.
-
-        Returns:
-            ``(neighbor_high_weights, evaluation)``.
-        """
-        (hw,), (evaluation,) = self.evaluate_high_neighbors(high_base, low_weights, [delta])
-        return hw, evaluation
-
-    def evaluate_low_neighbor(
-        self, high_weights: np.ndarray, low_base: np.ndarray, delta: WeightDelta
-    ) -> tuple[np.ndarray, Evaluation]:
-        """Evaluate a FindL move: a one-delta :meth:`evaluate_low_neighbors`.
-
-        Returns:
-            ``(neighbor_low_weights, evaluation)``.
-        """
-        (lw,), (evaluation,) = self.evaluate_low_neighbors(high_weights, low_base, [delta])
-        return lw, evaluation
-
-    def evaluate_str_neighbor(
-        self, base: np.ndarray, delta: WeightDelta
-    ) -> tuple[np.ndarray, Evaluation]:
-        """Evaluate an STR move: a one-delta :meth:`evaluate_str_neighbors`.
-
-        Returns:
-            ``(neighbor_weights, evaluation)``.
-        """
-        (w,), (evaluation,) = self.evaluate_str_neighbors(base, [delta])
-        return w, evaluation
+        lw = as_weight_array(low_weights, self._net.num_links)
+        hkey, lkey = weights_key(hw), weights_key(lw)
+        children, items = [], []
+        for high_delta, low_delta in moves:
+            hc, hk, high_hint = self._child(hw, hkey, high_delta)
+            lc, lk, low_hint = self._child(lw, lkey, low_delta)
+            children.append((hc, lc))
+            items.append((hc, hk, lc, lk, high_hint, low_hint))
+        return children, self._evaluate_many(items)
 
     def high_routing(self, high_weights: np.ndarray) -> Routing:
         """The (cached) high-priority routing for ``high_weights``."""
@@ -420,31 +343,24 @@ class DualTopologyEvaluator:
     # ------------------------------------------------------------------
     # Batches and layers
     # ------------------------------------------------------------------
-    def _hint(self, base: Optional[np.ndarray], delta: Optional[WeightDelta]) -> Hint:
-        """The hint of a validated ``base`` and ``delta``; ``None`` without a base."""
-        if base is None:
-            return None
-        return weights_key(as_weight_array(base, self._net.num_links)), delta
+    @staticmethod
+    def _child(base: np.ndarray, key: bytes, delta: Optional[WeightDelta]):
+        """The vector, key and hint of ``delta`` applied to a validated ``base``.
 
-    def _children(self, base: np.ndarray, deltas) -> tuple[bytes, list[tuple[np.ndarray, bytes]]]:
-        """The key of ``base`` and each delta's child vector and key.
-
-        Everything is checked before any cache is touched: ``base`` in
-        full, each delta against ``base`` (:meth:`WeightDelta.apply`) and
-        its new weights against the weight range.  A child of a valid base
-        through such a delta is valid, so it is not validated again.
+        The delta is checked against ``base`` (:meth:`WeightDelta.apply`)
+        and its new weights against the weight range, so the child of a
+        valid base is valid and is not validated again.  ``None`` is no
+        move: the base itself, with no hint.
         """
-        base = as_weight_array(base, self._net.num_links)
-        children = []
-        for delta in deltas:
-            for link, _old, new in delta.changes:
-                if not MIN_WEIGHT <= new <= MAX_WEIGHT:
-                    raise ValueError(
-                        f"link {link}: weight {new} outside [{MIN_WEIGHT}, {MAX_WEIGHT}]"
-                    )
-            child = delta.apply(base)
-            children.append((child, weights_key(child)))
-        return weights_key(base), children
+        if delta is None:
+            return base, key, None
+        for link, _old, new in delta.changes:
+            if not MIN_WEIGHT <= new <= MAX_WEIGHT:
+                raise ValueError(
+                    f"link {link}: weight {new} outside [{MIN_WEIGHT}, {MAX_WEIGHT}]"
+                )
+        child = delta.apply(base)
+        return child, weights_key(child), (key, delta)
 
     def _evaluate_many(self, items) -> list[Evaluation]:
         """Evaluate ``items`` in order, with one kernel pass for every missed layer.
@@ -580,11 +496,6 @@ class DualTopologyEvaluator:
             routing, affected = self._routing_class(self._net, weights), None
         else:
             routing, affected = derive_routing(parent_routing, delta)
-            if not np.array_equal(routing.weights, np.asarray(weights, dtype=np.int64)):
-                raise ValueError(
-                    "incremental hint mismatch: delta applied to base does not "
-                    "produce the requested weight vector"
-                )
         self._routing_memo.put(child_key, (routing, parent_key, affected))
         return routing, affected
 

@@ -98,10 +98,11 @@ def _joint_search(
         per_link = alpha * evaluation.per_link_high + evaluation.per_link_low
         order = list(np.argsort(-per_link, kind="stable"))
         improved = False
-        neighbors, candidates = evaluator.evaluate_str_neighbors(
-            current, sampler.single_change_deltas(current, order)
+        deltas = sampler.single_change_deltas(current, order)
+        children, candidates = evaluator.evaluate_moves(
+            current, current, [(delta, delta) for delta in deltas]
         )
-        for neighbor, candidate in zip(neighbors, candidates):
+        for (neighbor, _), candidate in zip(children, candidates):
             if joint(candidate) < joint(evaluation):
                 current, evaluation = neighbor, candidate
                 improved = True

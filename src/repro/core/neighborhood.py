@@ -80,8 +80,8 @@ class NeighborhoodSampler:
         move that clamps to no change on both links yields an empty delta,
         preserving the neighbor count.  Deltas are the native currency of
         the evaluator's incremental-SPF path; one step's deltas go to one
-        batch call
-        (:meth:`repro.core.evaluator.DualTopologyEvaluator.evaluate_high_neighbors`).
+        :meth:`repro.core.evaluator.DualTopologyEvaluator.evaluate_moves`
+        call, as ``(d, None)`` moves for FindH and ``(None, d)`` for FindL.
         """
         base = np.asarray(weights, dtype=np.int64)
         sets = self.candidate_sets(order_desc)

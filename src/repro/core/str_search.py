@@ -106,10 +106,11 @@ def _str_search(
         ticker.tick("str", iteration, total_iterations)
         order = descending_high_link_order(evaluation)
         improved = False
-        neighbors, candidates = evaluator.evaluate_str_neighbors(
-            current, sampler.single_change_deltas(current, order)
+        deltas = sampler.single_change_deltas(current, order)
+        children, candidates = evaluator.evaluate_moves(
+            current, current, [(delta, delta) for delta in deltas]
         )
-        for neighbor, candidate in zip(neighbors, candidates):
+        for (neighbor, _), candidate in zip(children, candidates):
             consider_relaxed(neighbor, candidate)
             if candidate.objective < evaluation.objective:
                 current, evaluation = neighbor, candidate

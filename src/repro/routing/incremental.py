@@ -66,6 +66,18 @@ DEFAULT_FALLBACK_FRACTION = 0.5
 """Affected-destination fraction above which a topology child gets a full SPF."""
 
 
+def _integer(value, link, what: str) -> int:
+    """``value`` as an ``int``, or a ``ValueError`` naming ``link``: never
+    truncated, as a bare ``int()`` would turn ``7.9`` into ``7``."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value:
+        raise ValueError(f"link {link}: {what} {value} is not an integer")
+    return as_int
+
+
 @dataclass(frozen=True)
 class WeightDelta:
     """A sparse difference between two link-weight vectors.
@@ -75,37 +87,44 @@ class WeightDelta:
             changed link, sorted by link index.  ``old_weight`` pins the
             parent vector the delta applies to, so :meth:`apply` can catch
             mismatched parents.
+
+    Raises:
+        ValueError: naming the link, on a negative or non-integral link
+            index or a non-integral weight.
     """
 
     changes: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        links = [link for link, _, _ in self.changes]
-        if len(set(links)) != len(links):
-            raise ValueError(f"duplicate links in delta: {links}")
+        changes = []
         for link, old_w, new_w in self.changes:
+            link = _integer(link, link, "index")
+            old_w, new_w = _integer(old_w, link, "weight"), _integer(new_w, link, "weight")
+            if link < 0:
+                raise ValueError(f"link {link}: negative index")
             if old_w == new_w:
                 raise ValueError(f"no-op change on link {link} (weight {old_w})")
             if old_w <= 0 or new_w <= 0:
                 raise ValueError(f"link {link}: weights must be positive")
-        object.__setattr__(self, "changes", tuple(sorted(self.changes)))
+            changes.append((link, old_w, new_w))
+        links = [link for link, _, _ in changes]
+        if len(set(links)) != len(links):
+            raise ValueError(f"duplicate links in delta: {links}")
+        object.__setattr__(self, "changes", tuple(sorted(changes)))
 
     @classmethod
     def single(cls, link: int, old_weight: int, new_weight: int) -> "WeightDelta":
         """The delta changing one link's weight."""
-        return cls(changes=((int(link), int(old_weight), int(new_weight)),))
+        return cls(changes=((link, old_weight, new_weight),))
 
     @classmethod
     def from_weights(cls, old: np.ndarray, new: np.ndarray) -> "WeightDelta":
         """The (possibly empty) delta turning vector ``old`` into ``new``."""
-        old = np.asarray(old, dtype=np.int64)
-        new = np.asarray(new, dtype=np.int64)
+        old, new = np.asarray(old), np.asarray(new)
         if old.shape != new.shape:
             raise ValueError(f"shape mismatch: {old.shape} vs {new.shape}")
         changed = np.flatnonzero(old != new)
-        return cls(
-            changes=tuple((int(l), int(old[l]), int(new[l])) for l in changed)
-        )
+        return cls(changes=tuple((int(l), old[l], new[l]) for l in changed))
 
     @property
     def num_changes(self) -> int:
@@ -121,9 +140,13 @@ class WeightDelta:
 
         Raises:
             ValueError: if ``weights`` does not match the recorded old
-                weights (the delta was built against a different parent).
+                weights (the delta was built against a different parent),
+                or a changed link lies outside it.
         """
         out = np.array(weights, dtype=np.int64, copy=True)
+        last = self.changes[-1][0] if self.changes else -1
+        if last >= out.size:
+            raise ValueError(f"link {last} outside a vector of {out.size} weights")
         for link, old_w, new_w in self.changes:
             if out[link] != old_w:
                 raise ValueError(

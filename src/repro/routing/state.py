@@ -75,7 +75,7 @@ class Routing:
     def from_precomputed(
         cls,
         net: Network,
-        weights: Iterable[float],
+        weights: np.ndarray,
         dist: np.ndarray,
         dags: Optional[dict[int, DestinationDag]] = None,
     ) -> "Routing":
@@ -87,12 +87,14 @@ class Routing:
         per-destination DAG cache with entries that are known to be valid
         under ``weights`` (e.g. reused from a parent routing whose distance
         rows are unchanged).  No recomputation or validation is performed,
-        so callers are responsible for consistency.  ``dist`` is marked
-        read-only: it is shared state from this point on.
+        so callers are responsible for consistency (``weights`` must be a
+        valid int64 vector).  ``weights`` and ``dist`` are taken as given and
+        marked read-only: they are shared state from this point on.
         """
         routing = cls.__new__(cls)
         routing._net = net
-        routing._weights = as_weight_array(weights, net.num_links)
+        weights.setflags(write=False)
+        routing._weights = weights
         dist.setflags(write=False)
         routing._dist = dist
         routing._dags = dict(dags) if dags else {}

@@ -189,6 +189,17 @@ class TestWhatIf:
             session.what_if((3, 2.0)).variant_objective
         )
 
+    def test_rejects_a_weight_delta_off_the_vector(self, baseline_session):
+        """A ``WeightDelta`` on a link past the vector names that link, and
+        nothing but the baseline's lookup touches the cache."""
+        session = baseline_session
+        n = session.network.num_links
+        session.evaluate()
+        stats = session.evaluator.cache_stats()
+        with pytest.raises(ValueError, match=f"link {n + 2} outside a vector of {n} weights"):
+            session.what_if(WeightDelta.single(n + 2, 3, 4))
+        assert session.evaluator.cache_stats() == {**stats, "full_hits": stats["full_hits"] + 1}
+
     def test_rejects_bad_delta_type(self, baseline_session):
         with pytest.raises(TypeError, match="WeightDelta"):
             baseline_session.what_if("link3=5")

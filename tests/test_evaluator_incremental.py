@@ -1,9 +1,8 @@
 """Equivalence of the evaluator's incremental-SPF path and full recomputation.
 
 The property the incremental engine guarantees: given a cached parent
-evaluation, evaluating a weight delta through
-``evaluate_high_neighbor`` / ``evaluate_low_neighbor`` /
-``evaluate_str_neighbor`` produces *bit-identical* costs and loads to an
+evaluation, evaluating a move ``(high_delta, low_delta)`` through
+``evaluate_moves`` produces *bit-identical* costs and loads to an
 evaluator that recomputes every neighbor from scratch
 (``incremental=False``).
 """
@@ -53,6 +52,12 @@ def _random_single_deltas(base, num_links, rng, count):
     return deltas
 
 
+def _str_move(evaluator, base, delta):
+    """The STR move ``(delta, delta)`` from ``base``: its child vector and evaluation."""
+    ((child, _low),), (evaluation,) = evaluator.evaluate_moves(base, base, [(delta, delta)])
+    return child, evaluation
+
+
 def _assert_same_evaluation(mode, incremental_eval, full_eval):
     assert incremental_eval.objective == full_eval.objective
     assert incremental_eval.phi_low == full_eval.phi_low
@@ -71,7 +76,7 @@ def test_str_single_weight_moves_match_full(topology):
     base = random_weights(net.num_links, rng)
     incremental.evaluate_str(base)
     for delta in _random_single_deltas(base, net.num_links, rng, NUM_MOVES):
-        neighbor, via_delta = incremental.evaluate_str_neighbor(base, delta)
+        neighbor, via_delta = _str_move(incremental, base, delta)
         from_scratch = full.evaluate_str(neighbor)
         _assert_same_evaluation(LOAD_MODE, via_delta, from_scratch)
     stats = incremental.cache_stats()
@@ -89,13 +94,9 @@ def test_dual_topology_moves_match_full(topology):
         _random_single_deltas(wh, net.num_links, rng, 10)
         + _random_single_deltas(wl, net.num_links, rng, 10)
     ):
-        if i < 10:
-            neighbor, via_delta = incremental.evaluate_high_neighbor(wh, wl, delta)
-            from_scratch = full.evaluate(neighbor, wl)
-        else:
-            neighbor, via_delta = incremental.evaluate_low_neighbor(wh, wl, delta)
-            from_scratch = full.evaluate(wh, neighbor)
-        _assert_same_evaluation(LOAD_MODE, via_delta, from_scratch)
+        move = (delta, None) if i < 10 else (None, delta)
+        (child,), (via_delta,) = incremental.evaluate_moves(wh, wl, [move])
+        _assert_same_evaluation(LOAD_MODE, via_delta, full.evaluate(*child))
 
 
 def test_sla_mode_moves_match_full():
@@ -103,7 +104,7 @@ def test_sla_mode_moves_match_full():
     base = random_weights(net.num_links, rng)
     incremental.evaluate_str(base)
     for delta in _random_single_deltas(base, net.num_links, rng, 25):
-        neighbor, via_delta = incremental.evaluate_str_neighbor(base, delta)
+        neighbor, via_delta = _str_move(incremental, base, delta)
         from_scratch = full.evaluate_str(neighbor)
         _assert_same_evaluation(SLA_MODE, via_delta, from_scratch)
 
@@ -120,7 +121,7 @@ def test_two_link_moves_match_full():
         delta = WeightDelta.from_weights(base, candidate)
         if delta.num_changes == 0:
             continue
-        neighbor, via_delta = incremental.evaluate_str_neighbor(base, delta)
+        neighbor, via_delta = _str_move(incremental, base, delta)
         from_scratch = full.evaluate_str(neighbor)
         _assert_same_evaluation(LOAD_MODE, via_delta, from_scratch)
 
@@ -130,7 +131,7 @@ def test_incremental_disabled_never_derives():
     base = random_weights(net.num_links, rng)
     full.evaluate_str(base)
     for delta in _random_single_deltas(base, net.num_links, rng, 5):
-        full.evaluate_str_neighbor(base, delta)
+        _str_move(full, base, delta)
     stats = full.cache_stats()
     assert stats["high_incremental"] == 0
     assert stats["low_incremental"] == 0
@@ -143,7 +144,7 @@ def test_missing_parent_falls_back_to_full():
     # No evaluation of `base` first: the parent layer is not cached, so the
     # delta hint cannot be honored and the layer is rebuilt from scratch.
     delta = _random_single_deltas(base, net.num_links, rng, 1)[0]
-    _neighbor, evaluation = incremental.evaluate_str_neighbor(base, delta)
+    _neighbor, evaluation = _str_move(incremental, base, delta)
     assert evaluation is not None
     stats = incremental.cache_stats()
     assert stats["high_incremental"] == 0
@@ -170,19 +171,6 @@ def test_search_results_identical_with_and_without_incremental():
         results.append(result)
     assert results[0].objective == results[1].objective
     np.testing.assert_array_equal(results[0].weights, results[1].weights)
-
-
-def test_mismatched_hint_rejected():
-    net, incremental, _full, rng = _setup("isp", LOAD_MODE, seed=3)
-    base = random_weights(net.num_links, rng)
-    incremental.evaluate_str(base)
-    delta = _random_single_deltas(base, net.num_links, rng, 1)[0]
-    other = delta.apply(base)
-    other[(delta.links()[0] + 1) % net.num_links] += 1  # not delta.apply(base)
-    with pytest.raises(ValueError, match="hint mismatch"):
-        incremental.evaluate(
-            other, other, high_base=base, high_delta=delta, low_base=base, low_delta=delta
-        )
 
 
 def _reused_row_scenario(seed):
@@ -214,10 +202,12 @@ def test_verify_flag_detects_corrupted_parent():
     keys = _keys(incremental)
     for _ in range(2):
         with pytest.raises(IncrementalMismatchError):
-            incremental.evaluate_str_neighbor(base, delta)
+            _str_move(incremental, base, delta)
         assert _keys(incremental) == keys
         with pytest.raises(IncrementalMismatchError):
-            incremental.evaluate_str_neighbors(base, [WeightDelta(()), delta, delta])
+            incremental.evaluate_moves(
+                base, base, [(WeightDelta(()),) * 2, (delta, delta), (delta, delta)]
+            )
         assert _keys(incremental) == keys
 
 
@@ -239,7 +229,7 @@ def test_verify_catches_sub_tolerance_row_poison():
     with pytest.raises(
         IncrementalMismatchError, match="per-destination rows differ"
     ):
-        incremental.evaluate_str_neighbor(base, delta)
+        _str_move(incremental, base, delta)
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +265,7 @@ def test_vectorized_incremental_matches_scalar_full(topology):
     base = random_weights(net.num_links, rng)
     vec_inc.evaluate_str(base)
     for delta in _random_single_deltas(base, net.num_links, rng, 15):
-        neighbor, via_delta = vec_inc.evaluate_str_neighbor(base, delta)
+        neighbor, via_delta = _str_move(vec_inc, base, delta)
         _assert_same_evaluation(LOAD_MODE, via_delta, ref_full.evaluate_str(neighbor))
     assert vec_inc.cache_stats()["high_incremental"] >= 1
 
@@ -295,7 +285,7 @@ def test_vectorized_sla_mode_matches_scalar_full():
     base = random_weights(net.num_links, rng)
     vec_inc.evaluate_str(base)
     for delta in _random_single_deltas(base, net.num_links, rng, 10):
-        neighbor, via_delta = vec_inc.evaluate_str_neighbor(base, delta)
+        neighbor, via_delta = _str_move(vec_inc, base, delta)
         _assert_same_evaluation(SLA_MODE, via_delta, ref_full.evaluate_str(neighbor))
 
 
@@ -326,9 +316,9 @@ def test_fractional_weights_rejected_on_every_entry_point():
         full.low_routing(frac)
     delta = _random_single_deltas(w, net.num_links, rng, 1)[0]
     with pytest.raises(ValueError, match="integer"):
-        full.evaluate(delta.apply(w), w, high_base=frac, high_delta=delta)
+        full.evaluate_moves(frac, w, [(delta, None)])
     with pytest.raises(ValueError, match="integer"):
-        full.evaluate(w, delta.apply(w), low_base=frac, low_delta=delta)
+        full.evaluate_moves(w, frac, [(None, delta)])
     after = full.cache_stats()
     # The truncated key never resolved to the cached integer result.
     assert after["full_hits"] == before["full_hits"]
@@ -392,21 +382,21 @@ def _state(evaluator):
     )
 
 
-def _step(method, evaluator, wh, wl, deltas, batched):
-    """One step's neighbors and evaluations, batched or one call per delta."""
+def _moves(method, deltas):
+    """A FindH (``"high"``), FindL (``"low"``) or STR (``"str"``) step's moves."""
     if method == "high":
-        many, one = evaluator.evaluate_high_neighbors, evaluator.evaluate_high_neighbor
-        args = (wh, wl)
-    elif method == "low":
-        many, one = evaluator.evaluate_low_neighbors, evaluator.evaluate_low_neighbor
-        args = (wh, wl)
-    else:
-        many, one = evaluator.evaluate_str_neighbors, evaluator.evaluate_str_neighbor
-        args = (wh,)
+        return [(delta, None) for delta in deltas]
+    if method == "low":
+        return [(None, delta) for delta in deltas]
+    return [(delta, delta) for delta in deltas]
+
+
+def _step(evaluator, wh, wl, moves, batched):
+    """A step's children and evaluations: one ``evaluate_moves`` call, or one per move."""
     if batched:
-        return many(*args, deltas)
-    pairs = [one(*args, delta) for delta in deltas]
-    return [p[0] for p in pairs], [p[1] for p in pairs]
+        return evaluator.evaluate_moves(wh, wl, moves)
+    calls = [evaluator.evaluate_moves(wh, wl, [move]) for move in moves]
+    return [c for children, _ in calls for c in children], [e for _, es in calls for e in es]
 
 
 def _step_deltas(base, num_links, rng):
@@ -441,8 +431,9 @@ EVALUATOR_OPTIONS = (
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_batched_step_equals_one_call_per_neighbor(topology, mode, method, options):
     """Two steps (the second from a neighbor of the first), each once in one
-    batch call and once as one call per delta, on twin evaluators: equal
-    neighbors, evaluation fields, counters, cache stats and LRU orders."""
+    ``evaluate_moves`` call and once as one call per move, on twin
+    evaluators: equal children, evaluation fields, counters, cache stats and
+    LRU orders."""
     runs = []
     for batched in (True, False):
         evaluator, rng = _evaluator(topology, mode, options)
@@ -458,19 +449,16 @@ def test_batched_step_equals_one_call_per_neighbor(topology, mode, method, optio
             base = wl if method == "low" else wh
             deltas = _step_deltas(base, net.num_links, rng)
             stats = evaluator.cache_stats()
-            neighbors, evaluations = _step(method, evaluator, wh, wl, deltas, batched)
+            children, evaluations = _step(
+                evaluator, wh, wl, _moves(method, deltas), batched
+            )
             if step == 0:
                 # The empty delta (the cached base) and the two repeats hit.
                 after = evaluator.cache_stats()
                 assert after["full_hits"] - stats["full_hits"] == 3
                 assert after["full_misses"] - stats["full_misses"] == 5
-            out.append((wh, wl, neighbors, evaluations))
-            if method == "low":
-                wl = neighbors[1]
-            elif method == "high":
-                wh = neighbors[1]
-            else:
-                wh = wl = neighbors[1]
+            out.append((children, evaluations))
+            wh, wl = children[1]
         after = _obs_counts(evaluator)
         obs_delta = {k: after[k] - before[k] for k in after}
         runs.append((out, _state(evaluator), obs_delta))
@@ -481,26 +469,20 @@ def test_batched_step_equals_one_call_per_neighbor(topology, mode, method, optio
         evaluator.network, evaluator.high_traffic, evaluator.low_traffic,
         mode=mode, incremental=False,
     )
-    for (wh, wl, bn, be), (_wh, _wl, sn, se) in zip(batch_out, seq_out):
-        assert len(bn) == len(sn) == len(be) == len(se) == 8
-        for b_neighbor, s_neighbor, b_eval, s_eval in zip(bn, sn, be, se):
-            np.testing.assert_array_equal(b_neighbor, s_neighbor)
+    for (bc, be), (sc, se) in zip(batch_out, seq_out):
+        assert len(bc) == len(sc) == len(be) == len(se) == 8
+        for b_child, s_child, b_eval, s_eval in zip(bc, sc, be, se):
+            np.testing.assert_array_equal(b_child, s_child)
             _assert_fields_equal(b_eval, s_eval)
             # ... and both equal a from-scratch evaluation.
-            if method == "high":
-                scratch = reference.evaluate(b_neighbor, wl)
-            elif method == "low":
-                scratch = reference.evaluate(wh, b_neighbor)
-            else:
-                scratch = reference.evaluate_str(b_neighbor)
-            _assert_fields_equal(b_eval, scratch)
+            _assert_fields_equal(b_eval, reference.evaluate(*b_child))
 
 
 @pytest.mark.parametrize("mode", (LOAD_MODE, SLA_MODE))
 def test_batch_from_uncached_base_and_single_delta(mode):
     """Without a cached base, an empty delta builds the base layer and later
-    siblings derive from that shell, as one call per delta does; a one-delta
-    batch is the single-neighbor call."""
+    siblings derive from that shell, as one call per move does; a one-move
+    call is its own sequence."""
     for deltas_of in (
         lambda base, rng, n: [WeightDelta(())] + _random_single_deltas(base, n, rng, 3),
         lambda base, rng, n: _random_single_deltas(base, n, rng, 1),
@@ -511,7 +493,7 @@ def test_batch_from_uncached_base_and_single_delta(mode):
             net = evaluator.network
             wh = random_weights(net.num_links, rng)
             deltas = deltas_of(wh, rng, net.num_links)
-            out = _step("str", evaluator, wh, wh, deltas, batched)
+            out = _step(evaluator, wh, wh, _moves("str", deltas), batched)
             runs.append((out, _state(evaluator)))
         (batch_out, batch_state), (seq_out, seq_state) = runs
         assert batch_state == seq_state
@@ -519,10 +501,87 @@ def test_batch_from_uncached_base_and_single_delta(mode):
             _assert_fields_equal(b_eval, s_eval)
 
 
+def _mixed_moves(wh, wl, num_links, rng):
+    """Every kind of move from ``(wh, wl)``: no move, high-only, low-only, one
+    link changed in both classes (``what_if(..., "both")``), empty deltas and
+    repeats; from an STR setting also one delta on both classes and two
+    different deltas."""
+    (dh,) = _random_single_deltas(wh, num_links, rng, 1)
+    (dl,) = _random_single_deltas(wl, num_links, rng, 1)
+    link = rng.randrange(num_links)
+    new_w = rng.choice([w for w in range(1, 31) if w not in (wh[link], wl[link])])
+    both = (
+        WeightDelta.single(link, int(wh[link]), new_w),
+        WeightDelta.single(link, int(wl[link]), new_w),
+    )
+    empty = WeightDelta(())
+    moves = [(None, None), (dh, None), (None, dl), both, (empty, None), (None, empty),
+             (empty, empty), (dh, None), both]
+    if np.array_equal(wh, wl):
+        moves += [(dh, dh), (dh, dl), (dl, dl), (dh, dh)]
+    return moves
+
+
+@pytest.mark.parametrize("options", EVALUATOR_OPTIONS[1:], ids=("full", "verify"))
+@pytest.mark.parametrize("mode", (LOAD_MODE, SLA_MODE))
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_mixed_moves_equal_one_call_per_move(topology, mode, options):
+    """One ``evaluate_moves`` call over every kind of move equals one call per
+    move, from a cached dual setting and then from the STR setting of its low
+    vector: equal children, evaluation fields, counters, cache stats and LRU
+    orders, and each evaluation equals a from-scratch one."""
+    runs = []
+    for batched in (True, False):
+        evaluator, rng = _evaluator(topology, mode, options)
+        n = evaluator.network.num_links
+        wh, wl = random_weights(n, rng), random_weights(n, rng)
+        before = _obs_counts(evaluator)
+        evaluator.evaluate(wh, wl)
+        out = [
+            _step(evaluator, *base, _mixed_moves(*base, n, rng), batched)
+            for base in ((wh, wl), (wl, wl))
+        ]
+        after = _obs_counts(evaluator)
+        runs.append((out, _state(evaluator), {k: after[k] - before[k] for k in after}))
+    (batch_out, batch_state, batch_obs), (seq_out, seq_state, seq_obs) = runs
+    assert batch_state == seq_state
+    assert batch_obs == seq_obs
+    reference = DualTopologyEvaluator(
+        evaluator.network, evaluator.high_traffic, evaluator.low_traffic,
+        mode=mode, incremental=False,
+    )
+    for (bc, be), (sc, se), size in zip(batch_out, seq_out, (9, 13)):
+        assert len(bc) == len(sc) == len(be) == len(se) == size
+        for b_child, s_child, b_eval, s_eval in zip(bc, sc, be, se):
+            np.testing.assert_array_equal(b_child, s_child)
+            _assert_fields_equal(b_eval, s_eval)
+            _assert_fields_equal(b_eval, reference.evaluate(*b_child))
+
+
+@pytest.mark.parametrize("mode", (LOAD_MODE, SLA_MODE))
+def test_derivation_on_a_memo_hit_from_another_parent(mode):
+    """A child whose routing the low class already put in the shared memo,
+    built with no parent, is derived from the move's own parent: the affected
+    rows are worked out from that parent, and the answer equals a fresh
+    evaluator's."""
+    evaluator, rng = _evaluator("isp", mode, {})
+    n = evaluator.network.num_links
+    w1, wl = random_weights(n, rng), random_weights(n, rng)
+    (d,) = _random_single_deltas(w1, n, rng, 1)
+    child = d.apply(w1)
+    evaluator.evaluate(w1, wl)
+    evaluator.evaluate(wl, child)
+    _, (evaluation,) = evaluator.evaluate_moves(w1, wl, [(d, None)])
+    assert evaluator.cache_stats()["high_incremental"] == 1
+    fresh, _rng = _evaluator("isp", mode, {})
+    _assert_fields_equal(evaluation, fresh.evaluate(child, wl))
+
+
 @pytest.mark.parametrize("method", ("high", "low", "str"))
 def test_invalid_delta_leaves_evaluator_unchanged(method):
-    """A delta leaving the weight range, or not fitting the base, raises
-    ValueError before any cache is touched, even after valid deltas."""
+    """A fractional base, or a delta leaving the weight range or not fitting
+    its base, raises ValueError before any cache is touched, even after
+    valid deltas."""
     evaluator, rng = _evaluator("isp", LOAD_MODE, {})
     net = evaluator.network
     wh = random_weights(net.num_links, rng)
@@ -532,11 +591,18 @@ def test_invalid_delta_leaves_evaluator_unchanged(method):
     good = _random_single_deltas(base, net.num_links, rng, 2)
     too_high = WeightDelta.single(0, int(base[0]), 31)
     wrong_base = WeightDelta.single(1, int(base[1]) % 30 + 1, int(base[1]))
+    bases = (wh, wh) if method == "str" else (wh, wl)
+    frac = np.asarray(base, dtype=float)
+    frac[2] += 0.5
+    bad_bases = {"high": (frac, wl), "low": (wh, frac), "str": (frac, frac)}[method]
     before = (_state(evaluator), _obs_counts(evaluator))
     for bad in (too_high, wrong_base):
-        with pytest.raises(ValueError):
-            _step(method, evaluator, wh, wl, good + [bad], batched=True)
+        with pytest.raises(ValueError, match="link"):
+            _step(evaluator, *bases, _moves(method, good + [bad]), batched=True)
         assert (_state(evaluator), _obs_counts(evaluator)) == before
+    with pytest.raises(ValueError, match="integer"):
+        _step(evaluator, *bad_bases, _moves(method, good), batched=True)
+    assert (_state(evaluator), _obs_counts(evaluator)) == before
 
 
 def test_verify_compares_loads_exactly(monkeypatch):
@@ -555,7 +621,7 @@ def test_verify_compares_loads_exactly(monkeypatch):
     monkeypatch.setattr(incremental, "_rebuild", nudged)
     delta = _random_single_deltas(base, net.num_links, rng, 1)[0]
     with pytest.raises(IncrementalMismatchError, match="link loads differ"):
-        incremental.evaluate_str_neighbor(base, delta)
+        _str_move(incremental, base, delta)
 
 
 @pytest.mark.parametrize("mode", (LOAD_MODE, SLA_MODE))
@@ -577,7 +643,7 @@ def test_unreachable_demand_raises_before_caching(mode):
     deltas = _random_single_deltas(w, cut.num_links, rng, 3)
     for _ in range(2):
         with pytest.raises(RoutingError, match="unreachable"):
-            broken.evaluate_str_neighbors(w, deltas)
+            broken.evaluate_moves(w, w, _moves("str", deltas))
         with pytest.raises(RoutingError, match="unreachable"):
             broken.evaluate_str(w)
     assert len(broken._full_cache) == 0
@@ -607,7 +673,7 @@ def test_interrupted_batch_takes_back_its_entries(mode, monkeypatch):
 
     monkeypatch.setattr(evaluator, "_routing_class", Interrupted)
     with pytest.raises(KeyboardInterrupt):
-        evaluator.evaluate_high_neighbors(wh, wl, deltas)
+        evaluator.evaluate_moves(wh, wl, _moves("high", deltas))
     assert _keys(evaluator) == keys
     other = random_weights(net.num_links, rng)
     with pytest.raises(KeyboardInterrupt):
@@ -617,15 +683,15 @@ def test_interrupted_batch_takes_back_its_entries(mode, monkeypatch):
     assert _keys(evaluator) == keys
     monkeypatch.undo()
     fresh = DualTopologyEvaluator(net, evaluator.high_traffic, evaluator.low_traffic, mode=mode)
-    neighbors, evaluations = evaluator.evaluate_high_neighbors(wh, wl, deltas)
-    for hw, evaluation in zip(neighbors, evaluations):
-        _assert_fields_equal(evaluation, fresh.evaluate(hw, wl))
+    children, evaluations = evaluator.evaluate_moves(wh, wl, _moves("high", deltas))
+    for child, evaluation in zip(children, evaluations):
+        _assert_fields_equal(evaluation, fresh.evaluate(*child))
     _assert_fields_equal(evaluator.evaluate(other, wl), fresh.evaluate(other, wl))
 
 
 def test_evaluate_span_only_for_a_call_that_builds(tmp_path):
     """One ``evaluate`` span per call that misses the full cache (its size
-    the call's item count); a call of hits opens none."""
+    the call's move count); a call of hits opens none."""
     import json
 
     from repro import obs
@@ -640,9 +706,9 @@ def test_evaluate_span_only_for_a_call_that_builds(tmp_path):
     try:
         evaluator.evaluate(wh, wl)
         evaluator.evaluate(wh, wl)
-        evaluator.evaluate_high_neighbors(wh, wl, [WeightDelta(())] + deltas)
-        evaluator.evaluate_high_neighbors(wh, wl, deltas)
-        evaluator.evaluate_high_neighbor(wh, wl, deltas[0])
+        evaluator.evaluate_moves(wh, wl, _moves("high", [WeightDelta(())] + deltas))
+        evaluator.evaluate_moves(wh, wl, _moves("high", deltas))
+        evaluator.evaluate_moves(wh, wl, _moves("high", deltas[:1]))
     finally:
         obs.disable_tracing()
     records = [json.loads(line) for line in path.read_text().splitlines()]

@@ -69,6 +69,30 @@ class TestWeightDelta:
         with pytest.raises(ValueError, match="positive"):
             WeightDelta.single(0, 1, 0)
 
+    def test_fractional_weight_rejected_naming_the_link(self):
+        with pytest.raises(ValueError, match="link 3: weight 7.9 is not an integer"):
+            WeightDelta.single(3, 1.0, 7.9)
+        with pytest.raises(ValueError, match="link 1: weight 2.5 is not an integer"):
+            WeightDelta.from_weights([1, 2, 3], [1, 2.5, 3])
+        with pytest.raises(ValueError, match="link 0: weight inf is not an integer"):
+            WeightDelta.from_weights([np.inf, 2.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="link 0: weight 1.5 is not an integer"):
+            WeightDelta(changes=((0, 1.5, 2),))
+
+    def test_integral_numbers_accepted(self):
+        assert WeightDelta.single(np.int64(3), 1.0, np.float64(7)).changes == ((3, 1, 7),)
+        assert WeightDelta.from_weights([1.0, 2.0], [1.0, 5.0]).changes == ((1, 2, 5),)
+
+    def test_bad_link_index_rejected(self):
+        with pytest.raises(ValueError, match="link -1: negative index"):
+            WeightDelta.single(-1, 1, 7)
+        with pytest.raises(ValueError, match="link 1.5: index 1.5 is not an integer"):
+            WeightDelta.single(1.5, 1, 7)
+
+    def test_apply_link_outside_vector_rejected(self):
+        with pytest.raises(ValueError, match="link 5 outside a vector of 3 weights"):
+            WeightDelta.single(5, 3, 4).apply(np.array([1, 2, 3]))
+
     def test_changes_sorted_by_link(self):
         delta = WeightDelta(changes=((5, 1, 2), (2, 3, 4)))
         assert delta.links() == (2, 5)

@@ -26,6 +26,7 @@ from repro.routing.incremental import (
     WeightDelta,
     affected_destinations,
     derive_children,
+    derive_routing,
     destinations_using_links,
     uses_full_spf,
 )
@@ -380,6 +381,27 @@ def test_full_spf_cutoff_applies_to_topology_children_only():
     assert uses_full_spf(parent, projection.network, everything)
     assert not uses_full_spf(parent, projection.network, everything[:1])
     assert not uses_full_spf(parent, net, everything)
+
+
+def test_derive_children_takes_child_weights_as_given(monkeypatch):
+    """A child keeps the weight vector it is handed, marked read-only and not
+    validated or copied again (no ``as_weight_array`` call); a weight-delta
+    child's weights are the parent's with the delta applied."""
+    import repro.routing.state as state
+
+    net, weights = _instances()[1]
+    parent = Routing(net, weights)
+    children = _mixed_children(net, weights, parent)
+    calls = []
+    monkeypatch.setattr(state, "as_weight_array", lambda *args: calls.append(args))
+    for child, routing in zip(children, derive_children(parent, children)):
+        assert routing.weights is child[1]
+        assert not routing.weights.flags.writeable
+    delta = WeightDelta.single(0, int(weights[0]), int(weights[0]) % 30 + 1)
+    derived, _affected = derive_routing(parent, delta)
+    assert calls == []
+    assert not derived.weights.flags.writeable
+    np.testing.assert_array_equal(derived.weights, delta.apply(weights))
 
 
 def test_derive_children_empty():
