@@ -290,11 +290,10 @@ def surfaces() -> Iterator[tuple[str, Callable[[], object]]]:
             "optimize", "--strategy", s, *CLI_CONFIG, "--scale", "0.05", "--seed", "1",
             "--json", "JSON",
         )
-    for flag in ("--incremental", "--full"):
-        for mode in MODES:
-            yield f"cli.compare.{mode}{flag.replace('--', '.')}", lambda f=flag, m=mode: _cli(
-                "compare", "--topology", "isp", "--mode", m, "--scale", "0.05", "--seed", "2", f
-            )
+    for mode in MODES:
+        yield f"cli.compare.{mode}", lambda m=mode: _cli(
+            "compare", "--topology", "isp", "--mode", m, "--scale", "0.05", "--seed", "2"
+        )
     whatifs = {
         "link": ["--link", "3", "--new-weight", "17"],
         "failure": ["--failure", "0", "4"],

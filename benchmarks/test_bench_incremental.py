@@ -28,6 +28,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import BENCH_SEED, emit_bench
+from repro._reference import RebuildEvaluator
 from repro.core.evaluator import DualTopologyEvaluator
 from repro.eval.experiment import ExperimentConfig, build_network, build_traffic
 from repro.network.topology_powerlaw import powerlaw_topology
@@ -73,12 +74,10 @@ def _workload():
     return net, high, low, base, deltas
 
 
-def _time_pass(run_move, net, high, low, base, deltas, incremental_flag):
+def _time_pass(run_move, net, high, low, base, deltas):
     """One timed pass over all moves on a fresh evaluator (caches cold)."""
     cache = 2 * NUM_MOVES + 8  # no evictions: time computation, not caching
-    evaluator = DualTopologyEvaluator(
-        net, high, low, incremental=incremental_flag, cache_size=cache
-    )
+    evaluator = DualTopologyEvaluator(net, high, low, cache_size=cache)
     evaluator.evaluate_str(base)
     gc.collect()
     gc.disable()  # GC pauses are noise the speedup ratio must not absorb
@@ -104,14 +103,14 @@ def test_incremental_speedup_on_single_weight_moves():
     incremental_s, full_s = float("inf"), float("inf")
     for _ in range(repeats):
         elapsed, incremental_objectives, evaluator = _time_pass(
-            incremental_move, net, high, low, base, deltas, True
+            incremental_move, net, high, low, base, deltas
         )
         incremental_s = min(incremental_s, elapsed)
         stats = evaluator.cache_stats()
         assert stats["high_incremental"] == NUM_MOVES
         assert stats["low_incremental"] == NUM_MOVES
         elapsed, full_objectives, _ = _time_pass(
-            full_move, net, high, low, base, deltas, False
+            full_move, net, high, low, base, deltas
         )
         full_s = min(full_s, elapsed)
         assert incremental_objectives == full_objectives
@@ -155,8 +154,10 @@ def test_incremental_speedup_within_str_search():
     )
     timings = {}
     results = {}
-    for label, flag in (("incremental", True), ("full", False)):
-        evaluator = DualTopologyEvaluator(net, high, low, incremental=flag)
+    for label, evaluator_class in (
+        ("incremental", DualTopologyEvaluator), ("full", RebuildEvaluator)
+    ):
+        evaluator = evaluator_class(net, high, low)
         start = time.perf_counter()
         results[label] = optimize(
             Session.from_evaluator(evaluator), "str", params,

@@ -47,7 +47,7 @@ def _workload():
 def _time_pass(net, high, low, settings, telemetry_on):
     """One timed pass of from-scratch evaluations (caches never hit)."""
     obs.set_enabled(telemetry_on)
-    evaluator = DualTopologyEvaluator(net, high, low, incremental=False)
+    evaluator = DualTopologyEvaluator(net, high, low)
     gc.collect()
     gc.disable()
     try:

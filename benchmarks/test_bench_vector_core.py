@@ -55,7 +55,7 @@ def _workload(num_nodes=None, num_evals=None):
 def _time_pass(net, high, low, settings, vectorized, mode="load"):
     """One timed pass of from-scratch evaluations (caches never hit)."""
     evaluator_class = DualTopologyEvaluator if vectorized else ScalarEvaluator
-    evaluator = evaluator_class(net, high, low, mode=mode, incremental=False)
+    evaluator = evaluator_class(net, high, low, mode=mode)
     gc.collect()
     gc.disable()  # GC pauses are noise the speedup ratio must not absorb
     try:

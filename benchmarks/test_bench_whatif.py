@@ -75,9 +75,7 @@ def test_whatif_speedup_and_bit_identity():
         return timed(lambda link, new_w: session.what_if((link, new_w)))
 
     def full_pass():
-        full = DualTopologyEvaluator(
-            net, high, low, incremental=False, cache_size=cache
-        )
+        full = DualTopologyEvaluator(net, high, low, cache_size=cache)
         full.evaluate(base, base)
 
         def query(link, new_w):

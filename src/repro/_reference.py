@@ -8,6 +8,8 @@ bit and the benchmarks time against them:
   the interleaved all-destination :meth:`ScalarRouting.link_loads`, pair
   fractions, mean path delays), one routing at a time even where the
   evaluator batches a search step's siblings;
+* :class:`RebuildEvaluator` — the evaluator with the incremental-SPF
+  delta path off: every cache-missed layer is built from scratch;
 * :class:`NaiveSweepEngine` / :class:`ReferenceSession` — the naive
   per-scenario rebuild: a fresh degraded routing and a full load pass per
   scenario, with no shared projections, derived routings or reused rows.
@@ -167,6 +169,15 @@ class ScalarEvaluator(DualTopologyEvaluator):
     """The evaluator over :class:`ScalarRouting` routings."""
 
     _routing_class = ScalarRouting
+
+
+class RebuildEvaluator(DualTopologyEvaluator):
+    """The evaluator that derives nothing: every missed layer is rebuilt."""
+
+    @staticmethod
+    def _child(base, key, delta):
+        child, child_key, _hint = DualTopologyEvaluator._child(base, key, delta)
+        return child, child_key, None
 
 
 class NaiveSweepEngine(SweepEngine):

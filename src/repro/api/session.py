@@ -148,12 +148,7 @@ class Session:
         deterministic ``(seed, "traffic")`` RNG stream, so a session is a
         pure function of its config.
         """
-        from repro.eval.experiment import (
-            build_network,
-            build_traffic,
-            derive_rng,
-            make_evaluator,
-        )
+        from repro.eval.experiment import build_network, build_traffic, derive_rng
 
         net = build_network(config.topology, config.seed)
         high, low, _meta = build_traffic(net, config, derive_rng(config.seed, "traffic"))
@@ -162,8 +157,8 @@ class Session:
             high,
             low,
             cost_model=config.mode,
+            sla_params=config.sla_params,
             seed=config.seed,
-            _evaluator=make_evaluator(net, high, low, config),
         )
         session.config = config
         return session

@@ -4,8 +4,7 @@ Subcommands::
 
     repro-dtr topology  --family isp --out isp.json
     repro-dtr figure    --id fig2a --scale 0.2 --seed 1 [--json out.json]
-    repro-dtr compare   --topology random --mode load --utilization 0.6 \
-                        [--incremental | --full]
+    repro-dtr compare   --topology random --mode load --utilization 0.6
     repro-dtr optimize  --strategy dtr --topology isp --scale 0.1 \
                         [--alpha 2.0] [--json out.json]
     repro-dtr whatif    --topology isp --link 3 --new-weight 17
@@ -41,9 +40,9 @@ Subcommands::
                         [--figures fig2c fig9 ...] [--scale 0.05] [--seed 1]
 
 ``figure`` accepts: fig2a..fig2f, fig3a..fig3c, fig4, fig5a, fig5b, fig6,
-fig7, fig8a, fig8b, fig9, table1.  ``compare`` evaluates neighbor moves
-via incremental SPF by default; ``--full`` forces the from-scratch
-verification fallback.  ``optimize`` runs any strategy registered in the
+fig7, fig8a, fig8b, fig9, table1.  ``compare`` runs the STR baseline and
+the DTR search on one config and prints both objectives and the paper's
+``R_H``/``R_L`` ratios.  ``optimize`` runs any strategy registered in the
 ``repro.api`` registry (``str``, ``dtr``, ``joint``, ``anneal`` built
 in) on a session built from the experiment flags; an unknown strategy
 name lists the registered alternatives.  ``whatif`` answers incremental
@@ -167,20 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp_ = sub.add_parser("compare", parents=[config], help="run one STR vs DTR comparison")
     cmp_.add_argument("--scale", type=float, default=1.0)
-    spf = cmp_.add_mutually_exclusive_group()
-    spf.add_argument(
-        "--incremental",
-        dest="incremental",
-        action="store_true",
-        default=True,
-        help="evaluate single-weight-delta moves via incremental SPF (default)",
-    )
-    spf.add_argument(
-        "--full",
-        dest="incremental",
-        action="store_false",
-        help="recompute every neighbor evaluation from scratch (verification fallback)",
-    )
 
     opt = sub.add_parser(
         "optimize", parents=[config],
@@ -454,9 +439,7 @@ def _run_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _config_from_args(
-    args: argparse.Namespace, scale: float = 1.0, incremental: bool = True
-) -> ExperimentConfig:
+def _config_from_args(args: argparse.Namespace, scale: float = 1.0) -> ExperimentConfig:
     """The experiment config of the shared config flags, budgets scaled by ``scale``."""
     return scaled_config(
         ExperimentConfig(
@@ -466,14 +449,13 @@ def _config_from_args(
             high_fraction=args.fraction,
             high_density=args.density,
             seed=args.seed,
-            incremental=incremental,
         ),
         scale,
     )
 
 
 def _run_compare(args: argparse.Namespace) -> int:
-    result = run_comparison(_config_from_args(args, args.scale, args.incremental))
+    result = run_comparison(_config_from_args(args, args.scale))
     print(f"topology={args.topology} mode={args.mode} AD={result.average_utilization:.3f}")
     print(f"STR objective: {result.str_result.evaluation.objective}")
     print(f"DTR objective: {result.dtr_result.evaluation.objective}")

@@ -49,10 +49,9 @@ batching, so the pair delays are bit-identical too.  Cached layers,
 prices and evaluations are shared, so their arrays are read-only.  A
 batch that raises before its layers are filled and verified takes back
 every entry it laid down.
-``incremental=False`` falls back to full recomputation everywhere, and
 ``verify_incremental=True`` cross-checks every derived layer against a
-from-scratch rebuild through :meth:`~repro.routing.state.ClassLoads.refresh`
-(the verification fallback used by the property tests).
+from-scratch rebuild through :meth:`~repro.routing.state.ClassLoads.refresh`;
+the from-scratch reference is :class:`repro._reference.RebuildEvaluator`.
 """
 
 from __future__ import annotations
@@ -157,10 +156,6 @@ class DualTopologyEvaluator:
             objective ``S`` (Eq. 5).
         sla_params: SLA bound/penalty parameters (SLA mode only).
         cache_size: Entries kept per cache layer.
-        incremental: Whether cache-missed layers may be derived from a
-            cached parent layer via incremental SPF when a move supplies
-            a weight delta.  ``False`` forces full recomputation
-            (the verification fallback path).
         verify_incremental: Cross-check every incrementally derived layer
             against a full rebuild and raise
             :class:`IncrementalMismatchError` on disagreement.  Expensive;
@@ -179,7 +174,6 @@ class DualTopologyEvaluator:
         mode: str = LOAD_MODE,
         sla_params: Optional[SlaParams] = None,
         cache_size: int = 128,
-        incremental: bool = True,
         verify_incremental: bool = False,
     ) -> None:
         check_mode(mode)
@@ -190,7 +184,6 @@ class DualTopologyEvaluator:
         self._low_traffic = low_traffic
         self.mode = mode
         self.sla_params = sla_params or SlaParams()
-        self.incremental = bool(incremental)
         self.verify_incremental = bool(verify_incremental)
         self._high_cache = LruCache(cache_size)
         self._low_cache = LruCache(cache_size)
@@ -445,7 +438,7 @@ class DualTopologyEvaluator:
             return layer
         base_key, delta = hint or (None, None)
         parent = None
-        if self.incremental and delta is not None and delta.num_changes:
+        if delta is not None and delta.num_changes:
             parent = cache.peek(base_key)
         routing, affected = self._derive_or_build(
             weights, parent.routing if parent else None, delta, key, base_key

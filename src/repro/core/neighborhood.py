@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.rank_selection import draw_rank
 from repro.core.search_params import SearchParams
-from repro.routing.incremental import WeightDelta
+from repro.routing.incremental import WeightDelta, integer_weights
 
 
 def descending_high_link_order(evaluation) -> list[int]:
@@ -82,8 +82,9 @@ class NeighborhoodSampler:
         the evaluator's incremental-SPF path; one step's deltas go to one
         :meth:`repro.core.evaluator.DualTopologyEvaluator.evaluate_moves`
         call, as ``(d, None)`` moves for FindH and ``(None, d)`` for FindL.
+        A weight that is not an integer raises ``ValueError``, naming its link.
         """
-        base = np.asarray(weights, dtype=np.int64)
+        base = integer_weights(weights)
         sets = self.candidate_sets(order_desc)
         ups = list(sets.high_cost_links)
         downs = list(sets.low_cost_links)
@@ -108,8 +109,8 @@ class NeighborhoodSampler:
         Array-vector view of :meth:`neighbor_deltas` (same moves, same
         RNG stream).
         """
-        base = np.asarray(weights, dtype=np.int64)
-        return [d.apply(base) for d in self.neighbor_deltas(weights, order_desc)]
+        base = integer_weights(weights)
+        return [d.apply(base) for d in self.neighbor_deltas(base, order_desc)]
 
     def single_change_deltas(
         self, weights: np.ndarray, order_desc: Sequence[int]
@@ -118,9 +119,10 @@ class NeighborhoodSampler:
 
         Used by the STR baseline ("single weight change" heuristic of
         Fortz-Thorup): links from ``A`` get an increase, links from ``B``
-        a decrease, one change per neighbor.
+        a decrease, one change per neighbor.  A weight that is not an
+        integer raises ``ValueError``, naming its link.
         """
-        base = np.asarray(weights, dtype=np.int64)
+        base = integer_weights(weights)
         sets = self.candidate_sets(order_desc)
         params = self._params
         out = []
@@ -134,14 +136,3 @@ class NeighborhoodSampler:
             if new_weight != base[link]:
                 out.append(WeightDelta.single(link, int(base[link]), new_weight))
         return out
-
-    def single_change_neighbors(
-        self, weights: np.ndarray, order_desc: Sequence[int]
-    ) -> list[np.ndarray]:
-        """Neighbors differing from ``weights`` in a *single* link weight.
-
-        Array-vector view of :meth:`single_change_deltas` (same moves,
-        same RNG stream).
-        """
-        base = np.asarray(weights, dtype=np.int64)
-        return [d.apply(base) for d in self.single_change_deltas(weights, order_desc)]

@@ -186,12 +186,16 @@ class CampaignSpec:
 def config_hash(config: ExperimentConfig) -> str:
     """Content hash of a config: the record filename in the store.
 
-    SHA-256 over the canonical JSON of the config, truncated to 20 hex
-    characters.  Stable across processes and interpreter runs (no
-    ``hash()`` salting), and any change to any config field — including
-    search budgets — changes the hash.
+    SHA-256 over the canonical JSON of the config, with the retired
+    ``incremental`` field added back, truncated to 20 hex characters.
+    Stable across processes and interpreter runs (no ``hash()``
+    salting), and any change to any config field — including search
+    budgets — changes the hash.
     """
-    text = canonical_dumps(config)
+    # Configs once had an ``incremental`` field, always true in a campaign,
+    # and every stored record is named by a hash that includes it; hashing
+    # it back in keeps those names, so a resumed store skips their configs.
+    text = canonical_dumps(to_jsonable(config) | {"incremental": True})
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:20]
 
 

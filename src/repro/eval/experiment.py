@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from repro.determinism import derive_rng as _derive_rng
-from repro.core.evaluator import LOAD_MODE, SLA_MODE, DualTopologyEvaluator
+from repro.core.evaluator import LOAD_MODE, SLA_MODE
 from repro.core.progress import ProgressFn
 from repro.core.result import OptimizationResult
 from repro.core.search_params import SearchParams
@@ -45,9 +45,7 @@ class ExperimentConfig:
 
     Defaults mirror the paper's base configuration: 30 % high-priority
     volume (``f``), 10 % high-priority pair density (``k``), random
-    high-priority model, load-based cost function.  ``incremental``
-    selects the evaluator's incremental-SPF delta path (default) or full
-    per-neighbor recomputation.
+    high-priority model, load-based cost function.
     """
 
     topology: str = RANDOM_TOPOLOGY
@@ -63,7 +61,6 @@ class ExperimentConfig:
     search_params: SearchParams = field(default_factory=SearchParams)
     relaxation_epsilons: tuple[float, ...] = ()
     seed: int = 1
-    incremental: bool = True
 
     def __post_init__(self) -> None:
         if self.topology not in (RANDOM_TOPOLOGY, POWERLAW_TOPOLOGY, ISP_TOPOLOGY):
@@ -161,20 +158,6 @@ def build_traffic(
         net, high_traffic.matrix, low, config.target_utilization
     )
     return high_scaled, low_scaled, high_traffic
-
-
-def make_evaluator(
-    net: Network, high: TrafficMatrix, low: TrafficMatrix, config: ExperimentConfig
-) -> DualTopologyEvaluator:
-    """Build the cost evaluator matching a config's mode."""
-    return DualTopologyEvaluator(
-        net,
-        high,
-        low,
-        mode=config.mode,
-        sla_params=config.sla_params,
-        incremental=config.incremental,
-    )
 
 
 def run_comparison(

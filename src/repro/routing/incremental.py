@@ -78,6 +78,17 @@ def _integer(value, link, what: str) -> int:
     return as_int
 
 
+def integer_weights(weights) -> np.ndarray:
+    """``weights`` as an int64 vector, not copied if it is one already; a
+    weight that is not an integer raises :func:`_integer`'s ``ValueError``
+    naming its link, where a bare int64 cast would truncate it."""
+    arr = np.asarray(weights)
+    if arr.dtype.kind not in "biu":
+        for link, value in enumerate(arr.tolist()):
+            _integer(value, link, "weight")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class WeightDelta:
     """A sparse difference between two link-weight vectors.
@@ -141,9 +152,10 @@ class WeightDelta:
         Raises:
             ValueError: if ``weights`` does not match the recorded old
                 weights (the delta was built against a different parent),
-                or a changed link lies outside it.
+                holds a weight that is not an integer, or a changed link
+                lies outside it.
         """
-        out = np.array(weights, dtype=np.int64, copy=True)
+        out = integer_weights(weights).copy()
         last = self.changes[-1][0] if self.changes else -1
         if last >= out.size:
             raise ValueError(f"link {last} outside a vector of {out.size} weights")

@@ -119,12 +119,7 @@ class TestWhatIf:
         new_w = bumped(base, link)
         result = session.what_if((link, new_w))
 
-        full = DualTopologyEvaluator(
-            session.network,
-            session.high_traffic,
-            session.low_traffic,
-            incremental=False,
-        )
+        full = DualTopologyEvaluator(session.network, session.high_traffic, session.low_traffic)
         new = base.copy()
         new[link] = new_w
         expected = full.evaluate(new, new)

@@ -67,6 +67,14 @@ def test_compare_command(capsys):
     assert "STR objective" in printed
 
 
+@pytest.mark.parametrize("retired", ("full", "incremental"))
+def test_compare_has_no_evaluator_switch(retired, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["compare", "--topology", "isp", f"--{retired}"])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: --{retired}" in capsys.readouterr().err
+
+
 class TestOptimizeCommand:
     ARGS = ["--topology", "isp", "--utilization", "0.5", "--scale", "0.02", "--seed", "2"]
 

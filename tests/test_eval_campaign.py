@@ -93,10 +93,15 @@ class TestConfigHash:
 
     def test_pinned_value(self):
         """The hash is part of the on-disk format: changing it orphans
-        every existing campaign store, so it must not drift by accident."""
-        assert config_hash(ExperimentConfig()) == config_hash(ExperimentConfig())
-        assert len(config_hash(ExperimentConfig())) == 20
-        assert all(c in "0123456789abcdef" for c in config_hash(ExperimentConfig()))
+        every existing campaign store, so it must not drift by accident.
+        Both values name records stored while configs still carried the
+        retired ``incremental`` field."""
+        assert config_hash(ExperimentConfig()) == "198ea5720ca42d8dfe83"
+        assert (
+            config_hash(ExperimentConfig(topology="isp", mode="sla", seed=2))
+            == "bbbb7a4c629df0c85a7b"
+        )
+        assert "incremental" not in to_jsonable(ExperimentConfig())
 
 
 class TestStore:

@@ -4,7 +4,7 @@ The property the incremental engine guarantees: given a cached parent
 evaluation, evaluating a move ``(high_delta, low_delta)`` through
 ``evaluate_moves`` produces *bit-identical* costs and loads to an
 evaluator that recomputes every neighbor from scratch
-(``incremental=False``).
+(:class:`repro._reference.RebuildEvaluator`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from repro._reference import ScalarEvaluator
+from repro._reference import RebuildEvaluator, ScalarEvaluator
 from repro.core.evaluator import (
     LOAD_MODE,
     SLA_MODE,
@@ -35,10 +35,8 @@ def _setup(topology: str, mode: str, seed: int = 5):
     rng = random.Random(seed)
     net = build_network(topology, seed)
     high, low, _meta = build_traffic(net, config, rng)
-    incremental = DualTopologyEvaluator(
-        net, high, low, mode=mode, incremental=True, verify_incremental=True
-    )
-    full = DualTopologyEvaluator(net, high, low, mode=mode, incremental=False)
+    incremental = DualTopologyEvaluator(net, high, low, mode=mode, verify_incremental=True)
+    full = RebuildEvaluator(net, high, low, mode=mode)
     return net, incremental, full, rng
 
 
@@ -126,7 +124,9 @@ def test_two_link_moves_match_full():
         _assert_same_evaluation(LOAD_MODE, via_delta, from_scratch)
 
 
-def test_incremental_disabled_never_derives():
+def test_rebuild_reference_never_derives():
+    """Every layer the reference misses is built from scratch, even with
+    its parent cached."""
     net, _inc, full, rng = _setup("isp", LOAD_MODE, seed=2)
     base = random_weights(net.num_links, rng)
     full.evaluate_str(base)
@@ -135,7 +135,8 @@ def test_incremental_disabled_never_derives():
     stats = full.cache_stats()
     assert stats["high_incremental"] == 0
     assert stats["low_incremental"] == 0
-    assert stats["high_full"] >= 1
+    assert stats["high_full"] == stats["high_misses"] > 1
+    assert stats["low_full"] == stats["low_misses"] > 1
 
 
 def test_missing_parent_falls_back_to_full():
@@ -163,8 +164,8 @@ def test_search_results_identical_with_and_without_incremental():
     net = build_network("isp", 6)
     high, low, _meta = build_traffic(net, config, rng)
     results = []
-    for incremental in (True, False):
-        evaluator = DualTopologyEvaluator(net, high, low, incremental=incremental)
+    for evaluator_class in (DualTopologyEvaluator, RebuildEvaluator):
+        evaluator = evaluator_class(net, high, low)
         result = optimize(
             Session.from_evaluator(evaluator), "str", params, rng=random.Random(42)
         )
@@ -258,10 +259,8 @@ def test_vectorized_incremental_matches_scalar_full(topology):
     rng = random.Random(37)
     net = build_network(topology, 37)
     high, low, _meta = build_traffic(net, config, rng)
-    vec_inc = DualTopologyEvaluator(
-        net, high, low, incremental=True, verify_incremental=True
-    )
-    ref_full = ScalarEvaluator(net, high, low, incremental=False)
+    vec_inc = DualTopologyEvaluator(net, high, low, verify_incremental=True)
+    ref_full = ScalarEvaluator(net, high, low)
     base = random_weights(net.num_links, rng)
     vec_inc.evaluate_str(base)
     for delta in _random_single_deltas(base, net.num_links, rng, 15):
@@ -275,13 +274,8 @@ def test_vectorized_sla_mode_matches_scalar_full():
     rng = random.Random(41)
     net = build_network("isp", 41)
     high, low, _meta = build_traffic(net, config, rng)
-    vec_inc = DualTopologyEvaluator(
-        net, high, low, mode=SLA_MODE, incremental=True,
-        verify_incremental=True,
-    )
-    ref_full = ScalarEvaluator(
-        net, high, low, mode=SLA_MODE, incremental=False
-    )
+    vec_inc = DualTopologyEvaluator(net, high, low, mode=SLA_MODE, verify_incremental=True)
+    ref_full = ScalarEvaluator(net, high, low, mode=SLA_MODE)
     base = random_weights(net.num_links, rng)
     vec_inc.evaluate_str(base)
     for delta in _random_single_deltas(base, net.num_links, rng, 10):
@@ -410,33 +404,37 @@ def _step_deltas(base, num_links, rng):
     return [singles[0], pair, WeightDelta(()), singles[1], singles[0], singles[2], pair, singles[3]]
 
 
-def _evaluator(topology, mode, options):
+def _evaluator(topology, mode, options, evaluator_class=DualTopologyEvaluator):
     config = ExperimentConfig(topology=topology, mode=mode)
     rng = random.Random(17)
     net = build_network(topology, 17)
     high, low, _meta = build_traffic(net, config, rng)
-    return DualTopologyEvaluator(net, high, low, mode=mode, **options), rng
+    return evaluator_class(net, high, low, mode=mode, **options), rng
 
 
 EVALUATOR_OPTIONS = (
-    {},
-    {"incremental": False},
-    {"verify_incremental": True},
+    (DualTopologyEvaluator, {}),
+    (RebuildEvaluator, {}),
+    (DualTopologyEvaluator, {"verify_incremental": True}),
 )
 
 
-@pytest.mark.parametrize("options", EVALUATOR_OPTIONS, ids=("default", "full", "verify"))
+@pytest.mark.parametrize(
+    "evaluator_class, options", EVALUATOR_OPTIONS, ids=("default", "full", "verify")
+)
 @pytest.mark.parametrize("method", ("high", "low", "str"))
 @pytest.mark.parametrize("mode", (LOAD_MODE, SLA_MODE))
 @pytest.mark.parametrize("topology", TOPOLOGIES)
-def test_batched_step_equals_one_call_per_neighbor(topology, mode, method, options):
+def test_batched_step_equals_one_call_per_neighbor(
+    topology, mode, method, evaluator_class, options
+):
     """Two steps (the second from a neighbor of the first), each once in one
     ``evaluate_moves`` call and once as one call per move, on twin
     evaluators: equal children, evaluation fields, counters, cache stats and
     LRU orders."""
     runs = []
     for batched in (True, False):
-        evaluator, rng = _evaluator(topology, mode, options)
+        evaluator, rng = _evaluator(topology, mode, options, evaluator_class)
         net = evaluator.network
         wh = random_weights(net.num_links, rng)
         wl = random_weights(net.num_links, rng)
@@ -466,8 +464,7 @@ def test_batched_step_equals_one_call_per_neighbor(topology, mode, method, optio
     assert batch_state == seq_state
     assert batch_obs == seq_obs
     reference = DualTopologyEvaluator(
-        evaluator.network, evaluator.high_traffic, evaluator.low_traffic,
-        mode=mode, incremental=False,
+        evaluator.network, evaluator.high_traffic, evaluator.low_traffic, mode=mode
     )
     for (bc, be), (sc, se) in zip(batch_out, seq_out):
         assert len(bc) == len(sc) == len(be) == len(se) == 8
@@ -522,17 +519,19 @@ def _mixed_moves(wh, wl, num_links, rng):
     return moves
 
 
-@pytest.mark.parametrize("options", EVALUATOR_OPTIONS[1:], ids=("full", "verify"))
+@pytest.mark.parametrize(
+    "evaluator_class, options", EVALUATOR_OPTIONS[1:], ids=("full", "verify")
+)
 @pytest.mark.parametrize("mode", (LOAD_MODE, SLA_MODE))
 @pytest.mark.parametrize("topology", TOPOLOGIES)
-def test_mixed_moves_equal_one_call_per_move(topology, mode, options):
+def test_mixed_moves_equal_one_call_per_move(topology, mode, evaluator_class, options):
     """One ``evaluate_moves`` call over every kind of move equals one call per
     move, from a cached dual setting and then from the STR setting of its low
     vector: equal children, evaluation fields, counters, cache stats and LRU
     orders, and each evaluation equals a from-scratch one."""
     runs = []
     for batched in (True, False):
-        evaluator, rng = _evaluator(topology, mode, options)
+        evaluator, rng = _evaluator(topology, mode, options, evaluator_class)
         n = evaluator.network.num_links
         wh, wl = random_weights(n, rng), random_weights(n, rng)
         before = _obs_counts(evaluator)
@@ -547,8 +546,7 @@ def test_mixed_moves_equal_one_call_per_move(topology, mode, options):
     assert batch_state == seq_state
     assert batch_obs == seq_obs
     reference = DualTopologyEvaluator(
-        evaluator.network, evaluator.high_traffic, evaluator.low_traffic,
-        mode=mode, incremental=False,
+        evaluator.network, evaluator.high_traffic, evaluator.low_traffic, mode=mode
     )
     for (bc, be), (sc, se), size in zip(batch_out, seq_out, (9, 13)):
         assert len(bc) == len(sc) == len(be) == len(se) == size

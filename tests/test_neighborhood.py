@@ -88,9 +88,13 @@ def test_neighbors_draw_without_replacement(sampler):
     assert len(decreased) == len(set(decreased))
 
 
+def _single_change_neighbors(sampler, weights):
+    return [d.apply(weights) for d in sampler.single_change_deltas(weights, list(range(50)))]
+
+
 def test_single_change_neighbors(sampler):
     weights = np.full(50, 15, dtype=np.int64)
-    neighbors = sampler.single_change_neighbors(weights, list(range(50)))
+    neighbors = _single_change_neighbors(sampler, weights)
     assert neighbors
     for neighbor in neighbors:
         diff = np.flatnonzero(neighbor != weights)
@@ -101,7 +105,7 @@ def test_single_change_neighbors(sampler):
 def test_single_change_skips_noop_moves():
     sampler = NeighborhoodSampler(SearchParams(), random.Random(3))
     weights = np.full(50, 1, dtype=np.int64)
-    for neighbor in sampler.single_change_neighbors(weights, list(range(50))):
+    for neighbor in _single_change_neighbors(sampler, weights):
         assert not np.array_equal(neighbor, weights)
 
 
@@ -109,8 +113,23 @@ def test_input_weights_never_mutated(sampler):
     weights = np.full(50, 15, dtype=np.int64)
     original = weights.copy()
     sampler.neighbors(weights, list(range(50)))
-    sampler.single_change_neighbors(weights, list(range(50)))
+    _single_change_neighbors(sampler, weights)
     np.testing.assert_array_equal(weights, original)
+
+
+@pytest.mark.parametrize("method", ("neighbor_deltas", "neighbors", "single_change_deltas"))
+def test_fractional_base_rejected_naming_the_link(method):
+    """A fractional base raises before any draw, where an int64 cast
+    truncated it (``3.5`` moved from ``3``)."""
+    rng = random.Random(1)
+    sample = getattr(NeighborhoodSampler(SearchParams(), rng), method)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="link 0: weight 3.5 is not an integer"):
+        sample(np.array([3.5, 4.0, 5.0, 6.0]), [0, 1, 2, 3])
+    with pytest.raises(ValueError, match="link 2: weight nan is not an integer"):
+        sample([4, 5, math.nan, 6], [0, 1, 2, 3])
+    assert rng.getstate() == state
+    assert sample(np.array([3.0, 4.0, 5.0, 6.0]), [0, 1, 2, 3])
 
 
 # ----------------------------------------------------------------------

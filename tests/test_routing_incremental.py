@@ -89,6 +89,16 @@ class TestWeightDelta:
         with pytest.raises(ValueError, match="link 1.5: index 1.5 is not an integer"):
             WeightDelta.single(1.5, 1, 7)
 
+    def test_apply_fractional_base_rejected_naming_the_link(self):
+        delta = WeightDelta.single(0, 1, 2)
+        with pytest.raises(ValueError, match="link 1: weight 2.7 is not an integer"):
+            delta.apply(np.array([1.0, 2.7]))
+        with pytest.raises(ValueError, match="link 1: weight inf is not an integer"):
+            delta.apply([1, np.inf])
+        out = delta.apply(np.array([1.0, 2.0]))
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, [2, 2])
+
     def test_apply_link_outside_vector_rejected(self):
         with pytest.raises(ValueError, match="link 5 outside a vector of 3 weights"):
             WeightDelta.single(5, 3, 4).apply(np.array([1, 2, 3]))

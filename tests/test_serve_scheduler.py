@@ -245,3 +245,41 @@ def test_stop_drains_queued_jobs():
     scheduler.stop()
     payload, _hit = future.result(timeout=10)
     assert payload["kind"] == "scenario"
+
+
+def test_a_failing_query_fails_only_its_own_future(reference):
+    """A query that raises inside a batch group fails its own future; the
+    good queries of the same group are answered, nothing is cached for
+    the failure, and the scheduler keeps answering."""
+    session = SPEC.build()
+    key = SPEC.key()
+    cache = PlanCache()
+    bad = "link:0-15"  # valid syntax; the ISP backbone has no 0-15 adjacency
+    with MicroBatchScheduler(cache) as scheduler:
+        with session.lock:
+            first = scheduler.submit(key, session, "link:0-4")
+            deadline = time.perf_counter() + 5
+            while scheduler.metrics()["batches"] < 1:  # dispatched, waiting for the lock
+                assert time.perf_counter() < deadline
+                time.sleep(0.001)
+            failing = scheduler.submit(key, session, bad)
+            last = scheduler.submit(key, session, "node:3")
+        with pytest.raises(ValueError, match="no duplex adjacency between 0 and 15"):
+            failing.result(timeout=10)
+        for future, spec in ((first, "link:0-4"), (last, "node:3")):
+            payload, hit = future.result(timeout=10)
+            assert not hit
+            assert canonical_body(payload) == canonical_body(
+                whatif_payload(session.under_scenario(canonical_spec(spec)))
+            )
+        stats = scheduler.metrics()
+        assert stats["errors"] == 1
+        assert stats["batches"] == 2
+        assert stats["max_batch_size"] == 2  # the failure and "node:3": one group
+        assert len(cache) == 2
+        assert cache.lookup(key, canonical_spec(bad)) is None
+        with pytest.raises(ValueError, match="no duplex adjacency"):
+            scheduler.submit(key, session, bad).result(timeout=10)
+        payload, _hit = scheduler.submit(key, session, "surge:3x2.0").result(timeout=10)
+        assert canonical_body(payload) == reference["surge:3x2.0"]
+    assert scheduler.metrics()["errors"] == 2
