@@ -39,7 +39,7 @@ class ScalarRouting(Routing):
     """A routing whose per-destination work runs the scalar loops.
 
     Its DAGs are per-node lists of out-links built from the slack mask
-    and cached per instance; derived children share only the CSR DAGs.
+    and cached per instance; derived children start with none.
     """
 
     @cached_property
@@ -70,12 +70,7 @@ class ScalarRouting(Routing):
 
     def destination_rows(self, dests, injections: np.ndarray) -> np.ndarray:
         dests = [int(t) for t in dests]
-        inj = np.asarray(injections, dtype=float)
-        if inj.shape != (len(dests), self._net.num_nodes):
-            raise ValueError(
-                f"expected injections of shape ({len(dests)}, {self._net.num_nodes}), "
-                f"got {inj.shape}"
-            )
+        inj = self._injection_rows(dests, injections)
         rows = np.zeros((len(dests), self._net.num_links))
         link_dst = self._net.link_destinations()
         for i, t in enumerate(dests):

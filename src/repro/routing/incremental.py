@@ -282,9 +282,9 @@ def derive_children(parent: Routing, children) -> list[Routing]:
     bit, including the entries of nodes left with no links (``inf`` off
     the diagonal), which an affected set may not cover.
 
-    A child that keeps the parent's link space also shares the parent's
-    cached SP DAGs of unaffected destinations; a topology delta renumbers
-    links, so its DAGs build lazily.  Children are of the parent's class.
+    A child shares nothing else with the parent: its schedules and DAGs
+    are compiled from its own distance rows when first needed.  Children
+    are of the parent's class.
     """
     children = [
         (net, weights, affected, uses_full_spf(parent, net, affected))
@@ -308,18 +308,14 @@ def derive_children(parent: Routing, children) -> list[Routing]:
         else:
             dist = parent.distance_matrix.copy()
             dist[affected] = rows
-        dags = None
-        if net is parent.network:
-            stale = set(affected.tolist())
-            dags = {t: dag for t, dag in parent.soa_dag_cache().items() if t not in stale}
-        elif not full:
-            linked = np.zeros(net.num_nodes, dtype=bool)
-            linked[net.link_sources()] = linked[net.link_destinations()] = True
-            isolated = np.flatnonzero(~linked)
-            if isolated.size:
-                dist[:, isolated] = dist[isolated, :] = np.inf
-                dist[isolated, isolated] = 0.0
-        out.append(type(parent).from_precomputed(net, weights, dist, dags=dags))
+            if net is not parent.network:
+                linked = np.zeros(net.num_nodes, dtype=bool)
+                linked[net.link_sources()] = linked[net.link_destinations()] = True
+                isolated = np.flatnonzero(~linked)
+                if isolated.size:
+                    dist[:, isolated] = dist[isolated, :] = np.inf
+                    dist[isolated, isolated] = 0.0
+        out.append(type(parent).from_precomputed(net, weights, dist))
     return out
 
 
@@ -334,10 +330,10 @@ def derive_routing(
 
     Returns:
         ``(child, affected)``: a routing equivalent to
-        ``Routing(net, delta.apply(parent.weights))`` — distance rows and
-        cached SP DAGs of unaffected destinations are shared with the
-        parent — and the affected-destination array, so callers can limit
-        their own recomputation (e.g. per-destination load rows) to it.
+        ``Routing(net, delta.apply(parent.weights))`` — the distance rows
+        of unaffected destinations are copied from the parent — and the
+        affected-destination array, so callers can limit their own
+        recomputation (e.g. per-destination load rows) to it.
     """
     started = perf_counter()
     net = parent.network

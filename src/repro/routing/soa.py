@@ -35,14 +35,18 @@ operands in the same per-slot order:
   operand order — so each slot receives its contributions in exactly
   the scalar sequence.
 * The scalar loop skips zero-flow nodes; the kernels do not.  Demands
-  are validated non-negative, so a skipped node contributes ``+0.0``
-  shares, and ``x + 0.0`` is bitwise ``x`` for every non-negative ``x``.
+  and injections are validated finite and non-negative where they enter
+  (``TrafficMatrix``, ``Routing.destination_rows``), so a skipped node
+  contributes ``+0.0`` shares, and ``x + 0.0`` is bitwise ``x`` for every
+  non-negative ``x``.
 
 Rows are independent (each row owns a disjoint slice of the flat flow
 and load buffers), so any set of destinations — including the same
 destination repeated with different injections, or the rows of several
 routings, each built from its own weight vector — batches into one
-schedule.
+schedule.  :func:`build_schedule` compiles every schedule straight from
+distance rows and weights; :class:`DestinationDag` tuples are built only
+for the path queries.
 
 The reverse pass
 ----------------
@@ -85,7 +89,11 @@ _OBS_ACCUMULATE_ROWS = obs.histogram(
 
 
 class DestinationDag(NamedTuple):
-    """CSR shortest-path DAG toward one destination, plus its level order.
+    """CSR shortest-path DAG toward one destination.
+
+    The form the path queries read (``Routing.next_hops``,
+    ``all_shortest_paths``, ``dag_out_links``); schedules are compiled
+    from distance rows instead (:func:`build_schedule`).
 
     Attributes:
         dst: The destination node.
@@ -94,23 +102,11 @@ class DestinationDag(NamedTuple):
         links: DAG link indices grouped by source node, ascending link
             index within each source (the order
             ``Routing.dag_out_links`` lists them).
-        order: Finite-distance nodes excluding ``dst``, farthest first,
-            ties broken by ascending node index — the processing order of
-            :func:`repro.routing.spf.descending_distance_order` minus the
-            destination itself (which is uniquely last at distance 0).
-        levels: Dense distance-level id per ``order`` position
-            (0 = farthest); nodes share a level iff their distances to
-            ``dst`` are exactly equal.
-        order_counts: DAG out-degree per ``order`` position
-            (``indptr[u + 1] - indptr[u]`` for ``u = order[i]``).
     """
 
     dst: int
     indptr: np.ndarray
     links: np.ndarray
-    order: np.ndarray
-    levels: np.ndarray
-    order_counts: np.ndarray
 
 
 class _Step(NamedTuple):
@@ -144,24 +140,22 @@ class Schedule(NamedTuple):
     load_pos: np.ndarray | None = None
 
 
-def _dag_arrays(net, weights, dist_rows):
-    """Flattened SoA arrays for all destinations of ``dist_rows`` at once.
+def _dag_csr(net, weights, dist_rows):
+    """Every row's shortest-path DAG from one broadcast slack test, as CSR.
 
-    The shared core of :func:`build_destination_dags` and
-    :func:`build_arrays_and_schedule`: every per-destination sequence (node
-    order, level ids, out-degrees, link-pool offsets) is assembled as one
-    concatenated array plus per-destination boundaries, so callers only
-    slice (to materialize :class:`DestinationDag` objects) or compile a
-    schedule directly from the concatenations.  ``weights`` is one
-    ``(num_links,)`` vector for every row, or ``(k, num_links)`` with one
-    vector per row (the rows of several routings in one pass); the slack
-    test reads each row's own weights either way.
+    Returns ``(links, indptr, bounds, fin, dmax)``: row ``i``'s DAG links
+    are ``links[bounds[i]:bounds[i + 1]]``, grouped by source node with
+    per-node offsets ``indptr[i]``; ``fin`` marks the finite distances and
+    ``dmax`` is the largest of them.  ``weights`` is one ``(num_links,)``
+    vector for every row, or ``(k, num_links)`` with one vector per row
+    (the rows of several routings in one pass); the slack test reads each
+    row's own weights either way.
     """
     from repro.routing.spf import _DISTANCE_ATOL
 
     n = net.num_nodes
     k = dist_rows.shape[0]
-    findptr, fperm = net.forward_csr_structure()
+    _, fperm = net.forward_csr_structure()
     srcs = net.link_sources()
     link_dst = net.link_destinations()
     m_f = fperm.size
@@ -213,125 +207,11 @@ def _dag_arrays(net, weights, dist_rows):
     indptr2d = np.zeros((k, n + 1), dtype=np.int64)
     np.cumsum(counts, axis=1, out=indptr2d[:, 1:])
     row_bounds = np.concatenate(([0], np.cumsum(indptr2d[:, n])))
-
-    # Farthest-first node order per row: the destination (distance 0) is
-    # uniquely last among finite nodes because weights are >= 1.  When
-    # every finite distance fits int16, sort on negated int16 keys — the
-    # same ordering relation and tie behavior, but radix-sortable.
-    if dmax < 32000.0:
-        neg = np.where(fin, -dist_rows, 32767.0).astype(np.int16)
-    else:
-        neg = np.where(fin, -dist_rows, np.inf)
-    order2d = np.argsort(neg, axis=1, kind="stable")
-    num_finite = fin.sum(axis=1)
-    sizes = np.maximum(num_finite - 1, 0)
-    node_bounds = np.concatenate(([0], np.cumsum(sizes)))
-    total = int(node_bounds[-1])
-    rows_g = np.repeat(np.arange(k, dtype=np.int64), sizes)
-    cols_g = np.arange(total) - node_bounds[:-1].repeat(sizes)
-    rn = rows_g * n
-    order_cat = order2d.reshape(-1).take(rn + cols_g)
-
-    levels_cat = np.zeros(total, dtype=np.int64)
-    oc_cat = np.empty(total, dtype=np.int64)
-    starts = np.empty(total, dtype=np.int64)
-    if total:
-        # Segmented level ids: +1 whenever the distance changes within a
-        # row; a global cumsum re-zeroed at each row start.  The sort
-        # keys compare equal exactly when the distances do, so they
-        # serve as the level-change test too.
-        dv = neg.reshape(-1).take(rn + order_cat)
-        inc = np.zeros(total, dtype=np.int32)
-        inc[1:] = (dv[1:] != dv[:-1]) & (rows_g[1:] == rows_g[:-1])
-        cum = np.cumsum(inc)
-        per_row = np.diff(node_bounds)
-        first = np.zeros(k, dtype=np.int32)
-        nonempty = per_row > 0
-        first[nonempty] = cum[node_bounds[:-1][nonempty]]
-        levels_cat = cum - np.repeat(first, per_row)
-
-        ipf = indptr2d.reshape(-1)
-        flat_no = rows_g * (n + 1) + order_cat
-        at_node = ipf.take(flat_no)
-        oc_cat = ipf.take(flat_no + 1) - at_node
-        starts = row_bounds[rows_g] + at_node
-
-    return (
-        links_all,
-        row_bounds,
-        indptr2d,
-        rows_g,
-        order_cat,
-        levels_cat,
-        oc_cat,
-        starts,
-        node_bounds,
-    )
-
-
-def slice_destination_dags(dests, arrays) -> list[DestinationDag]:
-    """Materialize per-destination :class:`DestinationDag` views.
-
-    ``arrays`` is the flattened bundle returned through
-    :func:`build_arrays_and_schedule`; slicing is cheap but not free
-    (~microseconds per destination), so schedule-only callers defer it
-    until some caller actually asks for the DAG tuples.
-    """
-    (
-        links_all,
-        row_bounds,
-        indptr2d,
-        _rows_g,
-        order_cat,
-        levels_cat,
-        oc_cat,
-        _starts,
-        node_bounds,
-    ) = arrays
-    rb = row_bounds.tolist()  # python ints slice ~3x faster than np scalars
-    nb = node_bounds.tolist()
-    dags = []
-    for i, t in enumerate(dests):
-        a, b = nb[i], nb[i + 1]
-        dags.append(
-            DestinationDag(
-                t,
-                indptr2d[i],
-                links_all[rb[i] : rb[i + 1]],
-                order_cat[a:b],
-                levels_cat[a:b],
-                oc_cat[a:b],
-            )
-        )
-    return dags
-
-
-def row_slice(arrays, start: int, stop: int) -> tuple:
-    """The rows ``start..stop`` of a fused pass's arrays, for
-    :func:`slice_destination_dags`.
-
-    Only the per-row bounds are cut; the concatenated pools stay whole
-    (their offsets are absolute), so this costs three views.  One pass
-    over several routings' rows hands each routing its own slice.
-    """
-    links_all, row_bounds, indptr2d, _rows_g, order_cat, levels_cat, oc_cat, _starts, node_bounds = (
-        arrays
-    )
-    return (
-        links_all,
-        row_bounds[start : stop + 1],
-        indptr2d[start:stop],
-        None,
-        order_cat,
-        levels_cat,
-        oc_cat,
-        None,
-        node_bounds[start : stop + 1],
-    )
+    return links_all, indptr2d, row_bounds, fin, dmax
 
 
 def build_destination_dags(net, weights, dist_rows, dests) -> list[DestinationDag]:
-    """SoA DAGs for several destinations from one broadcast slack test.
+    """The path queries' CSR DAGs for several destinations, one slack test.
 
     Args:
         net: The network.
@@ -343,37 +223,80 @@ def build_destination_dags(net, weights, dist_rows, dests) -> list[DestinationDa
     Returns:
         One :class:`DestinationDag` per destination, in ``dests`` order.
     """
-    dests = [int(t) for t in dests]
     dist_rows = np.asarray(dist_rows, dtype=float)
-    return slice_destination_dags(dests, _dag_arrays(net, weights, dist_rows))
+    links_all, indptr2d, row_bounds, _fin, _dmax = _dag_csr(net, weights, dist_rows)
+    rb = row_bounds.tolist()  # python ints slice ~3x faster than np scalars
+    return [
+        DestinationDag(int(t), indptr2d[i], links_all[rb[i] : rb[i + 1]])
+        for i, t in enumerate(dests)
+    ]
 
 
-def build_arrays_and_schedule(net, weights, dist_rows, dests, link_dst):
-    """Flattened DAG arrays plus their compiled schedule in one pass.
+def build_schedule(net, weights, dist_rows) -> Schedule:
+    """Compile the accumulation plan of a list of DAG rows from distance rows.
 
-    Equivalent to ``dags = build_destination_dags(...)`` followed by
-    ``build_schedule(dags, ...)``, but the schedule is compiled straight
-    from the flattened arrays the DAG builder already produced — the
-    path of rows whose DAGs are not cached yet.  ``weights`` may hold one
-    vector per row (``(len(dests), num_links)``), so one pass serves the
-    stale rows of several routings, such as a search step's siblings.
-    Returns ``(arrays, schedule)``; pass ``arrays`` (or a
-    :func:`row_slice` of it) to :func:`slice_destination_dags` to
-    materialize the per-destination tuples (deferred because load-mode
-    evaluations never read them).
+    Row ``i`` runs on the shortest-path DAG toward the destination of
+    ``dist_rows[i]`` (``dist_rows[i, u]`` is the distance from ``u``).  A
+    destination may fill several rows, each independent (one destination
+    batched against several injection vectors).  ``weights`` is one
+    ``(num_links,)`` vector for every row, or ``(k, num_links)`` with one
+    vector per row, so one pass serves the rows of several routings, such
+    as a search step's siblings.  Every schedule is compiled here: the
+    DAGs live only as the flattened arrays of this one call.
+
+    Args:
+        net: The network.
+        weights: Per-link weights the rows were computed with.
+        dist_rows: ``(k, num_nodes)`` distance rows, one per schedule row.
     """
-    dests = [int(t) for t in dests]
+    started = perf_counter()
     dist_rows = np.asarray(dist_rows, dtype=float)
-    arrays = _dag_arrays(net, weights, dist_rows)
-    links_all = arrays[0]
-    rows_g, order_cat, levels_cat, oc_cat, starts = arrays[3:8]
-    k, n, m = len(dests), net.num_nodes, net.num_links
-    if order_cat.size == 0:
-        return arrays, Schedule(k, n, m)
-    schedule = _compile_schedule(
-        order_cat, levels_cat, oc_cat, links_all, starts, rows_g, link_dst, k, n, m
-    )
-    return arrays, schedule
+    k, n, m = dist_rows.shape[0], net.num_nodes, net.num_links
+    links_all, indptr2d, row_bounds, fin, dmax = _dag_csr(net, weights, dist_rows)
+
+    # Farthest-first node order per row: the destination (distance 0) is
+    # uniquely last among finite nodes because weights are >= 1.  When
+    # every finite distance fits int16, sort on negated int16 keys — the
+    # same ordering relation and tie behavior, but radix-sortable.
+    if dmax < 32000.0:
+        neg = np.where(fin, -dist_rows, 32767.0).astype(np.int16)
+    else:
+        neg = np.where(fin, -dist_rows, np.inf)
+    order2d = np.argsort(neg, axis=1, kind="stable")
+    sizes = np.maximum(fin.sum(axis=1) - 1, 0)
+    node_bounds = np.concatenate(([0], np.cumsum(sizes)))
+    total = int(node_bounds[-1])
+    if total == 0:
+        schedule = Schedule(k, n, m)
+    else:
+        rows_g = np.repeat(np.arange(k, dtype=np.int64), sizes)
+        cols_g = np.arange(total) - node_bounds[:-1].repeat(sizes)
+        rn = rows_g * n
+        order_cat = order2d.reshape(-1).take(rn + cols_g)
+        # Segmented level ids: +1 whenever the distance changes within a
+        # row; a global cumsum re-zeroed at each row start.  The sort keys
+        # compare equal exactly when the distances do, so they serve as
+        # the level-change test too.
+        dv = neg.reshape(-1).take(rn + order_cat)
+        inc = np.zeros(total, dtype=np.int32)
+        inc[1:] = (dv[1:] != dv[:-1]) & (rows_g[1:] == rows_g[:-1])
+        cum = np.cumsum(inc)
+        nonempty = sizes > 0
+        first = np.zeros(k, dtype=np.int32)
+        first[nonempty] = cum[node_bounds[:-1][nonempty]]
+        levels_cat = cum - np.repeat(first, sizes)
+        # Each node position's out-degree and offset into ``links_all``.
+        ipf = indptr2d.reshape(-1)
+        flat_no = rows_g * (n + 1) + order_cat
+        at_node = ipf.take(flat_no)
+        oc_cat = ipf.take(flat_no + 1) - at_node
+        starts = row_bounds[rows_g] + at_node
+        link_dst = net.link_destinations()
+        schedule = _compile_schedule(
+            order_cat, levels_cat, oc_cat, links_all, starts, rows_g, link_dst, k, n, m
+        )
+    _OBS_SCHEDULE_SECONDS.observe(perf_counter() - started)
+    return schedule
 
 
 def _ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -383,55 +306,6 @@ def _ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     exclusive = np.cumsum(counts) - counts
     return np.repeat(starts - exclusive, counts) + np.arange(total)
-
-
-def build_schedule(dags, link_dst, num_nodes: int, num_links: int) -> Schedule:
-    """Compile an accumulation plan for a list of DAG rows.
-
-    The same :class:`DestinationDag` may appear several times — each
-    occurrence is an independent row (one destination can be batched
-    against several injection vectors this way).
-
-    Args:
-        dags: One DAG per row.
-        link_dst: ``net.link_destinations()``.
-        num_nodes: Node count (flow-buffer row stride).
-        num_links: Link count (load-buffer row stride).
-    """
-    started = perf_counter()
-    k = len(dags)
-    if k == 0:
-        return Schedule(0, num_nodes, num_links)
-    n, m = num_nodes, num_links
-
-    sizes = np.fromiter((dag.order.size for dag in dags), dtype=np.int64, count=k)
-    if int(sizes.sum()) == 0:
-        return Schedule(k, n, m)
-    node_cat = np.concatenate([dag.order for dag in dags])
-    level_cat = np.concatenate([dag.levels for dag in dags])
-    count_cat = np.concatenate([dag.order_counts for dag in dags])
-    # Link pool: each distinct DAG's CSR link stream appears once;
-    # repeated rows (one destination against several injections) point
-    # into the same pool segment.
-    pool_parts: list[np.ndarray] = []
-    pool_offset: dict[int, int] = {}
-    starts_parts = []
-    offset = 0
-    for dag in dags:
-        off = pool_offset.get(id(dag))
-        if off is None:
-            pool_offset[id(dag)] = off = offset
-            pool_parts.append(dag.links)
-            offset += dag.links.size
-        starts_parts.append(dag.indptr[dag.order] + off)
-    link_pool = np.concatenate(pool_parts)
-    link_starts = np.concatenate(starts_parts)
-    row_cat = np.repeat(np.arange(k, dtype=np.int64), sizes)
-    schedule = _compile_schedule(
-        node_cat, level_cat, count_cat, link_pool, link_starts, row_cat, link_dst, k, n, m
-    )
-    _OBS_SCHEDULE_SECONDS.observe(perf_counter() - started)
-    return schedule
 
 
 def _compile_schedule(

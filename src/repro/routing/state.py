@@ -13,12 +13,9 @@ from repro.routing.soa import (
     DestinationDag,
     Schedule,
     accumulate_rows,
-    build_arrays_and_schedule,
     build_destination_dags,
     build_schedule,
     mean_path_delays,
-    row_slice,
-    slice_destination_dags,
 )
 from repro.routing.spf import RoutingError, distances_to_all
 from repro.routing.weights import as_weight_array
@@ -39,8 +36,9 @@ evaluator's batches of one routing (:meth:`Routing.batch_destination_rows`,
 pass over an evaluated routing (such as
 :meth:`~repro.api.Session.scaled_traffic`'s delay pass) reuses its
 schedule.  Rows of several routings share one schedule that no routing
-keeps.  The worst case (two full-network schedules) stays small next to
-the DAG cache itself."""
+keeps, and :meth:`Routing.pair_link_fractions` keeps its one-row
+schedule out too, so it cannot evict these two.  The worst case is two
+full-network schedules per routing."""
 
 
 class Routing:
@@ -51,14 +49,18 @@ class Routing:
     matrix, mean ECMP path delays, and per-pair link flow fractions — the
     primitives every cost function in the paper needs.
 
-    All of it runs on the CSR DAGs (:class:`~repro.routing.soa.DestinationDag`)
-    and struct-of-arrays kernels of :mod:`repro.routing.soa`:
+    The load and delay passes run the struct-of-arrays kernels of
+    :mod:`repro.routing.soa` on schedules compiled straight from the
+    distance rows (:func:`~repro.routing.soa.build_schedule`):
     :meth:`link_loads` sums the per-destination rows of
     :meth:`destination_rows` through :meth:`ClassLoads.refresh`, the
     one accumulation path the evaluator and the sweep engine use too.
-    The kernels are bit-identical to the scalar Python reference loops
-    kept in :class:`repro._reference.ScalarRouting` (the cross-check the
-    differential suites pin down).
+    The path queries (:meth:`next_hops`, :meth:`all_shortest_paths`,
+    :meth:`dag_out_links`) read per-destination CSR DAGs
+    (:class:`~repro.routing.soa.DestinationDag`), built when first asked
+    for.  The kernels are bit-identical to the scalar Python reference
+    loops kept in :class:`repro._reference.ScalarRouting` (the
+    cross-check the differential suites pin down).
     """
 
     def __init__(self, net: Network, weights: Iterable[float]) -> None:
@@ -67,29 +69,21 @@ class Routing:
         self._dist = distances_to_all(net, self._weights)
         self._dist.setflags(write=False)
         self._dags: dict[int, DestinationDag] = {}
-        self._pending_dags: list[tuple[list[int], tuple]] = []
         self._dest_schedules: LruCache[bytes, Schedule] = LruCache(_DEST_SCHEDULE_CAP)
         self._all_finite: Optional[bool] = None
 
     @classmethod
-    def from_precomputed(
-        cls,
-        net: Network,
-        weights: np.ndarray,
-        dist: np.ndarray,
-        dags: Optional[dict[int, DestinationDag]] = None,
-    ) -> "Routing":
+    def from_precomputed(cls, net: Network, weights: np.ndarray, dist: np.ndarray) -> "Routing":
         """Build a routing from an externally computed distance matrix.
 
         This is the constructor the incremental-SPF path uses
         (:func:`repro.routing.incremental.derive_children`): ``dist`` must
-        equal ``distances_to_all(net, weights)`` and ``dags`` may seed the
-        per-destination DAG cache with entries that are known to be valid
-        under ``weights`` (e.g. reused from a parent routing whose distance
-        rows are unchanged).  No recomputation or validation is performed,
-        so callers are responsible for consistency (``weights`` must be a
-        valid int64 vector).  ``weights`` and ``dist`` are taken as given and
-        marked read-only: they are shared state from this point on.
+        equal ``distances_to_all(net, weights)``.  No recomputation or
+        validation is performed, so callers are responsible for
+        consistency (``weights`` must be a valid int64 vector).
+        ``weights`` and ``dist`` are taken as given and marked read-only:
+        they are shared state from this point on.  Schedules and DAGs are
+        compiled from them when first needed, as for a fresh routing.
         """
         routing = cls.__new__(cls)
         routing._net = net
@@ -97,8 +91,7 @@ class Routing:
         routing._weights = weights
         dist.setflags(write=False)
         routing._dist = dist
-        routing._dags = dict(dags) if dags else {}
-        routing._pending_dags = []
+        routing._dags = {}
         routing._dest_schedules = LruCache(_DEST_SCHEDULE_CAP)
         routing._all_finite = None
         return routing
@@ -134,20 +127,12 @@ class Routing:
         """
         return self._dist
 
-    def soa_dag_cache(self) -> dict[int, DestinationDag]:
-        """The per-destination SP DAG cache built so far (``dst -> DestinationDag``).
-
-        Exposed so the incremental-SPF path
-        (:func:`repro.routing.incremental.derive_children`) can reuse DAGs
-        of destinations whose distance rows are unchanged; treat entries
-        as read-only.
-        """
-        self._materialize_pending_dags()
-        return self._dags
-
     def ensure_dags(self, dests) -> list[DestinationDag]:
-        """CSR DAGs for ``dests``, building any missing ones in one batch."""
-        self._materialize_pending_dags()
+        """CSR DAGs for ``dests``, building any missing ones in one batch.
+
+        The path queries' cache, filled only by them; no load or delay
+        pass reads it.
+        """
         missing = [t for t in dict.fromkeys(int(t) for t in dests) if t not in self._dags]
         if missing:
             dist_rows = self._dist[np.asarray(missing, dtype=np.int64)]
@@ -223,23 +208,19 @@ class Routing:
             Matrix of shape ``(len(dests), num_links)``.
 
         Raises:
+            ValueError: on injections of another shape, or a non-finite
+                or negative injection (:meth:`_injection_rows`).
             RoutingError: if any positive injection has no path to its
                 row's destination (reported for the first offending row,
                 lowest node first — the scalar loop's error order).
         """
         dests = [int(t) for t in dests]
-        k = len(dests)
-        inj = np.asarray(injections, dtype=float)
-        if inj.shape != (k, self._net.num_nodes):
-            raise ValueError(
-                f"expected injections of shape ({k}, {self._net.num_nodes}), "
-                f"got {inj.shape}"
-            )
-        if k == 0:
+        inj = self._injection_rows(dests, injections)
+        if not dests:
             return np.empty((0, self._net.num_links))
         darr = np.asarray(dests, dtype=np.int64)
         self.check_reachable(darr, inj)
-        return accumulate_rows(self._schedule(dests, darr), inj)
+        return accumulate_rows(self._schedule(darr), inj)
 
     def check_reachable(self, dests: np.ndarray, injections: np.ndarray) -> None:
         """Raise unless every positive injection reaches its row's destination.
@@ -264,13 +245,12 @@ class Routing:
         """:meth:`destination_rows` of several routings in one kernel pass.
 
         Each request is ``(routing, dests, injections)``, every routing
-        over the same network, with its reachability already checked
-        (:meth:`check_reachable`).  Every distinct ``(routing,
-        destination)`` pair gets one DAG row, laid out routing by
-        routing.  With several routings, all rows are built in one
-        :func:`~repro.routing.soa.build_arrays_and_schedule` pass, each
-        under its own routing's weights, and each routing keeps its slice
-        of the DAG arrays, sliced into tuples only when asked for; one
+        over the same network, with its injections and reachability
+        already checked (:meth:`check_reachable`).  Every distinct
+        ``(routing, destination)`` pair gets one DAG row, laid out routing
+        by routing.  With several routings, all rows are compiled in one
+        :func:`~repro.routing.soa.build_schedule` pass, each under its own
+        routing's weights, and no routing keeps the schedule; one
         routing's rows come from its own cached schedule
         (:meth:`_schedule`).  One :func:`~repro.routing.soa.accumulate_rows`
         call runs the schedule; a pair requested again (one routing
@@ -289,24 +269,9 @@ class Routing:
             return [np.empty((0, r.network.num_links)) for r, _, _ in requests]
         if len(layout) == 1:
             routing, dests = layout[0]
-            schedule = routing._schedule(dests.tolist(), dests)
+            schedule = routing._schedule(dests)
         else:
-            net = requests[0][0].network
-            weights = np.repeat(
-                np.stack([r.weights for r, _ in layout]), [d.size for _, d in layout], axis=0
-            )
-            dests = np.concatenate([d for _, d in layout])
-            dist_rows = np.concatenate([r._dist[d] for r, d in layout])
-            arrays, schedule = build_arrays_and_schedule(
-                net, weights, dist_rows, dests.tolist(), net.link_destinations()
-            )
-            start = 0
-            for routing, routing_dests in layout:
-                stop = start + routing_dests.size
-                routing._pending_dags.append(
-                    (routing_dests.tolist(), row_slice(arrays, start, stop))
-                )
-                start = stop
+            schedule = _compile(layout)
         passes = np.zeros((num_passes, total, requests[0][0].network.num_nodes))
         for (p, rows), (_, _, inj) in zip(placed, requests):
             passes[p, rows] = inj
@@ -319,7 +284,8 @@ class Routing:
 
         Each request is ``(routing, dests, link_delays)``, every routing
         over the same network.  One :func:`~repro.routing.soa.build_schedule`
-        over every request's DAGs and one
+        pass over every request's distance rows, each under its own
+        routing's weights, and one
         :func:`~repro.routing.soa.mean_path_delays` call with each row's
         own delay vector; the reverse pass's per-node sums do not depend
         on which rows share the schedule, so each request's matrix
@@ -332,9 +298,7 @@ class Routing:
             return [routing.path_delays(dests, link_delays)]
         if not requests:
             return []
-        net = requests[0][0].network
-        dags = [dag for routing, dests, _ in requests for dag in routing.ensure_dags(dests)]
-        schedule = build_schedule(dags, net.link_destinations(), net.num_nodes, net.num_links)
+        schedule = _compile([(r, np.asarray(d, dtype=np.int64)) for r, d, _ in requests])
         counts = [len(dests) for _, dests, _ in requests]
         delays = np.repeat(np.stack([d for _, _, d in requests]), counts, axis=0)
         out = np.split(mean_path_delays(schedule, delays), np.cumsum(counts)[:-1])
@@ -355,6 +319,7 @@ class Routing:
             every destination reproduces :meth:`link_loads`.
 
         Raises:
+            ValueError: on a non-finite or negative injection.
             RoutingError: if any positive injection has no path to ``dst``.
         """
         inj = np.asarray(injections, dtype=float)
@@ -381,7 +346,7 @@ class Routing:
         if not dests:
             return np.empty((0, self._net.num_nodes))
         darr = np.asarray(dests, dtype=np.int64)
-        out = mean_path_delays(self._schedule(dests, darr), link_delays)
+        out = mean_path_delays(self._schedule(darr), link_delays)
         self._mark_unreachable(darr, out)
         return out
 
@@ -391,7 +356,8 @@ class Routing:
         The fractions of the links out of any traversed node sum to the
         fraction entering that node, so ``pair_link_fractions(s, t) @ D``
         is the pair's mean path delay — the single-pair oracle of
-        :meth:`path_delays`.  Builds a one-row schedule per call.
+        :meth:`path_delays`.  Compiles a one-row schedule per call, kept
+        out of the routing's schedule cache.
 
         Raises:
             RoutingError: if ``dst`` is unreachable from ``src``.
@@ -401,13 +367,9 @@ class Routing:
         dist = self._dist[dst]
         if not np.isfinite(dist[src]):
             raise RoutingError(f"node {dst} unreachable from node {src}")
-        net = self._net
-        schedule = build_schedule(
-            self.ensure_dags([dst]), net.link_destinations(), net.num_nodes, net.num_links
-        )
-        inj = np.zeros((1, net.num_nodes))
+        inj = np.zeros((1, self._net.num_nodes))
         inj[0, src] = 1.0
-        return accumulate_rows(schedule, inj)[0]
+        return accumulate_rows(_compile([(self, np.array([dst]))]), inj)[0]
 
     def average_hop_count(self, src: int, dst: int) -> float:
         """Mean number of hops of the ECMP flow from ``src`` to ``dst``."""
@@ -448,19 +410,32 @@ class Routing:
         """``node``'s DAG out-links, ascending: its slice of the CSR DAG."""
         return dag.links[dag.indptr[node] : dag.indptr[node + 1]].tolist()
 
-    def _materialize_pending_dags(self) -> None:
-        """Slice deferred fused-pass DAG arrays into the ``_dags`` cache.
+    def _injection_rows(self, dests: list[int], injections) -> np.ndarray:
+        """``injections`` as float rows, one per destination of ``dests``.
 
-        :meth:`destination_rows` and :meth:`batch_destination_rows` keep
-        the flattened arrays of their fused builds instead of slicing
-        ``DestinationDag`` tuples eagerly; any reader of the cache (or a
-        second build) materializes them first, so the deferral is
-        invisible outside this class.
+        The one check of every injection entry (:meth:`destination_rows`
+        here and in :class:`repro._reference.ScalarRouting`), in the
+        wording of :class:`~repro.traffic.matrix.TrafficMatrix`.
+
+        Raises:
+            ValueError: on a shape other than ``(len(dests), num_nodes)``,
+                or on a non-finite or negative injection, naming the
+                first one's destination and node.
         """
-        pending, self._pending_dags = self._pending_dags, []
-        for dests, arrays in pending:
-            for t, dag in zip(dests, slice_destination_dags(dests, arrays)):
-                self._dags[t] = dag
+        inj = np.asarray(injections, dtype=float)
+        if inj.shape != (len(dests), self._net.num_nodes):
+            raise ValueError(
+                f"expected injections of shape ({len(dests)}, {self._net.num_nodes}), "
+                f"got {inj.shape}"
+            )
+        for bad, what in ((~np.isfinite(inj), "finite"), (inj < 0, "non-negative")):
+            if bad.any():
+                i, u = (int(x) for x in np.argwhere(bad)[0])
+                raise ValueError(
+                    f"injection from node {u} toward node {dests[i]} must be {what}, "
+                    f"got {inj[i, u]}"
+                )
+        return inj
 
     def _mark_unreachable(self, dests, delays: np.ndarray) -> None:
         """Set ``inf`` where a node cannot reach a row's destination."""
@@ -473,34 +448,13 @@ class Routing:
             self._all_finite = bool(np.isfinite(self._dist).all())
         return self._all_finite
 
-    def _schedule(self, dests: list[int], darr: np.ndarray) -> Schedule:
-        """The compiled schedule of the row list ``dests``, cached by list."""
-        key = darr.tobytes()
+    def _schedule(self, dests: np.ndarray) -> Schedule:
+        """The compiled schedule of the int64 row list ``dests``, cached by list."""
+        key = dests.tobytes()
         schedule = self._dest_schedules.get(key)
-        if schedule is not None:
-            return schedule
-        net, k = self._net, len(dests)
-        self._materialize_pending_dags()
-        uncached = [t for t in dict.fromkeys(dests) if t not in self._dags]
-        if len(uncached) == k:
-            # No destination cached and no repeats: build the DAG arrays
-            # and their schedule in one fused pass.  The per-destination
-            # tuples are sliced out lazily — the evaluator's load-mode
-            # passes only ever run the schedule, so the slicing cost
-            # would be pure overhead on the hottest path.
-            if k == net.num_nodes and np.array_equal(darr, np.arange(k)):
-                dist_rows = self._dist
-            else:
-                dist_rows = self._dist[darr]
-            arrays, schedule = build_arrays_and_schedule(
-                net, self._weights, dist_rows, dests, net.link_destinations()
-            )
-            self._pending_dags.append((dests, arrays))
-        else:
-            schedule = build_schedule(
-                self.ensure_dags(dests), net.link_destinations(), net.num_nodes, net.num_links
-            )
-        self._dest_schedules.put(key, schedule)
+        if schedule is None:
+            schedule = _compile([(self, dests)])
+            self._dest_schedules.put(key, schedule)
         return schedule
 
     def _demand_array(self, traffic: DemandsLike) -> np.ndarray:
@@ -582,6 +536,25 @@ class ClassLoads:
             else:
                 rows[redo] = fresh
         return cls(routing, rows, row_sum(rows))
+
+
+def _compile(pairs) -> Schedule:
+    """One schedule over the rows of ``(routing, dests)`` pairs, in order.
+
+    Each row comes from its routing's distance row; with several pairs
+    the weights are stacked, one vector per row.  A lone routing's every
+    destination in order reads its distance matrix without a copy.
+    """
+    net = pairs[0][0].network
+    if len(pairs) == 1:
+        routing, dests = pairs[0]
+        dist = routing._dist
+        if dests.size != len(dist) or not np.array_equal(dests, np.arange(dests.size)):
+            dist = dist[dests]
+        return build_schedule(net, routing._weights, dist)
+    weights = np.stack([r._weights for r, _ in pairs])
+    weights = np.repeat(weights, [d.size for _, d in pairs], axis=0)
+    return build_schedule(net, weights, np.concatenate([r._dist[d] for r, d in pairs]))
 
 
 def _row_layout(requests):

@@ -734,3 +734,33 @@ def test_lone_sla_layer_keeps_its_schedule(method):
     session.set_weights(wh, wl)
     session.scaled_traffic(1.5)
     assert schedules.misses == compiled
+
+
+@pytest.mark.parametrize("mode", (LOAD_MODE, SLA_MODE))
+def test_search_steps_build_no_dag_tuples(mode, monkeypatch):
+    """A search's evaluations compile every schedule from distance rows:
+    ``evaluate`` and three FindH and FindL steps of 5 deltas build no
+    per-destination ``DestinationDag``, which only the path queries read."""
+    from repro.routing import soa
+
+    built = []
+
+    class CountingDag(soa.DestinationDag):
+        def __new__(cls, *fields):
+            built.append(fields[0])
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(soa, "DestinationDag", CountingDag)
+    evaluator, rng = _evaluator("isp", mode, {})
+    net = evaluator.network
+    wh = random_weights(net.num_links, rng)
+    wl = random_weights(net.num_links, rng)
+    evaluator.evaluate(wh, wl)
+    for _ in range(3):
+        deltas = _random_single_deltas(wh, net.num_links, rng, 5)
+        (wh, _), *_ = evaluator.evaluate_moves(wh, wl, _moves("high", deltas))[0]
+        deltas = _random_single_deltas(wl, net.num_links, rng, 5)
+        (_, wl), *_ = evaluator.evaluate_moves(wh, wl, _moves("low", deltas))[0]
+    stats = evaluator.cache_stats()
+    assert stats["high_incremental"] > 0 and stats["low_incremental"] > 0
+    assert built == []

@@ -262,6 +262,26 @@ def test_injection_shape_validated():
         routing.destination_rows([0, 1], np.zeros((3, net.num_nodes)))
 
 
+@pytest.mark.parametrize("bad", (-2.0, np.nan, np.inf))
+def test_injections_rejected_unless_finite_and_non_negative(bad):
+    """``destination_rows`` and ``destination_link_loads`` check every
+    injection like a ``TrafficMatrix`` demand on both routings, naming the
+    row's destination and the node.  Unchecked, a ``-2.0`` injection made
+    the kernel row sum to ``-3.0`` where the scalar loop, which skips
+    non-positive flow, gave ``1.0``, and a NaN or inf spread to 6 links."""
+    net = isp_topology()
+    inj = np.zeros(net.num_nodes)
+    inj[3], inj[7] = bad, 1.0
+    what = "non-negative" if bad < 0 else "finite"
+    message = f"^injection from node 3 toward node 5 must be {what}, got {bad}$"
+    for routing_class in (Routing, ScalarRouting):
+        routing = routing_class(net, unit_weights(net.num_links))
+        with pytest.raises(ValueError, match=message):
+            routing.destination_link_loads(5, inj)
+        with pytest.raises(ValueError, match=message):
+            routing.destination_rows([4, 5], np.stack([np.ones(net.num_nodes), inj]))
+
+
 # ----------------------------------------------------------------------
 # Batched masks and Dijkstra
 # ----------------------------------------------------------------------
@@ -357,20 +377,21 @@ def test_derive_children_batch_equals_single_calls():
         )
 
 
-def test_derive_children_shares_dags_exactly_when_link_space_kept():
+def test_derive_children_keep_class_and_answer_like_fresh_routings():
+    """A child of a parent with every DAG built keeps the parent's class
+    and lists the same DAG out-links as a fresh routing, on the CSR path
+    and on the scalar reference's mask path."""
     net, weights = _instances()[1]
     parent = ScalarRouting(net, weights)
     parent.ensure_dags(range(net.num_nodes))
     children = _mixed_children(net, weights, parent)
     for child, routing in zip(children, derive_children(parent, children)):
-        assert type(routing) is ScalarRouting  # children keep the parent's class
-        unaffected = set(range(net.num_nodes)) - set(child[2].tolist())
-        if child[0] is net:
-            assert set(routing.soa_dag_cache()) == unaffected
-            for t in unaffected:
-                assert routing.soa_dag_cache()[t] is parent.soa_dag_cache()[t]
-        else:
-            assert routing.soa_dag_cache() == {}
+        assert type(routing) is ScalarRouting
+        fresh = Routing(child[0], child[1])
+        for t in range(net.num_nodes):
+            want = fresh.dag_out_links(t)
+            assert Routing.dag_out_links(routing, t) == want
+            assert routing.dag_out_links(t) == want
 
 
 def test_full_spf_cutoff_applies_to_topology_children_only():
@@ -430,27 +451,43 @@ def test_from_precomputed_distance_matrix_is_read_only():
         child.distance_matrix[0, 0] = 99.0
 
 
-def test_schedule_shares_dag_cache_across_calls():
-    """Repeated batched calls reuse the per-destination CSR DAGs."""
+def _compiles():
+    """Schedule compiles so far: ``repro_routing_kernel_seconds``
+    observations labelled ``kernel="build_schedule"``."""
+    from repro.routing.soa import _OBS_SCHEDULE_SECONDS
+
+    return _OBS_SCHEDULE_SECONDS.sample()["count"]
+
+
+def test_repeated_destination_rows_compile_once():
+    """A second ``destination_rows`` over one list (a repeated destination
+    included) runs on the first call's schedule: one compile, and rows
+    equal to the scalar loop's both times."""
     net, weights = _instances()[0]
     routing = Routing(net, weights)
-    inj = np.zeros((2, net.num_nodes))
-    inj[0, 1] = 1.0
-    inj[1, 2] = 1.0
-    routing.destination_rows([5, 6], inj)
-    first = dict(routing.soa_dag_cache())
-    routing.destination_rows([5, 6], inj)
-    for t, dag in routing.soa_dag_cache().items():
-        assert first[t] is dag
+    inj = np.zeros((3, net.num_nodes))
+    inj[0, 1] = inj[1, 2] = inj[2, 3] = 1.0
+    want = ScalarRouting(net, weights).destination_rows([5, 6, 5], inj)
+    before = _compiles()
+    for _ in range(2):
+        np.testing.assert_array_equal(routing.destination_rows([5, 6, 5], inj), want)
+    assert _compiles() == before + 1
+
+
+def test_one_load_pass_observes_one_schedule_compile():
+    """Every compile is observed: a fresh routing's ``link_loads``
+    compiles one schedule and adds one observation."""
+    net, weights = _instances()[0]
+    demands = gravity_traffic_matrix(net.num_nodes, random.Random(1))
+    before = _compiles()
+    Routing(net, weights).link_loads(demands)
+    assert _compiles() == before + 1
 
 
 def test_build_schedule_rejects_mismatched_dims():
     net, weights = _instances()[0]
     routing = Routing(net, weights)
-    dags = routing.ensure_dags([0])
-    schedule = build_schedule(
-        dags, net.link_destinations(), net.num_nodes, net.num_links
-    )
+    schedule = build_schedule(net, routing.weights, routing.distance_matrix[[0]])
     from repro.routing.soa import accumulate_rows
 
     with pytest.raises(ValueError, match="shape"):
@@ -476,65 +513,42 @@ def _routings_and_rows(seed, family, count):
     return net, out
 
 
-def _assert_schedules_equal(a, b):
-    assert (a.num_rows, a.num_nodes, a.num_links) == (b.num_rows, b.num_nodes, b.num_links)
-    assert len(a.steps) == len(b.steps)
-    for x, y in zip(a.steps, b.steps):
-        for field in x._fields:
-            assert np.array_equal(getattr(x, field), getattr(y, field)), field
-    if a.load_pos is None or b.load_pos is None:
-        assert a.load_pos is None and b.load_pos is None
-    else:
-        np.testing.assert_array_equal(a.load_pos, b.load_pos)
-
-
 @given(
     seed=st.integers(0, 10_000),
     family=st.sampled_from(sorted(FAMILIES)),
     count=st.integers(1, 4),
 )
 def test_build_with_per_row_weights_equals_per_routing_builds(seed, family, count):
-    """One ``build_arrays_and_schedule`` pass with one weight vector per row
-    equals a separate 1-D build per routing: DAG tuples, schedule (against
-    ``build_schedule`` over the separate DAGs) and accumulated rows."""
-    from repro.routing.soa import (
-        accumulate_rows,
-        build_arrays_and_schedule,
-        row_slice,
-        slice_destination_dags,
-    )
+    """One ``build_schedule`` pass with one weight vector per row equals a
+    separate 1-D compile per routing: accumulated rows and reverse-pass
+    delays, bit for bit."""
+    from repro.routing.soa import accumulate_rows, mean_path_delays
 
     net, requests = _routings_and_rows(seed, family, count)
-    link_dst = net.link_destinations()
-    dags, rows = [], []
+    rng = random.Random(seed + 1)
+    delays = np.array([rng.random() * 20 + 0.1 for _ in range(net.num_links)])
+    rows, paths = [], []
     for routing, dests, inj in requests:
-        dist_rows = routing.distance_matrix[np.asarray(dests, dtype=np.int64)]
-        arrays, schedule = build_arrays_and_schedule(
-            net, routing.weights, dist_rows, dests, link_dst
-        )
-        dags.append(slice_destination_dags(dests, arrays))
+        schedule = build_schedule(net, routing.weights, _dist_rows(routing, dests))
         rows.append(accumulate_rows(schedule, inj))
-    counts = [len(dests) for _, dests, _ in requests]
-    weights = np.repeat(np.stack([r.weights for r, _, _ in requests]), counts, axis=0)
-    all_dests = [t for _, dests, _ in requests for t in dests]
-    dist_rows = np.concatenate(
-        [r.distance_matrix[np.asarray(d, dtype=np.int64)] for r, d, _ in requests]
-    )
-    arrays, schedule = build_arrays_and_schedule(net, weights, dist_rows, all_dests, link_dst)
-    start = 0
-    for routing_dags, (_, dests, _) in zip(dags, requests):
-        stop = start + len(dests)
-        mine = slice_destination_dags(dests, row_slice(arrays, start, stop))
-        assert len(mine) == len(routing_dags)
-        for x, y in zip(mine, routing_dags):
-            assert x.dst == y.dst
-            for field in ("indptr", "links", "order", "levels", "order_counts"):
-                assert np.array_equal(getattr(x, field), getattr(y, field)), field
-        start = stop
-    flat = [dag for routing_dags in dags for dag in routing_dags]
-    _assert_schedules_equal(schedule, build_schedule(flat, link_dst, net.num_nodes, net.num_links))
+        paths.append(mean_path_delays(schedule, delays))
+    schedule = _stacked_schedule(net, requests)
     injections = np.concatenate([inj for _, _, inj in requests])
     np.testing.assert_array_equal(accumulate_rows(schedule, injections), np.concatenate(rows))
+    np.testing.assert_array_equal(mean_path_delays(schedule, delays), np.concatenate(paths))
+
+
+def _dist_rows(routing, dests):
+    return routing.distance_matrix[np.asarray(dests, dtype=np.int64)]
+
+
+def _stacked_schedule(net, requests):
+    """One ``build_schedule`` pass over every request's rows, each row under
+    its own routing's weights."""
+    counts = [len(dests) for _, dests, _ in requests]
+    weights = np.repeat(np.stack([r.weights for r, _, _ in requests]), counts, axis=0)
+    dist_rows = np.concatenate([_dist_rows(r, d) for r, d, _ in requests])
+    return build_schedule(net, weights, dist_rows)
 
 
 @given(
@@ -549,21 +563,16 @@ def test_mean_path_delays_with_per_row_delays_equals_separate_passes(seed, famil
 
     net, requests = _routings_and_rows(seed, family, count)
     rng = random.Random(seed + 1)
-    link_dst = net.link_destinations()
     delays = [np.array([rng.random() * 20 + 0.1 for _ in range(net.num_links)])
               for _ in requests]
     separate = [
-        mean_path_delays(
-            build_schedule(r.ensure_dags(d), link_dst, net.num_nodes, net.num_links), dl
-        )
+        mean_path_delays(build_schedule(net, r.weights, _dist_rows(r, d)), dl)
         for (r, d, _), dl in zip(requests, delays)
     ]
-    flat = [dag for r, d, _ in requests for dag in r.ensure_dags(d)]
-    schedule = build_schedule(flat, link_dst, net.num_nodes, net.num_links)
     counts = [len(d) for _, d, _ in requests]
     per_row = np.repeat(np.stack(delays), counts, axis=0)
     np.testing.assert_array_equal(
-        mean_path_delays(schedule, per_row), np.concatenate(separate)
+        mean_path_delays(_stacked_schedule(net, requests), per_row), np.concatenate(separate)
     )
 
 
@@ -575,8 +584,7 @@ def test_mean_path_delays_with_per_row_delays_equals_separate_passes(seed, famil
 def test_routing_batch_passes_equal_per_routing_calls(seed, family, count):
     """``Routing.batch_destination_rows`` / ``batch_path_delays`` equal each
     routing's own ``destination_rows`` / ``path_delays``, also when several
-    requests share a routing (both classes of an STR move); the deferred
-    DAGs each routing keeps equal a fresh routing's."""
+    requests share a routing (both classes of an STR move)."""
     net, requests = _routings_and_rows(seed, family, count)
     # A second request on every other routing, with its own destinations.
     rng = random.Random(seed + 1)
@@ -589,10 +597,6 @@ def test_routing_batch_passes_equal_per_routing_calls(seed, family, count):
     batched = Routing.batch_destination_rows(requests)
     for (routing, dests, inj), twin, rows in zip(requests, twins, batched):
         np.testing.assert_array_equal(rows, twin.destination_rows(dests, inj))
-        fresh = Routing(net, routing.weights)
-        for t in set(dests):
-            x, y = routing.soa_dag_cache()[t], fresh.ensure_dags([t])[0]
-            assert np.array_equal(x.links, y.links) and np.array_equal(x.order, y.order)
     rng = random.Random(seed + 2)
     delay_requests = [
         (r, d, np.array([rng.random() * 20 + 0.1 for _ in range(net.num_links)]))
@@ -609,8 +613,6 @@ def test_mean_path_delays_rejects_mismatched_delay_rows():
 
     net, weights = _instances()[0]
     routing = Routing(net, weights)
-    schedule = build_schedule(
-        routing.ensure_dags([0, 1]), net.link_destinations(), net.num_nodes, net.num_links
-    )
+    schedule = build_schedule(net, routing.weights, routing.distance_matrix[[0, 1]])
     with pytest.raises(ValueError, match="shape"):
         mean_path_delays(schedule, np.ones((3, net.num_links)))
